@@ -13,7 +13,6 @@
 #include "bench_util.h"
 #include "core/streaming_asap.h"
 #include "datasets/datasets.h"
-#include "stream/engine.h"
 #include "stream/source.h"
 
 int main() {
@@ -37,26 +36,21 @@ int main() {
         asap::datasets::MakeByName(name).ValueOrDie();
     const std::vector<double>& data = ds.series.values();
 
-    double prev_throughput = 0.0;
     for (size_t interval : intervals) {
       asap::StreamingOptions options;
       options.resolution = 2000;
       options.visible_points = data.size();
       options.refresh_every_points = interval;
-      asap::StreamingAsap op_core =
+      asap::StreamingAsap op =
           asap::StreamingAsap::Create(options).ValueOrDie();
-      op_core.Prefill(data);  // full window before measuring
-      asap::stream::StreamingAsapOperator op(std::move(op_core));
+      op.Prefill(data);  // full window before measuring
 
       asap::stream::LoopingSource source(data, /*total_points=*/100'000'000);
-      const asap::stream::RunReport report = asap::stream::RunForBudget(
+      const double points_per_second = asap::bench::PushBatchForBudget(
           &source, &op, /*budget_seconds=*/0.8, /*batch_size=*/
           std::max<size_t>(interval, 64));
 
-      Row({name, std::to_string(interval), FmtEng(report.points_per_second)},
-          20);
-      prev_throughput = report.points_per_second;
-      (void)prev_throughput;
+      Row({name, std::to_string(interval), FmtEng(points_per_second)}, 20);
     }
     Rule(3, 20);
   }

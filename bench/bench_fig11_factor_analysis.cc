@@ -21,7 +21,6 @@
 #include "bench_util.h"
 #include "core/streaming_asap.h"
 #include "datasets/datasets.h"
-#include "stream/engine.h"
 #include "stream/source.h"
 
 namespace {
@@ -45,18 +44,16 @@ double MeasureThroughput(const std::vector<double>& data, size_t resolution,
   // or per point when preaggregation is off.
   options.refresh_every_points = config.lazy ? 288 : (config.pixel ? 0 : 1);
 
-  asap::StreamingAsap core = asap::StreamingAsap::Create(options).ValueOrDie();
-  core.Prefill(data);
-  asap::stream::StreamingAsapOperator op(std::move(core));
+  asap::StreamingAsap op = asap::StreamingAsap::Create(options).ValueOrDie();
+  op.Prefill(data);
   asap::stream::LoopingSource source(data, /*total_points=*/200'000'000);
   // Per-point batches for configurations that refresh on every point:
   // the budget is only checked between batches, and one refresh of an
   // unoptimized configuration costs ~0.1 s.
   const size_t batch_size =
       options.refresh_every_points == 1 ? 1 : 64;
-  const asap::stream::RunReport report = asap::stream::RunForBudget(
-      &source, &op, /*budget_seconds=*/1.2, batch_size);
-  return report.points_per_second;
+  return asap::bench::PushBatchForBudget(&source, &op,
+                                         /*budget_seconds=*/1.2, batch_size);
 }
 
 }  // namespace

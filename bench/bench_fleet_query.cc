@@ -195,10 +195,12 @@ int main(int argc, char** argv) {
       asap::bench::TimeBest([&] { dc1.SelectInto(catalog, &ids); }, 5);
   const double sample_seconds =
       asap::bench::TimeBest([&] { (void)view.Sample(dc1); }, 5);
-  const double bands_seconds =
-      asap::bench::TimeBest([&] { (void)view.PercentileBands(dc1); }, 5);
-  const double anomaly_seconds =
-      asap::bench::TimeBest([&] { (void)view.AnomalyCounts(dc1); }, 5);
+  const asap::ExecPolicy& policy = view.exec_policy();
+  const double bands_seconds = asap::bench::TimeBest(
+      [&] { (void)FleetView::BandsOf(view.Sample(dc1), policy); }, 5);
+  const double anomaly_seconds = asap::bench::TimeBest(
+      [&] { (void)FleetView::AnomalyCountsOf(view.Sample(dc1), {}, policy); },
+      5);
   const double change_seconds =
       asap::bench::TimeBest([&] { (void)view.TopKByChange(10, 3, dc1); }, 5);
   const double diff_seconds = asap::bench::TimeBest(
@@ -219,8 +221,8 @@ int main(int argc, char** argv) {
   };
   query_row("SelectInto", select_seconds);
   query_row("Sample", sample_seconds);
-  query_row("PercentileBands", bands_seconds);
-  query_row("AnomalyCounts", anomaly_seconds);
+  query_row("BandsOf", bands_seconds);
+  query_row("AnomalyCountsOf", anomaly_seconds);
   query_row("TopKByChange", change_seconds);
   query_row("DiffHistory x64", diff_seconds);
   Rule(3, 18);
@@ -228,9 +230,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\nMatching runs each compiled selector over every interned name\n"
       "(%zu series); rollups run against live published frames with a\n"
-      "4-deep snapshot ring. PercentileBands covers every pane position\n"
-      "of every selected frame; AnomalyCounts runs the stream/alerts\n"
-      "detector per frame.\n",
+      "4-deep snapshot ring, and each *Of row includes taking its\n"
+      "sample. BandsOf covers every pane position of every selected\n"
+      "frame; AnomalyCountsOf runs the stream/alerts detector per\n"
+      "frame.\n",
       catalog.size());
 
   // --- Rollup kernel floors -----------------------------------------------
@@ -242,7 +245,7 @@ int main(int argc, char** argv) {
   // bitwise-identical bands (exec_parity_test), so the ratio isolates
   // the kernel work. Sequential scalar execution keeps the gate
   // deterministic across CI core counts.
-  const FleetSample rollup_sample = view.Sample();
+  const FleetSample rollup_sample = view.Sample(SeriesSelector::All());
   asap::ExecPolicy sequential;
   sequential.threads = 1;
   const double baseline_seconds =

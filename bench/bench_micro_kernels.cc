@@ -18,7 +18,6 @@
 #include "core/streaming_asap.h"
 #include "fft/autocorrelation.h"
 #include "fft/fft.h"
-#include "stats/rolling.h"
 #include "ts/generators.h"
 #include "window/sma.h"
 
@@ -81,20 +80,6 @@ void BM_Sma(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_Sma)->Range(1 << 10, 1 << 20);
-
-void BM_RollingMoments(benchmark::State& state) {
-  const size_t n = 1 << 16;
-  std::vector<double> x = MakeSignal(n);
-  for (auto _ : state) {
-    asap::stats::RollingMoments roll(256);
-    for (double v : x) {
-      roll.Push(v);
-    }
-    benchmark::DoNotOptimize(roll.kurtosis());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_RollingMoments);
 
 void BM_EvaluateWindow(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

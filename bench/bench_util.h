@@ -1,9 +1,11 @@
 // Shared helpers for the paper-reproduction bench harnesses: aligned
-// text tables and robust timing.
+// text tables, robust timing, and the budgeted single-series drive
+// loop.
 
 #ifndef ASAP_BENCH_BENCH_UTIL_H_
 #define ASAP_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -11,6 +13,8 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "core/streaming_asap.h"
+#include "stream/source.h"
 #include "telemetry/metrics.h"
 
 namespace asap {
@@ -95,6 +99,31 @@ inline double TimeBestReported(const std::string& label,
     best = std::min(best, static_cast<double>(nanos) * 1e-9);
   }
   return best;
+}
+
+/// Pulls `source` through `op->PushBatch` in batches of `batch_size`
+/// points until the source runs dry or `budget_seconds` of wall time
+/// have passed (checked between batches, so one batch can overrun the
+/// budget), and returns the points/second achieved. Lets benches
+/// measure configurations whose full-stream runtime would be
+/// impractical (e.g. the Fig. 11 unoptimized baseline).
+inline double PushBatchForBudget(stream::Source* source, StreamingAsap* op,
+                                 double budget_seconds, size_t batch_size) {
+  Stopwatch watch;
+  std::vector<double> batch;
+  batch.reserve(batch_size);
+  uint64_t points = 0;
+  while (watch.ElapsedSeconds() < budget_seconds) {
+    batch.clear();
+    const size_t n = source->NextBatch(batch_size, &batch);
+    if (n == 0) {
+      break;
+    }
+    op->PushBatch(batch.data(), n);
+    points += n;
+  }
+  const double seconds = watch.ElapsedSeconds();
+  return seconds > 0.0 ? static_cast<double>(points) / seconds : 0.0;
 }
 
 }  // namespace bench

@@ -230,10 +230,11 @@ int main(int argc, char** argv) {
   // roughest dashboards fleet-wide and the fleet's smoothed CPU level.
   //
   // This dashboard "tick" asks four questions about the same instant,
-  // so it takes ONE Sample() and feeds it to the pure *Of rollups —
-  // sampling per query would walk every shard's snapshots four times
-  // and could even see different fleets between questions.
-  const asap::stream::FleetSample sample = view.Sample();
+  // so it takes ONE Sample(selector) and feeds it to the pure *Of
+  // rollups — sampling per query would walk every shard's snapshots
+  // four times and could even see different fleets between questions.
+  const asap::stream::FleetSample sample =
+      view.Sample(asap::stream::SeriesSelector::All());
   std::printf("\nRoughest smoothed dashboards (top 3 of %zu):\n",
               view.series_count());
   for (const asap::stream::SeriesRank& rank :
@@ -313,9 +314,9 @@ int main(int argc, char** argv) {
   // samples that registry every tick and emits `asap.self.*` records;
   // a second, smaller ShardedEngine ingests them through the exact
   // pipeline the CPU telemetry took. Each tick also runs one
-  // FleetView::Sample() against the fleet engine (the tick_hook), so
-  // the self-stream carries a *moving* signal: the engine's own query
-  // latency under a steady dashboard load.
+  // fleet-wide FleetView::Sample against the fleet engine (the
+  // tick_hook), so the self-stream carries a *moving* signal: the
+  // engine's own query latency under a steady dashboard load.
   constexpr size_t kSelfTicks = 240;
   std::printf(
       "\nDogfood: scraping the engine's own registry for %zu ticks and\n"
@@ -337,7 +338,9 @@ int main(int argc, char** argv) {
   asap::telemetry::SelfScrapeOptions scrape_options;
   scrape_options.tick_interval_ms = 0.0;  // free-run: demo, not deployment
   scrape_options.max_ticks = kSelfTicks;
-  scrape_options.tick_hook = [&view] { view.Sample(); };
+  scrape_options.tick_hook = [&view] {
+    view.Sample(asap::stream::SeriesSelector::All());
+  };
 
   asap::telemetry::SelfScrapeSource self_source(
       self_engine.catalog(), engine.metrics(), scrape_options);
@@ -352,7 +355,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(self_report.refreshes));
 
   // Chart one self-series exactly the way the host dashboards were
-  // charted: the engine's own Sample() p99 latency, smoothed by ASAP.
+  // charted: the engine's own Sample p99 latency, smoothed by ASAP.
   const std::string self_series_name = asap::telemetry::SelfSeriesName(
       {"asap_query_seconds", "", {{"kind", "sample"}}}, ".p99");
   const asap::stream::FleetView self_view(&self_engine);

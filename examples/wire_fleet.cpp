@@ -357,14 +357,15 @@ int RunServer(const Args& args, asap::stream::ShardedEngine* engine,
   }
 
   // The query tier: cross-series questions over the published frames.
-  // One Sample() per dashboard tick: the fleet-wide rollups below all
+  // One Sample per dashboard tick: the fleet-wide rollups below all
   // describe the same instant, so they share one sample through the
   // pure *Of entry points instead of re-walking the shards per query.
   // (The selector-scoped slice further down is a different question —
   // a different subset — so it takes its own scoped sample.)
   const asap::stream::FleetView view(engine);
-  const asap::stream::FleetSample sample = view.Sample();
-  std::printf("\nRoughest smoothed views (FleetView::TopKByRoughness):\n");
+  const asap::stream::FleetSample sample =
+      view.Sample(asap::stream::SeriesSelector::All());
+  std::printf("\nRoughest smoothed views (FleetView::TopKByRoughnessOf):\n");
   for (const asap::stream::SeriesRank& rank :
        asap::stream::FleetView::TopKByRoughnessOf(sample, 3).ranks) {
     std::printf("  %-10s roughness %.4f (window %zu)\n", rank.name.c_str(),
@@ -385,7 +386,8 @@ int RunServer(const Args& args, asap::stream::ShardedEngine* engine,
   const asap::stream::SeriesSelector single_digit =
       asap::stream::SeriesSelector::Glob("cab-0?");
   const asap::stream::FleetAggregate slice =
-      view.Aggregate(asap::stream::AggKind::kMean, single_digit);
+      asap::stream::FleetView::AggregateOf(view.Sample(single_digit),
+                                           asap::stream::AggKind::kMean);
   std::printf("Slice \"%s\": smoothed level %.2f across %zu cabs.\n",
               single_digit.pattern().c_str(), slice.value, slice.series);
 

@@ -22,8 +22,7 @@ StreamingAsap::StreamingAsap(const StreamingOptions& options)
       panes_(pane_size_,
              /*max_panes=*/std::max<size_t>(options.visible_points /
                                                 std::max<size_t>(pane_size_, 1),
-                                            4)),
-      published_(std::make_shared<const Frame>()) {}
+                                            4)) {}
 
 Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
   if (options.visible_points < 8) {
@@ -140,30 +139,22 @@ void StreamingAsap::RestorePanes(const double* means, size_t n,
 
 std::shared_ptr<const StreamingAsap::Frame> StreamingAsap::frame_snapshot()
     const {
-  if (options_.snapshot_ring_frames > 1) {
-    // The ring is the single publication point when K > 1, so
-    // frame_snapshot() and FrameHistory().back() can never disagree.
-    const std::shared_ptr<const FrameRing> ring = std::atomic_load_explicit(
-        &published_ring_, std::memory_order_acquire);
-    if (ring != nullptr) {
-      return ring->back();
-    }
-    // No refresh yet: fall through to the initial empty frame.
+  const std::shared_ptr<const FrameRing> ring =
+      std::atomic_load_explicit(&published_, std::memory_order_acquire);
+  if (ring != nullptr) {
+    return ring->back();
   }
-  return std::atomic_load_explicit(&published_, std::memory_order_acquire);
+  // No refresh yet: every operator serves the same immutable empty
+  // frame.
+  static const std::shared_ptr<const Frame> kEmpty =
+      std::make_shared<const Frame>();
+  return kEmpty;
 }
 
 std::vector<std::shared_ptr<const StreamingAsap::Frame>>
 StreamingAsap::FrameHistory() const {
-  if (options_.snapshot_ring_frames <= 1) {
-    std::shared_ptr<const Frame> latest = frame_snapshot();
-    if (latest->refreshes == 0) {
-      return {};
-    }
-    return {std::move(latest)};
-  }
   const std::shared_ptr<const FrameRing> ring =
-      std::atomic_load_explicit(&published_ring_, std::memory_order_acquire);
+      std::atomic_load_explicit(&published_, std::memory_order_acquire);
   return ring == nullptr ? FrameRing{} : *ring;
 }
 
@@ -243,32 +234,25 @@ void StreamingAsap::Refresh() {
 
   // Publish the refreshed frame for lock-free snapshot readers (the
   // sharded engine's dashboards read frames mid-run through this).
-  // Exactly one publication point per mode: published_ when K == 1,
-  // the ring when K > 1 (frame_snapshot() serves ring->back() then),
-  // so snapshot and history can never be observed out of step.
-  std::shared_ptr<const Frame> fresh = std::make_shared<Frame>(frame_);
-  const size_t ring_frames = options_.snapshot_ring_frames;
-  if (ring_frames <= 1) {
-    std::atomic_store_explicit(&published_, std::move(fresh),
-                               std::memory_order_release);
-    return;
-  }
-  // Republish the snapshot ring as a whole: a new vector sharing the
-  // previous ring's frame pointers (cheap — K-1 shared_ptr copies),
-  // so readers always see an immutable, internally consistent
-  // history.
-  const std::shared_ptr<const FrameRing> old = std::atomic_load_explicit(
-      &published_ring_, std::memory_order_acquire);
+  // The ring is republished as a whole: a new vector sharing the
+  // previous ring's newest K-1 frame pointers (cheap — shared_ptr
+  // copies), so readers always see an immutable, internally
+  // consistent history.
+  const std::shared_ptr<const FrameRing> old =
+      std::atomic_load_explicit(&published_, std::memory_order_acquire);
+  const size_t keep =
+      old == nullptr
+          ? 0
+          : std::min(old->size(), options_.snapshot_ring_frames - 1);
   auto ring = std::make_shared<FrameRing>();
-  ring->reserve(ring_frames);
-  if (old != nullptr) {
-    const size_t keep = std::min(old->size(), ring_frames - 1);
+  ring->reserve(keep + 1);
+  if (keep > 0) {
     ring->insert(ring->end(), old->end() - static_cast<ptrdiff_t>(keep),
                  old->end());
   }
-  ring->push_back(std::move(fresh));
-  std::atomic_store_explicit(&published_ring_,
-                             std::shared_ptr<const FrameRing>(ring),
+  ring->push_back(std::make_shared<const Frame>(frame_));
+  std::atomic_store_explicit(&published_,
+                             std::shared_ptr<const FrameRing>(std::move(ring)),
                              std::memory_order_release);
 }
 

@@ -53,9 +53,9 @@ struct StreamingOptions {
   SearchStrategy strategy = SearchStrategy::kAsap;
 
   /// Published frames retained for snapshot readers (the snapshot
-  /// ring). 1 keeps only the latest (the original behavior, with zero
-  /// extra cost); K > 1 lets dashboard readers diff the last K
-  /// refreshes for incremental rendering. Must be >= 1.
+  /// ring). 1 keeps only the latest; K > 1 lets dashboard readers
+  /// diff the last K refreshes for incremental rendering. Must be
+  /// >= 1.
   size_t snapshot_ring_frames = 1;
 
   /// Timed pane mode. When pane_width_ticks > 0 the operator assigns
@@ -202,15 +202,12 @@ class StreamingAsap {
   bool has_previous_window_ = false;
   size_t previous_window_ = 1;
   Frame frame_;
-  /// Published copy of frame_ when snapshot_ring_frames == 1, swapped
-  /// atomically at the end of each refresh; with K > 1 it only holds
-  /// the pre-first-refresh empty frame (the ring publishes instead).
-  std::shared_ptr<const Frame> published_;
-  /// The snapshot ring (oldest first): the single publication point
-  /// when snapshot_ring_frames > 1, so frame_snapshot() (serving
-  /// back()) and FrameHistory() can never be observed out of step.
+  /// The snapshot ring (oldest first), swapped atomically at the end
+  /// of each refresh; null before the first. The one publication
+  /// point: frame_snapshot() serves back(), so it and FrameHistory()
+  /// can never be observed out of step.
   using FrameRing = std::vector<std::shared_ptr<const Frame>>;
-  std::shared_ptr<const FrameRing> published_ring_;
+  std::shared_ptr<const FrameRing> published_;
 };
 
 }  // namespace asap

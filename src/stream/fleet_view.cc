@@ -133,17 +133,14 @@ void SelectColumnPercentiles(const double* col, size_t n,
   *out99 = vals[4] + f99 * (vals[5] - vals[4]);
 }
 
-}  // namespace
-
-namespace {
 constexpr const char* kQueryKindNames[] = {
-    "sample",    "sample_glob", "topk_roughness", "aggregate",
-    "bands",     "anomalies",   "diff_history",   "topk_change",
-    "history_deep",
+    "sample", "sample_glob", "diff_history", "topk_change", "history_deep",
 };
+
 }  // namespace
 
-FleetView::FleetView(const ShardedEngine* engine) : engine_(engine) {
+FleetView::FleetView(const ShardedEngine* engine, const ExecPolicy& policy)
+    : engine_(engine), policy_(policy) {
   ASAP_CHECK(engine_ != nullptr);
   for (size_t i = 0; i < kQueryKindCount; ++i) {
     query_nanos_[i] = engine_->metrics()->GetHistogram(
@@ -154,14 +151,10 @@ FleetView::FleetView(const ShardedEngine* engine) : engine_(engine) {
   }
 }
 
-FleetView::FleetView(const ShardedEngine* engine, const ExecPolicy& policy)
-    : FleetView(engine) {
-  policy_ = policy;
-}
-
 std::shared_ptr<const StreamingAsap::Frame> FleetView::Frame(
     std::string_view name) const {
-  return engine_->Snapshot(name);
+  const std::optional<SeriesId> id = catalog()->FindId(name);
+  return id.has_value() ? engine_->SnapshotById(*id) : nullptr;
 }
 
 std::vector<std::shared_ptr<const StreamingAsap::Frame>> FleetView::History(
@@ -208,6 +201,10 @@ FleetView::DeepHistory(std::string_view name, size_t max_frames) const {
   if (total == 0) {
     return {};
   }
+  // A cadenced replay refreshes at most once per pane, so no request
+  // can get more frames than the store holds panes: clamp before the
+  // ring (and the boundary arithmetic below) is sized from it.
+  max_frames = static_cast<size_t>(std::min<uint64_t>(max_frames, total));
 
   StreamingOptions opts = engine_->series_options();
   opts.snapshot_ring_frames = max_frames;
@@ -250,16 +247,17 @@ FleetView::DeepHistory(std::string_view name, size_t max_frames) const {
   return op->FrameHistory();
 }
 
-FleetSample FleetView::SampleSelected(const SeriesSelector* selector) const {
+FleetSample FleetView::Sample(const SeriesSelector& selector) const {
+  telemetry::ScopedTimer timer(query_nanos_[kQSample].get());
   FleetSample sample;
   const SeriesCatalog* catalog = this->catalog();
   const size_t n = catalog->size();
   for (SeriesId id = 0; static_cast<size_t>(id) < n; ++id) {
     const std::string_view name = catalog->NameOf(id);
-    if (selector != nullptr && !selector->Matches(name)) {
+    if (!selector.Matches(name)) {
       continue;
     }
-    auto frame = SnapshotById(id);
+    auto frame = engine_->SnapshotById(id);
     if (frame == nullptr || frame->refreshes == 0) {
       sample.skipped_unpublished += 1;
       continue;
@@ -267,16 +265,6 @@ FleetSample FleetView::SampleSelected(const SeriesSelector* selector) const {
     sample.series.push_back(SampledSeries{name, id, std::move(frame)});
   }
   return sample;
-}
-
-FleetSample FleetView::Sample() const {
-  telemetry::ScopedTimer timer(query_nanos_[kQSample].get());
-  return SampleSelected(nullptr);
-}
-
-FleetSample FleetView::Sample(const SeriesSelector& selector) const {
-  telemetry::ScopedTimer timer(query_nanos_[kQSample].get());
-  return SampleSelected(&selector);
 }
 
 FleetSample FleetView::SampleGlob(std::string_view pattern) const {
@@ -304,7 +292,7 @@ FleetSample FleetView::SampleGlob(std::string_view pattern) const {
 
   FleetSample sample;
   for (const SeriesId id : glob_cache_ids_) {
-    auto frame = SnapshotById(id);
+    auto frame = engine_->SnapshotById(id);
     if (frame == nullptr || frame->refreshes == 0) {
       sample.skipped_unpublished += 1;
       continue;
@@ -313,11 +301,6 @@ FleetSample FleetView::SampleGlob(std::string_view pattern) const {
         SampledSeries{catalog->NameOf(id), id, std::move(frame)});
   }
   return sample;
-}
-
-RoughnessRanking FleetView::TopKByRoughnessOf(const FleetSample& sample,
-                                              size_t k) {
-  return TopKByRoughnessOf(sample, k, ExecPolicy{});
 }
 
 RoughnessRanking FleetView::TopKByRoughnessOf(const FleetSample& sample,
@@ -364,21 +347,6 @@ RoughnessRanking FleetView::TopKByRoughnessOf(const FleetSample& sample,
   return ranking;
 }
 
-RoughnessRanking FleetView::RankByRoughness(
-    size_t k, const SeriesSelector* selector) const {
-  telemetry::ScopedTimer timer(query_nanos_[kQTopKRoughness].get());
-  return TopKByRoughnessOf(SampleSelected(selector), k, policy_);
-}
-
-RoughnessRanking FleetView::TopKByRoughness(size_t k) const {
-  return RankByRoughness(k, nullptr);
-}
-
-RoughnessRanking FleetView::TopKByRoughness(
-    size_t k, const SeriesSelector& selector) const {
-  return RankByRoughness(k, &selector);
-}
-
 FleetAggregate FleetView::AggregateOf(const FleetSample& sample,
                                       AggKind kind) {
   FleetAggregate agg;
@@ -410,25 +378,6 @@ FleetAggregate FleetView::AggregateOf(const FleetSample& sample,
     agg.value /= static_cast<double>(agg.series);
   }
   return agg;
-}
-
-FleetAggregate FleetView::AggregateSelected(
-    AggKind kind, const SeriesSelector* selector) const {
-  telemetry::ScopedTimer timer(query_nanos_[kQAggregate].get());
-  return AggregateOf(SampleSelected(selector), kind);
-}
-
-FleetAggregate FleetView::Aggregate(AggKind kind) const {
-  return AggregateSelected(kind, nullptr);
-}
-
-FleetAggregate FleetView::Aggregate(AggKind kind,
-                                    const SeriesSelector& selector) const {
-  return AggregateSelected(kind, &selector);
-}
-
-FleetPercentileBands FleetView::BandsOf(const FleetSample& sample) {
-  return BandsOf(sample, ExecPolicy{});
 }
 
 FleetPercentileBands FleetView::BandsOf(const FleetSample& sample,
@@ -496,22 +445,6 @@ FleetPercentileBands FleetView::BandsOf(const FleetSample& sample,
   return bands;
 }
 
-FleetPercentileBands FleetView::PercentileBands() const {
-  telemetry::ScopedTimer timer(query_nanos_[kQBands].get());
-  return BandsOf(SampleSelected(nullptr), policy_);
-}
-
-FleetPercentileBands FleetView::PercentileBands(
-    const SeriesSelector& selector) const {
-  telemetry::ScopedTimer timer(query_nanos_[kQBands].get());
-  return BandsOf(SampleSelected(&selector), policy_);
-}
-
-FleetAnomalyCounts FleetView::AnomalyCountsOf(const FleetSample& sample,
-                                              const AlertOptions& options) {
-  return AnomalyCountsOf(sample, options, ExecPolicy{});
-}
-
 FleetAnomalyCounts FleetView::AnomalyCountsOf(const FleetSample& sample,
                                               const AlertOptions& options,
                                               const ExecPolicy& policy) {
@@ -546,18 +479,6 @@ FleetAnomalyCounts FleetView::AnomalyCountsOf(const FleetSample& sample,
     }
   }
   return counts;
-}
-
-FleetAnomalyCounts FleetView::AnomalyCounts(
-    const AlertOptions& options) const {
-  telemetry::ScopedTimer timer(query_nanos_[kQAnomalies].get());
-  return AnomalyCountsOf(SampleSelected(nullptr), options, policy_);
-}
-
-FleetAnomalyCounts FleetView::AnomalyCounts(
-    const SeriesSelector& selector, const AlertOptions& options) const {
-  telemetry::ScopedTimer timer(query_nanos_[kQAnomalies].get());
-  return AnomalyCountsOf(SampleSelected(&selector), options, policy_);
 }
 
 HistoryDiff FleetView::DiffRing(
@@ -615,7 +536,7 @@ HistoryDiff FleetView::DiffHistory(std::string_view name, size_t k) const {
       engine_->FrameHistoryById(*id);
   // A diff deeper than the ring holds reaches into the durable tier:
   // reconstruct a k+1-deep ring from stored panes and diff that.
-  if (k + 1 > ring.size() && engine_->storage() != nullptr) {
+  if (k >= ring.size() && engine_->storage() != nullptr) {
     std::vector<std::shared_ptr<const StreamingAsap::Frame>> deep =
         DeepHistory(name, k + 1);
     if (deep.size() > ring.size()) {
@@ -625,8 +546,8 @@ HistoryDiff FleetView::DiffHistory(std::string_view name, size_t k) const {
   return DiffRing(ring, k, policy_);
 }
 
-ChangeRanking FleetView::RankByChange(size_t k, size_t frames_back,
-                                      const SeriesSelector* selector) const {
+ChangeRanking FleetView::TopKByChange(size_t k, size_t frames_back,
+                                      const SeriesSelector& selector) const {
   telemetry::ScopedTimer timer(query_nanos_[kQTopKChange].get());
   ChangeRanking ranking;
   const SeriesCatalog* catalog = this->catalog();
@@ -636,7 +557,7 @@ ChangeRanking FleetView::RankByChange(size_t k, size_t frames_back,
   std::vector<SeriesId> ids;
   ids.reserve(n);
   for (SeriesId id = 0; static_cast<size_t>(id) < n; ++id) {
-    if (selector == nullptr || selector->Matches(catalog->NameOf(id))) {
+    if (selector.Matches(catalog->NameOf(id))) {
       ids.push_back(id);
     }
   }
@@ -679,15 +600,6 @@ ChangeRanking FleetView::RankByChange(size_t k, size_t frames_back,
     ranking.ranks.resize(k);
   }
   return ranking;
-}
-
-ChangeRanking FleetView::TopKByChange(size_t k, size_t frames_back) const {
-  return RankByChange(k, frames_back, nullptr);
-}
-
-ChangeRanking FleetView::TopKByChange(size_t k, size_t frames_back,
-                                      const SeriesSelector& selector) const {
-  return RankByChange(k, frames_back, &selector);
 }
 
 size_t FleetView::series_count() const { return catalog()->size(); }

@@ -52,7 +52,7 @@ namespace stream {
 /// Cross-series rollup kinds over each series' latest smoothed value.
 enum class AggKind { kSum, kMean, kMin, kMax };
 
-/// Result of FleetView::Aggregate.
+/// Result of FleetView::AggregateOf.
 struct FleetAggregate {
   /// Series that contributed (had at least one published refresh).
   size_t series = 0;
@@ -63,7 +63,7 @@ struct FleetAggregate {
   size_t skipped_unpublished = 0;
 };
 
-/// One row of FleetView::TopKByRoughness, roughest first.
+/// One row of FleetView::TopKByRoughnessOf, roughest first.
 struct SeriesRank {
   std::string name;
   /// Roughness (stddev of first differences) of the series' latest
@@ -74,7 +74,7 @@ struct SeriesRank {
   uint64_t refreshes = 0;
 };
 
-/// Result of FleetView::TopKByRoughness.
+/// Result of FleetView::TopKByRoughnessOf.
 struct RoughnessRanking {
   /// At most k rows, descending roughness (ties broken by name).
   std::vector<SeriesRank> ranks;
@@ -181,22 +181,28 @@ struct ChangeRanking {
 /// Read-only, name-addressed query API over a ShardedEngine's
 /// published frames. Cheap to construct (borrows the engine); safe to
 /// use from any thread, including while a run is in flight.
+///
+/// One read path: a cross-series answer is a pure function of one
+/// FleetSample. Take the sample with Sample(selector) or SampleGlob,
+/// then run any of the static *Of rollups over it, passing
+/// exec_policy() to run them under this view's policy.
 class FleetView {
  public:
-  /// `engine` is borrowed and must outlive this view.
-  explicit FleetView(const ShardedEngine* engine);
-
-  /// Same, with an execution policy applied to every rollup this view
-  /// runs (threads + SIMD; see common/exec_policy.h). The policy
-  /// changes rollup speed only — every result is bitwise-identical to
-  /// the default sequential scalar execution.
-  FleetView(const ShardedEngine* engine, const ExecPolicy& policy);
+  /// `engine` is borrowed and must outlive this view. `policy`
+  /// (threads + SIMD; see common/exec_policy.h) is the execution
+  /// policy of this view's own queries and the one callers hand to the
+  /// *Of rollups. It changes speed only — every result is
+  /// bitwise-identical to the default sequential scalar execution.
+  explicit FleetView(const ShardedEngine* engine,
+                     const ExecPolicy& policy = {});
 
   const ExecPolicy& exec_policy() const { return policy_; }
-  void set_exec_policy(const ExecPolicy& policy) { policy_ = policy; }
 
   /// The latest published frame of one named series; nullptr if the
-  /// name is unknown or no record of it has reached a shard yet.
+  /// name is unknown or no record of it has reached a shard yet
+  /// (before the first refresh the frame is empty: refreshes == 0).
+  /// The returned frame is immutable — no copy is made to serve the
+  /// read.
   std::shared_ptr<const StreamingAsap::Frame> Frame(
       std::string_view name) const;
 
@@ -219,7 +225,9 @@ class FleetView {
   /// ingestion, but their window-search seed lineage starts at the
   /// replay horizon, so a frame may differ from the one the live ring
   /// briefly held. Falls back to the ring when the engine has no
-  /// store or the store does not know the series.
+  /// store or the store does not know the series. Any max_frames is
+  /// safe: a replay refreshes at most once per stored pane, so the
+  /// request is bounded by what the store holds.
   std::vector<std::shared_ptr<const StreamingAsap::Frame>> History(
       std::string_view name, size_t max_frames) const;
 
@@ -231,18 +239,18 @@ class FleetView {
     const SeriesCatalog* catalog = this->catalog();
     const size_t n = catalog->size();
     for (SeriesId id = 0; id < n; ++id) {
-      const auto frame = SnapshotById(id);
+      const auto frame = engine_->SnapshotById(id);
       if (frame != nullptr && frame->refreshes > 0) {
         fn(catalog->NameOf(id), *frame);
       }
     }
   }
 
-  /// Samples the latest published frame of every series (or of every
-  /// series the selector matches), in catalog order. The sample is the
-  /// raw material of every cross-series rollup below; take it once and
-  /// reuse it to answer several questions about the same instant.
-  FleetSample Sample() const;
+  /// Samples the latest published frame of every series the selector
+  /// matches (SeriesSelector::All() for the whole fleet), in catalog
+  /// order. The sample is the raw material of every cross-series
+  /// rollup below; take it once and reuse it to answer several
+  /// questions about the same instant.
   FleetSample Sample(const SeriesSelector& selector) const;
 
   /// Sample(SeriesSelector::Glob(pattern)), but with the compiled
@@ -252,60 +260,33 @@ class FleetView {
   /// names interned since the last one (the catalog is append-only,
   /// so growth can only add candidates — cached matches stay valid).
   /// Switching patterns recompiles and rescans. Results are identical
-  /// to the uncached overload, call for call. Thread-safe, like every
-  /// other query on the view (the cache is internally locked).
+  /// to Sample(SeriesSelector::Glob(pattern)), call for call.
+  /// Thread-safe, like every other query on the view (the cache is
+  /// internally locked).
   FleetSample SampleGlob(std::string_view pattern) const;
 
-  /// The k series whose latest smoothed frames are roughest, in
-  /// descending roughness (ties broken by name, so rankings are
-  /// deterministic). Fewer than k rows if fewer series have refreshed.
-  RoughnessRanking TopKByRoughness(size_t k) const;
-  RoughnessRanking TopKByRoughness(size_t k,
-                                   const SeriesSelector& selector) const;
-
-  /// Pure ranking over an already-taken sample. A dashboard answering
-  /// several questions about the same instant should take one Sample()
-  /// and feed it to the *Of rollups instead of re-sampling per query
-  /// (see examples/server_monitoring.cpp).
-  static RoughnessRanking TopKByRoughnessOf(const FleetSample& sample,
-                                            size_t k);
+  /// The k sampled series whose latest smoothed frames are roughest,
+  /// in descending roughness (ties broken by name, so rankings are
+  /// deterministic). Fewer than k rows if fewer series are sampled.
   static RoughnessRanking TopKByRoughnessOf(const FleetSample& sample,
                                             size_t k,
-                                            const ExecPolicy& policy);
+                                            const ExecPolicy& policy = {});
 
-  /// Rolls each refreshed series' latest smoothed value (the "current
-  /// level" of its dashboard) up across the fleet (or the selected
-  /// slice of it).
-  FleetAggregate Aggregate(AggKind kind) const;
-  FleetAggregate Aggregate(AggKind kind,
-                           const SeriesSelector& selector) const;
-
-  /// Pure aggregate over an already-taken sample.
+  /// Rolls each sampled series' latest smoothed value (the "current
+  /// level" of its dashboard) up across the sample.
   static FleetAggregate AggregateOf(const FleetSample& sample, AggKind kind);
 
-  /// Fleet-wide percentile bands over each pane position of the
-  /// selected series' latest smoothed frames (see
-  /// FleetPercentileBands for alignment semantics).
-  FleetPercentileBands PercentileBands() const;
-  FleetPercentileBands PercentileBands(const SeriesSelector& selector) const;
-
-  /// Pure rollup over an already-taken sample: deterministic and
-  /// bitwise reproducible for a given sample, even mid-run — across
-  /// every ExecPolicy, not just within one.
-  static FleetPercentileBands BandsOf(const FleetSample& sample);
+  /// Percentile bands over each pane position of the sampled series'
+  /// latest smoothed frames (see FleetPercentileBands for alignment
+  /// semantics).
   static FleetPercentileBands BandsOf(const FleetSample& sample,
-                                      const ExecPolicy& policy);
+                                      const ExecPolicy& policy = {});
 
-  /// Runs the stream/alerts deviation detector over each selected
+  /// Runs the stream/alerts deviation detector over each sampled
   /// series' latest smoothed frame and rolls the counts up.
-  FleetAnomalyCounts AnomalyCounts(const AlertOptions& options = {}) const;
-  FleetAnomalyCounts AnomalyCounts(const SeriesSelector& selector,
-                                   const AlertOptions& options = {}) const;
-  static FleetAnomalyCounts AnomalyCountsOf(const FleetSample& sample,
-                                            const AlertOptions& options);
-  static FleetAnomalyCounts AnomalyCountsOf(const FleetSample& sample,
-                                            const AlertOptions& options,
-                                            const ExecPolicy& policy);
+  static FleetAnomalyCounts AnomalyCountsOf(
+      const FleetSample& sample, const AlertOptions& options = {},
+      const ExecPolicy& policy = {});
 
   /// Pane-position-aligned delta between the series' latest published
   /// frame and the ring entry `k` refreshes back (clamped to the
@@ -317,32 +298,21 @@ class FleetView {
   /// before. See HistoryDiff.
   HistoryDiff DiffHistory(std::string_view name, size_t k) const;
 
-  /// The k series whose rendered views changed most over the last
-  /// `frames_back` ring entries (per series, clamped to its ring
+  /// The k selected series whose rendered views changed most over the
+  /// last `frames_back` ring entries (per series, clamped to its ring
   /// depth), in descending mean absolute delta; ties broken by max
-  /// absolute delta, then name.
-  ChangeRanking TopKByChange(size_t k, size_t frames_back) const;
-  ChangeRanking TopKByChange(size_t k, size_t frames_back,
-                             const SeriesSelector& selector) const;
+  /// absolute delta, then name. Reads each series' snapshot ring, not
+  /// a FleetSample.
+  ChangeRanking TopKByChange(
+      size_t k, size_t frames_back,
+      const SeriesSelector& selector = SeriesSelector::All()) const;
 
   /// Names interned so far (refreshed or not).
   size_t series_count() const;
 
  private:
   const SeriesCatalog* catalog() const { return engine_->catalog(); }
-  std::shared_ptr<const StreamingAsap::Frame> SnapshotById(
-      SeriesId id) const {
-    return engine_->SnapshotById(id);
-  }
 
-  /// selector == nullptr means "all series".
-  FleetSample SampleSelected(const SeriesSelector* selector) const;
-  RoughnessRanking RankByRoughness(size_t k,
-                                   const SeriesSelector* selector) const;
-  FleetAggregate AggregateSelected(AggKind kind,
-                                   const SeriesSelector* selector) const;
-  ChangeRanking RankByChange(size_t k, size_t frames_back,
-                             const SeriesSelector* selector) const;
   /// DiffHistory body over an already-resolved ring.
   static HistoryDiff DiffRing(
       const std::vector<std::shared_ptr<const StreamingAsap::Frame>>& ring,
@@ -360,15 +330,12 @@ class FleetView {
   ExecPolicy policy_;
 
   /// asap_query_seconds{kind=...} latency histograms in the engine's
-  /// registry — one per rollup kind, resolved once at construction so
-  /// per-query cost is a ScopedTimer. Indexed by QueryKind.
+  /// registry — one per query that reads live state, resolved once at
+  /// construction so per-query cost is a ScopedTimer. The pure *Of
+  /// rollups are untimed. Indexed by QueryKind.
   enum QueryKind : size_t {
     kQSample = 0,
     kQSampleGlob,
-    kQTopKRoughness,
-    kQAggregate,
-    kQBands,
-    kQAnomalies,
     kQDiffHistory,
     kQTopKChange,
     kQHistoryDeep,

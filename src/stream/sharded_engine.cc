@@ -89,7 +89,7 @@ RecordBatch ConflatePanePartials(RecordBatch batch, size_t pane_size,
 // One worker shard: a slice of the fleet's series table plus the
 // bounded batch queue that feeds it. Queue state is guarded by `mu`;
 // `registry_mu` serializes the worker's batch consumption against
-// concurrent Snapshot lookups (the frame read itself is lock-free —
+// concurrent SnapshotById lookups (the frame read itself is lock-free —
 // the map lookup is what needs the lock). Worker-side counters are
 // written by the worker thread only and read after join.
 struct ShardedEngine::Shard {
@@ -298,7 +298,7 @@ struct ShardedEngine::Shard {
   /// StreamingAsap's bulk-append fast path (timed mode feeds the same
   /// runs through PushTimed with the run's timestamps). registry_mu
   /// is held only around the map lookup/insert — never across
-  /// PushBatch — so a concurrent Snapshot waits for a pointer chase,
+  /// PushBatch — so a concurrent SnapshotById waits for a pointer chase,
   /// not a window search. The operator pointer stays valid outside
   /// the lock: unordered_map never invalidates references on insert,
   /// and this worker is the shard's only mutator.
@@ -534,12 +534,6 @@ size_t ShardedEngine::ShardOf(SeriesId id, size_t shard_count) {
   h *= 0xc4ceb9fe1a85ec53ULL;
   h ^= h >> 33;
   return static_cast<size_t>(h % shard_count);
-}
-
-std::shared_ptr<const StreamingAsap::Frame> ShardedEngine::Snapshot(
-    std::string_view name) const {
-  const std::optional<SeriesId> id = catalog_->FindId(name);
-  return id.has_value() ? SnapshotById(*id) : nullptr;
 }
 
 std::shared_ptr<const StreamingAsap::Frame> ShardedEngine::SnapshotById(

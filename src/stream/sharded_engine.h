@@ -18,7 +18,7 @@
 // Bounded queues give natural backpressure: a producer outrunning the
 // shards blocks instead of buffering without limit. Live dashboards
 // read per-series frames through StreamingAsap's lock-free snapshots
-// (ShardedEngine::Snapshot) while the run is in flight.
+// (FleetView, over SnapshotById) while the run is in flight.
 
 #ifndef ASAP_STREAM_SHARDED_ENGINE_H_
 #define ASAP_STREAM_SHARDED_ENGINE_H_
@@ -33,7 +33,6 @@
 #include "common/result.h"
 #include "core/streaming_asap.h"
 #include "stream/catalog.h"
-#include "stream/engine.h"
 #include "stream/record.h"
 #include "stream/registry.h"
 #include "stream/source.h"
@@ -127,8 +126,7 @@ struct ShardReport {
   uint64_t points = 0;
   /// Batches dequeued during the run.
   uint64_t batches = 0;
-  /// Lifetime refreshes across this shard's series (mirrors
-  /// RunReport::refreshes semantics).
+  /// Lifetime refreshes across this shard's series.
   uint64_t refreshes = 0;
   /// Distinct series resident in this shard's registry.
   size_t series = 0;
@@ -210,7 +208,7 @@ RecordBatch ConflatePanePartials(RecordBatch batch, size_t pane_size,
 
 /// Drives a MultiSource through hash-sharded per-series StreamingAsap
 /// operators on T worker threads. Registries persist across runs, so
-/// an engine can alternate Run calls with live Snapshot reads the way
+/// an engine can alternate Run calls with live FleetView reads the way
 /// a dashboard alternates ingest and render.
 ///
 /// The engine owns the fleet's SeriesCatalog: sources and the wire
@@ -252,18 +250,11 @@ class ShardedEngine {
   /// The shard a series id maps to (stable for the engine's lifetime).
   static size_t ShardOf(SeriesId id, size_t shard_count);
 
-  /// Lock-free-published frame of one named series, safe to call from
-  /// any thread while a run is in flight; nullptr if the name is
-  /// unknown or no record of the series has reached a shard yet
-  /// (before the first refresh the frame is empty: refreshes == 0).
-  /// The returned frame is immutable — no copy is made to serve the
-  /// read.
-  std::shared_ptr<const StreamingAsap::Frame> Snapshot(
-      std::string_view name) const;
-
-  /// Id-keyed snapshot — implementation detail of the query tier
-  /// (FleetView iterates the catalog's dense ids); application code
-  /// should use Snapshot(name) or FleetView.
+  /// Lock-free-published frame of one series, safe to call from any
+  /// thread while a run is in flight; nullptr if no record of the
+  /// series has reached a shard yet (before the first refresh the
+  /// frame is empty: refreshes == 0). The read path of the query tier:
+  /// application code reads frames by name through FleetView.
   std::shared_ptr<const StreamingAsap::Frame> SnapshotById(
       SeriesId id) const;
 
@@ -297,7 +288,7 @@ class ShardedEngine {
   /// unsynchronized against the shard worker, so they are only legal
   /// while no run is in flight — between Run calls, or before the
   /// first. Debug builds enforce this with a run-in-flight check;
-  /// while a run is live, read frames through Snapshot instead.
+  /// while a run is live, read frames through FleetView instead.
   const SeriesRegistry& shard_registry(size_t shard) const;
 
  private:

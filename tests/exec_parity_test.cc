@@ -1,7 +1,7 @@
 // Execution-policy parity tier: scalar vs SIMD and 1 vs T threads must
 // produce *bitwise-identical* results for every kernel the ExecPolicy
 // touches — ScoreWindow, Smooth() frames, FFT/ACF, the fleet rollups
-// (PercentileBands, DiffHistory, rankings), and the search strategies.
+// (BandsOf, DiffHistory, rankings), and the search strategies.
 // Comparisons use bit patterns (not ==) so NaN-carrying outputs are
 // pinned too. The TSan CI job runs this binary: the task-split sweeps
 // here are the concurrency coverage for common/task_pool.
@@ -401,7 +401,10 @@ TEST(EngineParityTest, PolicyViewMatchesDefaultViewOnSettledEngine) {
   const FleetView plain(&engine);
   const FleetView threaded(&engine, Threads(4, SimdMode::kAuto));
 
-  ExpectBandsBitEq(plain.PercentileBands(), threaded.PercentileBands());
+  const stream::SeriesSelector all = stream::SeriesSelector::All();
+  ExpectBandsBitEq(
+      FleetView::BandsOf(plain.Sample(all), plain.exec_policy()),
+      FleetView::BandsOf(threaded.Sample(all), threaded.exec_policy()));
 
   const auto diff_a = plain.DiffHistory("host-3", 2);
   const auto diff_b = threaded.DiffHistory("host-3", 2);

@@ -7,7 +7,7 @@
 //     direct std::regex sweep);
 //   * fleet percentile bands bracket every member series at every
 //     aligned pane position, and are internally ordered;
-//   * Aggregate(kSum) equals the sum of per-series latest smoothed
+//   * AggregateOf(kSum) equals the sum of per-series latest smoothed
 //     values read back one Frame(name) at a time;
 //   * DiffHistory(name, 0) is identically zero for every series.
 
@@ -188,7 +188,7 @@ TEST_P(FleetSweep, PercentileBandsBracketEveryMemberSeries) {
   const RandomFleet fleet = MakeFleet(GetParam());
   ShardedEngine engine = RunRandomFleet(fleet, GetParam());
   FleetView view(&engine);
-  const FleetSample sample = view.Sample();
+  const FleetSample sample = view.Sample(SeriesSelector::All());
   const FleetPercentileBands bands = FleetView::BandsOf(sample);
   ASSERT_EQ(bands.series, sample.series.size());
   ASSERT_EQ(bands.p50.size(), bands.positions);
@@ -217,7 +217,8 @@ TEST_P(FleetSweep, AggregateSumEqualsSumOfPerSeriesLatestValues) {
   const RandomFleet fleet = MakeFleet(GetParam());
   ShardedEngine engine = RunRandomFleet(fleet, GetParam());
   FleetView view(&engine);
-  const FleetAggregate agg = view.Aggregate(AggKind::kSum);
+  const FleetAggregate agg =
+      FleetView::AggregateOf(view.Sample(SeriesSelector::All()), AggKind::kSum);
   double expected = 0.0;
   size_t published = 0;
   for (const std::string& name : fleet.names) {

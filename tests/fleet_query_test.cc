@@ -148,7 +148,8 @@ TEST(SeriesSelectorTest, MatchingIsAllocationStableAfterCompile) {
 TEST(FleetQueryTest, PercentileBandsMatchNaiveRecomputation) {
   ShardedEngine engine = RunFleet(FleetOptions(), 8, 4000);
   FleetView view(&engine);
-  const FleetPercentileBands bands = view.PercentileBands();
+  const FleetPercentileBands bands = FleetView::BandsOf(
+      view.Sample(SeriesSelector::All()), view.exec_policy());
   ASSERT_EQ(bands.series, 8u);
   ASSERT_GT(bands.positions, 0u);
 
@@ -187,7 +188,7 @@ TEST(FleetQueryTest, PercentileBandsMatchNaiveRecomputation) {
 TEST(FleetQueryTest, PercentileBandsAreOrderedAndBracketed) {
   ShardedEngine engine = RunFleet(FleetOptions(), 6, 4000);
   FleetView view(&engine);
-  const FleetSample sample = view.Sample();
+  const FleetSample sample = view.Sample(SeriesSelector::All());
   const FleetPercentileBands bands = FleetView::BandsOf(sample);
   ASSERT_GT(bands.positions, 0u);
   for (size_t j = 0; j < bands.positions; ++j) {
@@ -210,10 +211,12 @@ TEST(FleetQueryTest, PercentileBandsRespectSelectorAndEmptySelection) {
   ShardedEngine engine = RunFleet(FleetOptions(), 6, 4000);
   FleetView view(&engine);
   const SeriesSelector dc1 = SeriesSelector::Glob("dc1/*");
-  const FleetPercentileBands bands = view.PercentileBands(dc1);
+  const FleetPercentileBands bands =
+      FleetView::BandsOf(view.Sample(dc1), view.exec_policy());
   EXPECT_EQ(bands.series, 3u);  // even indices land in dc1
   const SeriesSelector none = SeriesSelector::Glob("mars/*");
-  const FleetPercentileBands empty = view.PercentileBands(none);
+  const FleetPercentileBands empty =
+      FleetView::BandsOf(view.Sample(none), view.exec_policy());
   EXPECT_EQ(empty.series, 0u);
   EXPECT_EQ(empty.positions, 0u);
   EXPECT_TRUE(empty.p50.empty());
@@ -244,7 +247,8 @@ TEST(FleetQueryTest, AnomalyCountsMatchPerSeriesDetector) {
   FleetView view(&engine);
 
   const AlertOptions alert_options;
-  const FleetAnomalyCounts counts = view.AnomalyCounts(alert_options);
+  const FleetAnomalyCounts counts = FleetView::AnomalyCountsOf(
+      view.Sample(SeriesSelector::All()), alert_options, view.exec_policy());
   size_t expected_alerts = 0;
   size_t expected_alerting = 0;
   size_t expected_scanned = 0;
@@ -266,7 +270,8 @@ TEST(FleetQueryTest, AnomalyCountsMatchPerSeriesDetector) {
   // And the incident localizes under a selector scoped to that host.
   const SeriesSelector incident_only =
       SeriesSelector::Glob("*/host-3/cpu");
-  const FleetAnomalyCounts scoped = view.AnomalyCounts(incident_only);
+  const FleetAnomalyCounts scoped = FleetView::AnomalyCountsOf(
+      view.Sample(incident_only), {}, view.exec_policy());
   EXPECT_EQ(scoped.series, 1u);
   EXPECT_EQ(scoped.series_alerting, 1u);
 }
@@ -471,7 +476,8 @@ TEST_P(FleetQueryConcurrencyTest, RollupsAreCoherentMidRun) {
   done.store(true, std::memory_order_release);
   reader.join();
 
-  const FleetPercentileBands final_bands = view.PercentileBands();
+  const FleetPercentileBands final_bands = FleetView::BandsOf(
+      view.Sample(SeriesSelector::All()), view.exec_policy());
   EXPECT_EQ(final_bands.series + final_bands.skipped_unpublished, kSeries);
 }
 

@@ -1,8 +1,9 @@
 // Tests for FleetView, the name-addressed query tier over the fleet
 // engine's published frames: per-name frame/history reads,
-// ForEachSeries enumeration, top-k-by-roughness ranking, and
-// cross-series aggregates — including concurrent queries while a run
-// is in flight (the TSan CI job runs this binary).
+// ForEachSeries enumeration, and the sample-then-rollup path
+// (top-k-by-roughness ranking, cross-series aggregates) — including
+// concurrent queries while a run is in flight (the TSan CI job runs
+// this binary).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +60,18 @@ ShardedEngine RunFleet(const StreamingOptions& options, size_t series,
   return engine;
 }
 
+// The read path under test: take one sample, run one pure rollup.
+RoughnessRanking TopKOfAll(const FleetView& view, size_t k) {
+  return FleetView::TopKByRoughnessOf(view.Sample(SeriesSelector::All()), k,
+                                      view.exec_policy());
+}
+
+FleetAggregate AggregateOfSelected(
+    const FleetView& view, AggKind kind,
+    const SeriesSelector& selector = SeriesSelector::All()) {
+  return FleetView::AggregateOf(view.Sample(selector), kind);
+}
+
 TEST(FleetViewTest, FrameResolvesNamesAndRejectsUnknowns) {
   ShardedEngine engine = RunFleet(FleetOptions(), 6, 4000);
   FleetView view(&engine);
@@ -68,8 +82,10 @@ TEST(FleetViewTest, FrameResolvesNamesAndRejectsUnknowns) {
     ASSERT_NE(frame, nullptr) << HostName(i);
     EXPECT_GT(frame->refreshes, 0u);
     EXPECT_FALSE(frame->series.empty());
-    // Frame(name) is engine.Snapshot(name).
-    EXPECT_EQ(frame.get(), engine.Snapshot(HostName(i)).get());
+    // Frame(name) serves the published frame itself, not a copy.
+    const std::optional<SeriesId> id = engine.catalog()->FindId(HostName(i));
+    ASSERT_TRUE(id.has_value());
+    EXPECT_EQ(frame.get(), engine.SnapshotById(*id).get());
   }
   EXPECT_EQ(view.Frame("host-99/load"), nullptr);
   EXPECT_TRUE(view.History("host-99/load").empty());
@@ -104,7 +120,7 @@ TEST(FleetViewTest, TopKByRoughnessRanksAndTruncates) {
       });
   ASSERT_EQ(expected.size(), 8u);
 
-  const std::vector<SeriesRank> all = view.TopKByRoughness(100).ranks;
+  const std::vector<SeriesRank> all = TopKOfAll(view, 100).ranks;
   ASSERT_EQ(all.size(), 8u);
   for (size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i].roughness, expected.at(all[i].name)) << all[i].name;
@@ -116,7 +132,7 @@ TEST(FleetViewTest, TopKByRoughnessRanksAndTruncates) {
     EXPECT_GT(all[i].refreshes, 0u);
   }
 
-  const std::vector<SeriesRank> top3 = view.TopKByRoughness(3).ranks;
+  const std::vector<SeriesRank> top3 = TopKOfAll(view, 3).ranks;
   ASSERT_EQ(top3.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(top3[i].name, all[i].name);
@@ -140,14 +156,14 @@ TEST(FleetViewTest, AggregateRollsUpLatestSmoothedValues) {
     sum += x;
   }
 
-  const FleetAggregate agg_sum = view.Aggregate(AggKind::kSum);
+  const FleetAggregate agg_sum = AggregateOfSelected(view, AggKind::kSum);
   EXPECT_EQ(agg_sum.series, 6u);
   EXPECT_DOUBLE_EQ(agg_sum.value, sum);
-  const FleetAggregate agg_mean = view.Aggregate(AggKind::kMean);
+  const FleetAggregate agg_mean = AggregateOfSelected(view, AggKind::kMean);
   EXPECT_DOUBLE_EQ(agg_mean.value, sum / 6.0);
-  const FleetAggregate agg_min = view.Aggregate(AggKind::kMin);
+  const FleetAggregate agg_min = AggregateOfSelected(view, AggKind::kMin);
   EXPECT_EQ(agg_min.value, *std::min_element(latest.begin(), latest.end()));
-  const FleetAggregate agg_max = view.Aggregate(AggKind::kMax);
+  const FleetAggregate agg_max = AggregateOfSelected(view, AggKind::kMax);
   EXPECT_EQ(agg_max.value, *std::max_element(latest.begin(), latest.end()));
 }
 
@@ -155,10 +171,10 @@ TEST(FleetViewTest, EmptyFleetAggregatesToZeroSeries) {
   ShardedEngine engine = ShardedEngine::Create(FleetOptions()).ValueOrDie();
   FleetView view(&engine);
   EXPECT_EQ(view.series_count(), 0u);
-  const RoughnessRanking ranking = view.TopKByRoughness(5);
+  const RoughnessRanking ranking = TopKOfAll(view, 5);
   EXPECT_EQ(ranking.ranks.size(), 0u);
   EXPECT_EQ(ranking.skipped_unpublished, 0u);
-  const FleetAggregate agg = view.Aggregate(AggKind::kMean);
+  const FleetAggregate agg = AggregateOfSelected(view, AggKind::kMean);
   EXPECT_EQ(agg.series, 0u);
   EXPECT_EQ(agg.value, 0.0);
   EXPECT_EQ(agg.skipped_unpublished, 0u);
@@ -178,19 +194,20 @@ TEST(FleetViewTest, SkippedUnpublishedDistinguishesWarmupFromQuietFleet) {
   FleetView view(&engine);
 
   EXPECT_EQ(view.series_count(), 6u);
-  const FleetAggregate agg = view.Aggregate(AggKind::kSum);
+  const FleetAggregate agg = AggregateOfSelected(view, AggKind::kSum);
   EXPECT_EQ(agg.series, 4u);
   EXPECT_EQ(agg.skipped_unpublished, 2u);
-  const RoughnessRanking ranking = view.TopKByRoughness(100);
+  const RoughnessRanking ranking = TopKOfAll(view, 100);
   EXPECT_EQ(ranking.ranks.size(), 4u);
   EXPECT_EQ(ranking.skipped_unpublished, 2u);
-  const FleetSample sample = view.Sample();
+  const FleetSample sample = view.Sample(SeriesSelector::All());
   EXPECT_EQ(sample.series.size(), 4u);
   EXPECT_EQ(sample.skipped_unpublished, 2u);
 
   // Scoping to the warming slice: everything selected is unpublished.
   const SeriesSelector warming = SeriesSelector::Glob("host-warming/*");
-  const FleetAggregate warming_agg = view.Aggregate(AggKind::kSum, warming);
+  const FleetAggregate warming_agg =
+      AggregateOfSelected(view, AggKind::kSum, warming);
   EXPECT_EQ(warming_agg.series, 0u);
   EXPECT_EQ(warming_agg.skipped_unpublished, 1u);
 }
@@ -229,12 +246,12 @@ TEST(FleetViewTest, QueriesAreSafeWhileARunIsInFlight) {
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const auto ranks = view.TopKByRoughness(3).ranks;
+      const auto ranks = TopKOfAll(view, 3).ranks;
       for (const SeriesRank& rank : ranks) {
         EXPECT_TRUE(std::isfinite(rank.roughness));
         EXPECT_GE(rank.window, 1u);
       }
-      const FleetAggregate agg = view.Aggregate(AggKind::kMean);
+      const FleetAggregate agg = AggregateOfSelected(view, AggKind::kMean);
       if (agg.series > 0) {
         EXPECT_TRUE(std::isfinite(agg.value));
       }
@@ -246,7 +263,7 @@ TEST(FleetViewTest, QueriesAreSafeWhileARunIsInFlight) {
   done.store(true, std::memory_order_release);
   reader.join();
 
-  EXPECT_EQ(view.TopKByRoughness(100).ranks.size(), kSeries);
+  EXPECT_EQ(TopKOfAll(view, 100).ranks.size(), kSeries);
 }
 
 }  // namespace

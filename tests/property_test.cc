@@ -17,7 +17,6 @@
 #include "core/streaming_asap.h"
 #include "fft/autocorrelation.h"
 #include "stats/descriptive.h"
-#include "stats/rolling.h"
 #include "stats/welford.h"
 #include "ts/csv.h"
 #include "ts/generators.h"
@@ -127,20 +126,15 @@ TEST_P(SeedSweep, PreaggregateCommutesWithScaling) {
 
 // --- Independent implementations agree ---------------------------------------
 
-TEST_P(SeedSweep, RollingAndWelfordAndBatchAgree) {
+TEST_P(SeedSweep, WelfordAndBatchAgree) {
   const std::vector<double> x = RandomMixedSeries(GetParam(), 256);
-  stats::RollingMoments rolling(x.size());
   stats::WelfordAccumulator welford;
   for (double v : x) {
-    rolling.Push(v);
     welford.Add(v);
   }
   const stats::Moments batch = stats::ComputeMoments(x);
-  EXPECT_NEAR(rolling.mean(), batch.mean, 1e-9);
   EXPECT_NEAR(welford.mean(), batch.mean, 1e-9);
-  EXPECT_NEAR(rolling.variance(), batch.variance, 1e-8);
   EXPECT_NEAR(welford.variance(), batch.variance, 1e-8);
-  EXPECT_NEAR(rolling.kurtosis(), batch.kurtosis, 1e-6);
   EXPECT_NEAR(welford.kurtosis(), batch.kurtosis, 1e-6);
 }
 

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/random.h"
+#include "stream/fleet_view.h"
 #include "stream/sharded_engine.h"
 #include "stream/source.h"
 #include "ts/generators.h"
@@ -187,8 +188,9 @@ TEST(ShardedEngineTest, DeterminismParityAcrossShardCounts) {
     for (const SeriesReport& sr : report.per_series) {
       by_name[sr.name] = &sr;
     }
+    const FleetView view(&engine);
     for (size_t i = 0; i < kSeries; ++i) {
-      const auto frame = engine.Snapshot(HostName(i));
+      const auto frame = view.Frame(HostName(i));
       ASSERT_NE(frame, nullptr) << HostName(i);
       const StreamingAsap::Frame& expected = reference[i].frame();
       EXPECT_EQ(frame->window, expected.window)
@@ -261,12 +263,13 @@ TEST(ShardedEngineTest, SnapshotIsSafeWhileRunIsInFlight) {
                       /*total_points=*/60000);
   }
 
+  const FleetView view(&engine);
   std::atomic<bool> done{false};
   std::atomic<uint64_t> frames_seen{0};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       for (size_t i = 0; i < kSeries; ++i) {
-        const auto frame = engine.Snapshot(HostName(i));
+        const auto frame = view.Frame(HostName(i));
         if (frame != nullptr && frame->refreshes > 0) {
           // Reading through the snapshot must always be coherent.
           EXPECT_GE(frame->window, 1u);
@@ -285,7 +288,7 @@ TEST(ShardedEngineTest, SnapshotIsSafeWhileRunIsInFlight) {
   EXPECT_GT(report.refreshes, 0u);
   // The reader must have observed at least the final frames.
   for (size_t i = 0; i < kSeries; ++i) {
-    EXPECT_NE(engine.Snapshot(HostName(i)), nullptr);
+    EXPECT_NE(view.Frame(HostName(i)), nullptr);
   }
 }
 
@@ -415,8 +418,9 @@ TEST(ShardedEngineTest, ConflatePolicyCollapsesInsteadOfDropping) {
   EXPECT_EQ(dropped, report.dropped);
   EXPECT_EQ(consumed + conflated + dropped, report.points);
   // Every series still produced frames (its shape survived).
+  const FleetView view(&engine);
   for (size_t i = 0; i < kSeries; ++i) {
-    const auto frame = engine.Snapshot(HostName(i));
+    const auto frame = view.Frame(HostName(i));
     ASSERT_NE(frame, nullptr) << HostName(i);
     EXPECT_GT(frame->refreshes, 0u) << HostName(i);
   }
@@ -543,8 +547,9 @@ TEST(ShardedEngineTimedTest, TimedPaneParityMatchesArrivalOrder) {
 
     EXPECT_EQ(report.points, kSeries * kPointsPerSeries);
     EXPECT_EQ(report.late, 0u) << "in-order input must never be late";
+    const FleetView view(&engine);
     for (size_t i = 0; i < kSeries; ++i) {
-      const auto frame = engine.Snapshot(HostName(i));
+      const auto frame = view.Frame(HostName(i));
       ASSERT_NE(frame, nullptr) << HostName(i);
       const StreamingAsap::Frame& expected = reference[i].frame();
       EXPECT_EQ(frame->refreshes, expected.refreshes)
@@ -594,8 +599,9 @@ TEST(ShardedEngineTimedTest, ShuffledWithinHorizonMatchesSortedInput) {
     const FleetReport report = engine.RunToCompletion(&source);
     EXPECT_EQ(report.late, 0u);
     std::vector<std::vector<double>> frames;
+    const FleetView view(&engine);
     for (size_t i = 0; i < kSeries; ++i) {
-      const auto frame = engine.Snapshot(names[i]);
+      const auto frame = view.Frame(names[i]);
       EXPECT_NE(frame, nullptr) << names[i];
       frames.push_back(frame == nullptr ? std::vector<double>{}
                                         : frame->series);
@@ -703,8 +709,9 @@ TEST(ShardedEngineTimedTest, ConflateAccountingClosesUnderReorderedInput) {
   EXPECT_EQ(dropped, report.dropped);
   EXPECT_EQ(late, report.late);
   EXPECT_EQ(consumed + conflated + dropped + late, report.points);
+  const FleetView view(&engine);
   for (size_t i = 0; i < kSeries; ++i) {
-    const auto frame = engine.Snapshot(HostName(i));
+    const auto frame = view.Frame(HostName(i));
     ASSERT_NE(frame, nullptr) << HostName(i);
     EXPECT_GT(frame->refreshes, 0u) << HostName(i);
   }
@@ -727,7 +734,8 @@ TEST(ShardedEngineTest, RegistriesPersistAcrossRuns) {
   const FleetReport r2 = engine.RunToCompletion(&second);
   EXPECT_GT(r2.refreshes, refreshes_after_first);
   EXPECT_EQ(r2.series, 1u);
-  EXPECT_EQ(engine.Snapshot("persistent/series")->refreshes, r2.refreshes);
+  EXPECT_EQ(FleetView(&engine).Frame("persistent/series")->refreshes,
+            r2.refreshes);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for src/stats: descriptive moments, Welford streaming
-// accumulation, rolling windows, normalization, histograms.
+// accumulation, normalization, histograms.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "stats/normalize.h"
-#include "stats/rolling.h"
 #include "stats/welford.h"
 
 namespace asap {
@@ -210,66 +209,6 @@ TEST(WelfordTest, ResetClearsState) {
   acc.Reset();
   EXPECT_EQ(acc.count(), 0u);
   EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-}
-
-// --- Rolling ---------------------------------------------------------------------
-
-TEST(RollingMomentsTest, WarmupAndEviction) {
-  RollingMoments roll(3);
-  EXPECT_EQ(roll.size(), 0u);
-  roll.Push(1);
-  roll.Push(2);
-  EXPECT_FALSE(roll.full());
-  roll.Push(3);
-  EXPECT_TRUE(roll.full());
-  EXPECT_DOUBLE_EQ(roll.mean(), 2.0);
-  roll.Push(4);  // evicts 1
-  EXPECT_DOUBLE_EQ(roll.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(roll.Front(), 2.0);
-  EXPECT_DOUBLE_EQ(roll.Back(), 4.0);
-}
-
-TEST(RollingMomentsTest, MatchesBatchOverSlidingWindow) {
-  Pcg32 rng(8);
-  std::vector<double> v = GaussianVector(&rng, 500, 0, 2);
-  const size_t w = 32;
-  RollingMoments roll(w);
-  for (size_t i = 0; i < v.size(); ++i) {
-    roll.Push(v[i]);
-    if (i + 1 >= w) {
-      std::vector<double> win(v.begin() + (i + 1 - w), v.begin() + i + 1);
-      EXPECT_NEAR(roll.mean(), Mean(win), 1e-9);
-      EXPECT_NEAR(roll.variance(), Variance(win), 1e-8);
-      EXPECT_NEAR(roll.kurtosis(), Kurtosis(win), 1e-6);
-    }
-  }
-}
-
-TEST(RollingMomentsTest, ResetEmptiesWindow) {
-  RollingMoments roll(4);
-  roll.Push(1);
-  roll.Push(2);
-  roll.Reset();
-  EXPECT_EQ(roll.size(), 0u);
-  EXPECT_DOUBLE_EQ(roll.mean(), 0.0);
-}
-
-TEST(RollingMeanTest, MatchesNaiveAverage) {
-  Pcg32 rng(10);
-  std::vector<double> v = UniformVector(&rng, 300, -5, 5);
-  const size_t w = 7;
-  RollingMean roll(w);
-  for (size_t i = 0; i < v.size(); ++i) {
-    roll.Push(v[i]);
-    if (i + 1 >= w) {
-      EXPECT_TRUE(roll.Ready());
-      double sum = 0.0;
-      for (size_t j = i + 1 - w; j <= i; ++j) {
-        sum += v[j];
-      }
-      EXPECT_NEAR(roll.Current(), sum / w, 1e-10);
-    }
-  }
 }
 
 // --- Normalization -----------------------------------------------------------------

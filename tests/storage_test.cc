@@ -525,9 +525,9 @@ TEST(StorageEngineTest, FaithfulReplayReproducesFramesBitwise) {
     }
     const stream::FleetReport report = engine->RunToCompletion(&source);
     EXPECT_EQ(report.points, kSeries * kPoints);
+    const stream::FleetView view(&*engine);
     for (size_t i = 0; i < kSeries; ++i) {
-      live_frames[i] =
-          engine->Snapshot("host-" + std::to_string(i) + "/cpu");
+      live_frames[i] = view.Frame("host-" + std::to_string(i) + "/cpu");
       ASSERT_NE(live_frames[i], nullptr);
       ASSERT_GT(live_frames[i]->refreshes, 0u);
     }
@@ -545,9 +545,9 @@ TEST(StorageEngineTest, FaithfulReplayReproducesFramesBitwise) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->series_restored, kSeries);
   EXPECT_EQ(report->series_skipped, 0u);
+  const stream::FleetView view(&*engine);
   for (size_t i = 0; i < kSeries; ++i) {
-    const auto frame =
-        engine->Snapshot("host-" + std::to_string(i) + "/cpu");
+    const auto frame = view.Frame("host-" + std::to_string(i) + "/cpu");
     ASSERT_NE(frame, nullptr);
     EXPECT_EQ(frame->refreshes, live_frames[i]->refreshes);
     EXPECT_EQ(frame->window, live_frames[i]->window);
@@ -599,6 +599,24 @@ TEST(StorageEngineTest, FleetViewHistoryExtendsPastTheSnapshotRing) {
   EXPECT_TRUE(diff.known);
   EXPECT_EQ(diff.frames_apart, deep.size() - 1);
   EXPECT_GT(diff.refreshes_apart, 1u);
+
+  // Requests past what the store holds are bounded by it (a replay
+  // refreshes at most once per stored pane), not sized from the
+  // caller's number.
+  for (const size_t huge :
+       {size_t{1} << 40, std::numeric_limits<size_t>::max()}) {
+    const auto bounded = view.History("deep/series", huge);
+    ASSERT_EQ(bounded.size(), deep.size()) << huge;
+    for (size_t i = 0; i < deep.size(); ++i) {
+      EXPECT_EQ(bounded[i]->refreshes, deep[i]->refreshes);
+      EXPECT_EQ(bounded[i]->window, deep[i]->window);
+      EXPECT_TRUE(BitwiseEqual(bounded[i]->series, deep[i]->series));
+    }
+  }
+  const stream::HistoryDiff far = view.DiffHistory(
+      "deep/series", std::numeric_limits<size_t>::max() - 1);
+  EXPECT_TRUE(far.known);
+  EXPECT_EQ(far.frames_apart, deep.size() - 1);
 
   // Without a store, the same request clamps to the ring.
   auto bare = stream::ShardedEngine::Create(FleetSeriesOptions(), {});

@@ -1,9 +1,12 @@
-// Tests for src/stream: sources and the streaming engine.
+// Tests for src/stream sources, and for driving a StreamingAsap from
+// one in batches.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
-#include "stream/engine.h"
+#include "core/streaming_asap.h"
 #include "stream/source.h"
 #include "ts/generators.h"
 
@@ -73,49 +76,19 @@ TEST(LoopingSourceTest, WrapAroundMidBatch) {
   EXPECT_EQ(out, (std::vector<double>{7, 8, 9, 7, 8, 9, 7, 8}));
 }
 
-// A minimal non-ASAP operator: the stats() hook must feed reports for
-// any operator, with no downcasting in the engine.
-class CountingOperator : public Operator {
- public:
-  void Consume(const std::vector<double>& batch) override {
-    points_ += batch.size();
-    ++batches_;
+// Feeds `source` to exhaustion through op->PushBatch in batches of
+// `batch_size`; returns the refreshes the batches reported.
+uint64_t PushAll(Source* source, StreamingAsap* op, size_t batch_size) {
+  std::vector<double> batch;
+  uint64_t refreshes = 0;
+  while (source->NextBatch(batch_size, &batch) > 0) {
+    refreshes += op->PushBatch(batch);
+    batch.clear();
   }
-  std::string name() const override { return "counting"; }
-  OperatorStats stats() const override { return OperatorStats{batches_}; }
-
-  uint64_t points() const { return points_; }
-
- private:
-  uint64_t points_ = 0;
-  uint64_t batches_ = 0;
-};
-
-TEST(EngineTest, StatsHookWorksForAnyOperator) {
-  VectorSource source(std::vector<double>(1000, 1.0));
-  CountingOperator op;
-  RunReport report = RunToCompletion(&source, &op, 256);
-  EXPECT_EQ(report.points, 1000u);
-  EXPECT_EQ(op.points(), 1000u);
-  // The engine read refreshes through the virtual hook (here: batch
-  // count), not a StreamingAsap downcast.
-  EXPECT_EQ(report.refreshes, 4u);
+  return refreshes;
 }
 
-TEST(EngineTest, RunForBudgetTerminatesEarlyOnEndlessSource) {
-  // The source would produce ~2^40 points; only the wall-clock budget
-  // can end the run.
-  LoopingSource source({1, 2, 3, 4}, /*total_points=*/size_t{1} << 40);
-  CountingOperator op;
-  RunReport report = RunForBudget(&source, &op, /*budget_seconds=*/0.05, 256);
-  EXPECT_GT(report.points, 0u);
-  EXPECT_LT(report.points, size_t{1} << 40);
-  EXPECT_GE(report.seconds, 0.05);
-  EXPECT_LT(report.seconds, 10.0);  // generous CI headroom
-  EXPECT_EQ(report.points, op.points());
-}
-
-TEST(EngineTest, RunToCompletionCountsPoints) {
+TEST(SourceDrivenAsapTest, BatchesCountPointsAndRefreshes) {
   Pcg32 rng(1);
   std::vector<double> data =
       gen::Add(gen::Sine(8000, 50.0), gen::WhiteNoise(&rng, 8000, 0.3));
@@ -124,24 +97,15 @@ TEST(EngineTest, RunToCompletionCountsPoints) {
   StreamingOptions options;
   options.resolution = 200;
   options.visible_points = 4000;
-  StreamingAsapOperator op(StreamingAsap::Create(options).ValueOrDie());
+  StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
 
-  RunReport report = RunToCompletion(&source, &op, 512);
-  EXPECT_EQ(report.points, 8000u);
-  EXPECT_GT(report.points_per_second, 0.0);
-  EXPECT_GT(report.refreshes, 0u);
-  EXPECT_EQ(report.refreshes, op.asap().frame().refreshes);
+  const uint64_t refreshes = PushAll(&source, &op, 512);
+  EXPECT_EQ(op.points_consumed(), 8000u);
+  EXPECT_GT(refreshes, 0u);
+  EXPECT_EQ(refreshes, op.frame().refreshes);
 }
 
-TEST(EngineTest, OperatorNameExposed) {
-  StreamingOptions options;
-  options.resolution = 100;
-  options.visible_points = 1000;
-  StreamingAsapOperator op(StreamingAsap::Create(options).ValueOrDie());
-  EXPECT_EQ(op.name(), "streaming-asap");
-}
-
-TEST(EngineTest, LazyRefreshReducesRefreshCount) {
+TEST(SourceDrivenAsapTest, LazyRefreshReducesRefreshCount) {
   Pcg32 rng(2);
   std::vector<double> data =
       gen::Add(gen::Sine(20000, 50.0), gen::WhiteNoise(&rng, 20000, 0.3));
@@ -149,17 +113,17 @@ TEST(EngineTest, LazyRefreshReducesRefreshCount) {
   StreamingOptions eager;
   eager.resolution = 200;
   eager.visible_points = 4000;
-  StreamingAsapOperator eager_op(StreamingAsap::Create(eager).ValueOrDie());
+  StreamingAsap eager_op = StreamingAsap::Create(eager).ValueOrDie();
   VectorSource s1(data);
-  RunReport eager_report = RunToCompletion(&s1, &eager_op, 1024);
+  const uint64_t eager_refreshes = PushAll(&s1, &eager_op, 1024);
 
   StreamingOptions lazy = eager;
   lazy.refresh_every_points = 2000;  // 100x lazier than per-pane (20)
-  StreamingAsapOperator lazy_op(StreamingAsap::Create(lazy).ValueOrDie());
+  StreamingAsap lazy_op = StreamingAsap::Create(lazy).ValueOrDie();
   VectorSource s2(data);
-  RunReport lazy_report = RunToCompletion(&s2, &lazy_op, 1024);
+  const uint64_t lazy_refreshes = PushAll(&s2, &lazy_op, 1024);
 
-  EXPECT_GT(eager_report.refreshes, 10 * lazy_report.refreshes);
+  EXPECT_GT(eager_refreshes, 10 * lazy_refreshes);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for src/ts: the TimeSeries container, generators, CSV I/O and
-// resampling.
+// Tests for src/ts: the TimeSeries container, generators and CSV I/O.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "stats/descriptive.h"
 #include "ts/csv.h"
 #include "ts/generators.h"
-#include "ts/resample.h"
 #include "ts/timeseries.h"
 
 namespace asap {
@@ -226,68 +224,6 @@ TEST(CsvTest, MissingFileIsIOError) {
   Result<TimeSeries> r = ReadCsv("/nonexistent/definitely/missing.csv");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-}
-
-// --- Resample --------------------------------------------------------------------
-
-TEST(ResampleTest, DownsampleMean) {
-  TimeSeries ts({1, 3, 5, 7, 9, 11}, 0.0, 1.0);
-  Result<TimeSeries> r = Downsample(ts, 2, AggregateOp::kMean);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 3u);
-  EXPECT_DOUBLE_EQ(r->value(0), 2.0);
-  EXPECT_DOUBLE_EQ(r->value(2), 10.0);
-  EXPECT_DOUBLE_EQ(r->interval(), 2.0);
-}
-
-TEST(ResampleTest, DownsampleOps) {
-  TimeSeries ts({1, 5, 2, 8}, 0.0, 1.0);
-  EXPECT_DOUBLE_EQ(Downsample(ts, 2, AggregateOp::kSum)->value(0), 6.0);
-  EXPECT_DOUBLE_EQ(Downsample(ts, 2, AggregateOp::kMin)->value(1), 2.0);
-  EXPECT_DOUBLE_EQ(Downsample(ts, 2, AggregateOp::kMax)->value(1), 8.0);
-  EXPECT_DOUBLE_EQ(Downsample(ts, 2, AggregateOp::kFirst)->value(0), 1.0);
-  EXPECT_DOUBLE_EQ(Downsample(ts, 2, AggregateOp::kLast)->value(0), 5.0);
-}
-
-TEST(ResampleTest, PartialTrailingBucket) {
-  TimeSeries ts({2, 4, 6}, 0.0, 1.0);
-  Result<TimeSeries> r = Downsample(ts, 2);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 2u);
-  EXPECT_DOUBLE_EQ(r->value(1), 6.0);  // lone trailing value
-}
-
-TEST(ResampleTest, FactorOneIsIdentity) {
-  TimeSeries ts({1, 2, 3}, 0.0, 1.0);
-  Result<TimeSeries> r = Downsample(ts, 1);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 3u);
-}
-
-TEST(ResampleTest, InvalidArguments) {
-  TimeSeries ts({1, 2, 3}, 0.0, 1.0);
-  EXPECT_FALSE(Downsample(ts, 0).ok());
-  EXPECT_FALSE(Downsample(TimeSeries(), 2).ok());
-  EXPECT_FALSE(DownsampleTo(ts, 0).ok());
-}
-
-TEST(ResampleTest, DownsampleToTargetCount) {
-  std::vector<double> v(1000);
-  for (size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<double>(i);
-  }
-  TimeSeries ts(std::move(v), 0.0, 1.0);
-  Result<TimeSeries> r = DownsampleTo(ts, 100);
-  ASSERT_TRUE(r.ok());
-  EXPECT_LE(r->size(), 100u);
-  EXPECT_GE(r->size(), 90u);
-}
-
-TEST(ResampleTest, DownsampleToNoOpWhenSmall) {
-  TimeSeries ts({1, 2, 3}, 0.0, 1.0);
-  Result<TimeSeries> r = DownsampleTo(ts, 10);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 3u);
 }
 
 }  // namespace

@@ -33,6 +33,7 @@ namespace {
 using stream::Record;
 using stream::RecordBatch;
 using stream::SeriesCatalog;
+using stream::SeriesSelector;
 
 std::vector<double> FleetSeries(size_t index, size_t n) {
   Pcg32 rng(500 + index);
@@ -62,7 +63,7 @@ std::string TestUdsPath(const char* tag) {
 // produces per-series final frames bitwise identical to in-process
 // InterleavingMultiSource ingestion — for both encodings (the binary
 // path exercising 0xA6 name-registration frames) — and
-// FleetView::TopKByRoughness returns the identical ranking over both
+// FleetView::TopKByRoughnessOf returns the identical ranking over both
 // engines.
 TEST(WireServerTest, LoopbackParityWithInProcessIngestion) {
   const size_t kSeries = 6;
@@ -88,7 +89,10 @@ TEST(WireServerTest, LoopbackParityWithInProcessIngestion) {
   reference.RunToCompletion(&in_process);
   const stream::FleetView reference_view(&reference);
   const std::vector<stream::SeriesRank> reference_ranks =
-      reference_view.TopKByRoughness(kSeries).ranks;
+      stream::FleetView::TopKByRoughnessOf(
+          reference_view.Sample(SeriesSelector::All()), kSeries,
+          reference_view.exec_policy())
+          .ranks;
   ASSERT_EQ(reference_ranks.size(), kSeries);
 
   // The collector's own catalog: ids on the wire are sender-local.
@@ -138,9 +142,10 @@ TEST(WireServerTest, LoopbackParityWithInProcessIngestion) {
       EXPECT_EQ(stats.name_registrations, kSeries);
     }
 
+    const stream::FleetView view(&engine);
     for (size_t i = 0; i < kSeries; ++i) {
-      const auto got = engine.Snapshot(names[i]);
-      const auto want = reference.Snapshot(names[i]);
+      const auto got = view.Frame(names[i]);
+      const auto want = reference_view.Frame(names[i]);
       ASSERT_NE(got, nullptr) << names[i];
       ASSERT_NE(want, nullptr) << names[i];
       EXPECT_EQ(got->window, want->window)
@@ -161,9 +166,10 @@ TEST(WireServerTest, LoopbackParityWithInProcessIngestion) {
 
     // Fleet queries agree exactly: identical frames -> identical
     // roughness bits -> identical rankings.
-    const stream::FleetView view(&engine);
     const std::vector<stream::SeriesRank> ranks =
-        view.TopKByRoughness(kSeries).ranks;
+        stream::FleetView::TopKByRoughnessOf(
+            view.Sample(SeriesSelector::All()), kSeries, view.exec_policy())
+            .ranks;
     ASSERT_EQ(ranks.size(), reference_ranks.size());
     for (size_t i = 0; i < ranks.size(); ++i) {
       EXPECT_EQ(ranks[i].name, reference_ranks[i].name)
@@ -207,14 +213,14 @@ TEST(WireServerTest, UnixDomainSocketCarriesTheSameProtocol) {
   client_thread.join();
 
   EXPECT_EQ(report.points, payload.size());
-  ASSERT_NE(engine.Snapshot("uds-host/load"), nullptr);
+  const auto frame = stream::FleetView(&engine).Frame("uds-host/load");
+  ASSERT_NE(frame, nullptr);
 
   // Parity against driving the one series directly.
   StreamingAsap direct = StreamingAsap::Create(FleetOptions()).ValueOrDie();
   direct.PushBatch(payload);
-  EXPECT_EQ(engine.Snapshot("uds-host/load")->series, direct.frame().series);
-  EXPECT_EQ(engine.Snapshot("uds-host/load")->refreshes,
-            direct.frame().refreshes);
+  EXPECT_EQ(frame->series, direct.frame().series);
+  EXPECT_EQ(frame->refreshes, direct.frame().refreshes);
 }
 
 TEST(WireServerTest, ConcurrentClientsDemuxIntoDistinctSeries) {
@@ -269,12 +275,13 @@ TEST(WireServerTest, ConcurrentClientsDemuxIntoDistinctSeries) {
   EXPECT_EQ(report.series, kClients);
   // Each client's connection is its own ordered byte stream, so every
   // series still matches its sequential reference exactly.
+  const stream::FleetView view(&engine);
   for (size_t c = 0; c < kClients; ++c) {
     StreamingAsap direct = StreamingAsap::Create(FleetOptions()).ValueOrDie();
     direct.PushBatch(FleetSeries(c, kPointsPerClient));
-    ASSERT_NE(engine.Snapshot(HostName(c)), nullptr) << HostName(c);
-    EXPECT_EQ(engine.Snapshot(HostName(c))->series, direct.frame().series)
-        << HostName(c);
+    const auto frame = view.Frame(HostName(c));
+    ASSERT_NE(frame, nullptr) << HostName(c);
+    EXPECT_EQ(frame->series, direct.frame().series) << HostName(c);
   }
 }
 
@@ -344,8 +351,9 @@ TEST(WireServerTest, MalformedConnectionIsDroppedOthersSurvive) {
   // The good client's series came through in full, plus the one
   // record the bad client sent before poisoning itself.
   EXPECT_EQ(report.points, 3000u + 1u);
-  ASSERT_NE(engine.Snapshot("good/metric"), nullptr);
-  EXPECT_GT(engine.Snapshot("good/metric")->refreshes, 0u);
+  const auto frame = stream::FleetView(&engine).Frame("good/metric");
+  ASSERT_NE(frame, nullptr);
+  EXPECT_GT(frame->refreshes, 0u);
 }
 
 TEST(WireServerTest, StopUnblocksAnIdleNextBatch) {
@@ -614,13 +622,14 @@ TEST(WireServerTest, MultiLoopDemuxParityMatchesSequentialReference) {
 
       EXPECT_EQ(report.points, kClients * kPointsPerClient);
       EXPECT_EQ(report.series, kClients);
+      const stream::FleetView view(&engine);
       for (size_t c = 0; c < kClients; ++c) {
         StreamingAsap direct =
             StreamingAsap::Create(FleetOptions()).ValueOrDie();
         direct.PushBatch(FleetSeries(c, kPointsPerClient));
-        ASSERT_NE(engine.Snapshot(HostName(c)), nullptr) << HostName(c);
-        EXPECT_EQ(engine.Snapshot(HostName(c))->series,
-                  direct.frame().series)
+        const auto frame = view.Frame(HostName(c));
+        ASSERT_NE(frame, nullptr) << HostName(c);
+        EXPECT_EQ(frame->series, direct.frame().series)
             << "transport=" << static_cast<int>(transport)
             << " loops=" << loops << " " << HostName(c);
       }
