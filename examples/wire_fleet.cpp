@@ -293,15 +293,14 @@ int RunServer(const Args& args, asap::stream::ShardedEngine* engine,
   const asap::net::WireServerStats stats = server.stats();
   std::printf(
       "\nIngested %llu records (%llu wire bytes) from %llu connections\n"
-      "at %.2fM records/s into %zu series; %llu refreshes, %llu dropped,\n"
-      "%llu late, %llu name registrations, %llu malformed lines,\n"
+      "at %.2fM records/s into %zu series; %llu refreshes, %llu late,\n"
+      "%llu name registrations, %llu malformed lines,\n"
       "%llu poisoned connections.\n\n",
       static_cast<unsigned long long>(report.points),
       static_cast<unsigned long long>(stats.bytes),
       static_cast<unsigned long long>(stats.accepted),
       report.points_per_second / 1e6, report.series,
       static_cast<unsigned long long>(report.refreshes),
-      static_cast<unsigned long long>(report.dropped),
       static_cast<unsigned long long>(report.late),
       static_cast<unsigned long long>(stats.name_registrations),
       static_cast<unsigned long long>(stats.malformed_lines),

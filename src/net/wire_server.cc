@@ -30,6 +30,15 @@ constexpr uint64_t kTcpListenerTag = 1;
 constexpr uint64_t kUdsListenerTag = 2;
 constexpr uint64_t kFirstConnectionTag = 16;
 
+// Most connections loop 0 accepts per turn while running. Connections
+// it accepts count against max_connections until their loop drains
+// them, and loop 0 drains its own only on its next turn: without a
+// bound, a burst of short-lived connections waiting in the listen
+// backlog is accepted in one go and trips the cap (rejecting clients)
+// though few of them would ever be open at once. The level-triggered
+// listener re-arms for the rest.
+constexpr size_t kMaxAcceptsPerTurn = 16;
+
 }  // namespace
 
 struct WireServer::Core {
@@ -135,10 +144,8 @@ struct WireServer::Core {
 
     size_t id = 0;
     EventLoop ev;
-    /// Valid when this loop owns a TCP listener (every loop under the
-    /// SO_REUSEPORT sharding; loop 0 only on the handoff fallback).
+    /// Valid on loop 0 only, the acceptor.
     Socket tcp_listener;
-    /// Valid on loop 0 only (UDS cannot shard a path).
     Socket uds_listener;
     std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
     uint64_t next_tag = kFirstConnectionTag;
@@ -164,8 +171,10 @@ struct WireServer::Core {
   WireServerOptions options;
   stream::SeriesCatalog* catalog = nullptr;
   uint16_t tcp_port = 0;
-  bool sharded_tcp = false;
   std::vector<std::unique_ptr<Loop>> loops;
+  /// Round-robin cursor dealing accepted sockets across loops; loop
+  /// 0's thread only.
+  size_t next_loop = 0;
 
   /// Owns the private registry when options.metrics was null.
   std::shared_ptr<telemetry::MetricsRegistry> owned_metrics;
@@ -318,12 +327,15 @@ struct WireServer::Core {
     // reports an initial readiness edge for an already-readable fd.
   }
 
-  /// Accepts everything a listener's backlog holds right now.
-  /// `handoff` round-robins new sockets across loops (single-acceptor
-  /// fallback topology); self-adoption otherwise.
-  void AcceptAll(Loop* l, const Socket& listener, bool is_tcp, bool handoff,
-                 size_t* rr) {
-    for (;;) {
+  /// Accepts up to kMaxAcceptsPerTurn connections from a listener's
+  /// backlog (all of it once stopping) and deals the sockets
+  /// round-robin across the loops. Runs on loop 0.
+  void AcceptPending(Loop* l, const Socket& listener, bool is_tcp) {
+    for (size_t n = 0;; ++n) {
+      const bool stop_now = stopping.load(std::memory_order_acquire);
+      if (n == kMaxAcceptsPerTurn && !stop_now) {
+        return;
+      }
       Socket sock;
       switch (AcceptNonBlocking(listener, &sock)) {
         case AcceptStatus::kRetry:
@@ -348,15 +360,9 @@ struct WireServer::Core {
       if (is_tcp && options.tcp_nodelay) {
         (void)sock.SetTcpNoDelay();  // advisory; never worth a drop
       }
-      if (!handoff || loops.size() == 1 ||
-          stopping.load(std::memory_order_acquire)) {
-        // Once stopping, peer loops may have exited their final adopt
-        // — a mailboxed fd would strand, so the acceptor keeps it.
-        AdoptConnection(l, std::move(sock), /*via_handoff=*/false);
-        continue;
-      }
-      const size_t target = *rr % loops.size();
-      *rr += 1;
+      // Once stopping, peer loops may have exited their final adopt — a
+      // mailboxed fd would strand, so the acceptor keeps it.
+      const size_t target = stop_now ? l->id : next_loop++ % loops.size();
       if (target == l->id) {
         AdoptConnection(l, std::move(sock), /*via_handoff=*/false);
         continue;
@@ -454,13 +460,13 @@ struct WireServer::Core {
   /// backlogs already hold, read every connection to EAGAIN/EOF and
   /// flush — the drain-on-shutdown guarantee — then release
   /// everything this loop owns.
-  void FinalDrain(Loop* l, size_t* rr) {
+  void FinalDrain(Loop* l) {
     AdoptMailbox(l);
     if (l->tcp_listener.valid()) {
-      AcceptAll(l, l->tcp_listener, /*is_tcp=*/true, /*handoff=*/false, rr);
+      AcceptPending(l, l->tcp_listener, /*is_tcp=*/true);
     }
     if (l->uds_listener.valid()) {
-      AcceptAll(l, l->uds_listener, /*is_tcp=*/false, /*handoff=*/false, rr);
+      AcceptPending(l, l->uds_listener, /*is_tcp=*/false);
     }
     for (auto& entry : l->conns) {
       DrainConnection(l, entry.first, entry.second.get());
@@ -480,8 +486,6 @@ struct WireServer::Core {
 
   void RunLoop(Loop* l) {
     std::vector<EventLoop::Event> events;
-    size_t rr = l->id;  // round-robin cursor for handoffs (loop 0)
-    const bool handoff_tcp = !sharded_tcp;
     for (;;) {
       const bool stop_now = stopping.load(std::memory_order_acquire);
       bool woken = false;
@@ -497,12 +501,11 @@ struct WireServer::Core {
       for (const EventLoop::Event& ev : events) {
         if (ev.tag == kTcpListenerTag) {
           if (l->tcp_listener.valid()) {
-            AcceptAll(l, l->tcp_listener, /*is_tcp=*/true, handoff_tcp, &rr);
+            AcceptPending(l, l->tcp_listener, /*is_tcp=*/true);
           }
         } else if (ev.tag == kUdsListenerTag) {
           if (l->uds_listener.valid()) {
-            AcceptAll(l, l->uds_listener, /*is_tcp=*/false, /*handoff=*/true,
-                      &rr);
+            AcceptPending(l, l->uds_listener, /*is_tcp=*/false);
           }
         } else {
           auto it = l->conns.find(ev.tag);
@@ -517,7 +520,7 @@ struct WireServer::Core {
       FlushBatch(l);
       RetireDead(l);
       if (stop_now) {
-        FinalDrain(l, &rr);
+        FinalDrain(l);
         return;
       }
     }
@@ -577,10 +580,8 @@ struct WireServer::Core {
     if (!started.load(std::memory_order_acquire)) {
       // Never polled: no loops to drain. Release the listeners so the
       // port/path free immediately.
-      for (auto& l : loops) {
-        l->tcp_listener.Close();
-        l->uds_listener.Close();
-      }
+      loops[0]->tcp_listener.Close();
+      loops[0]->uds_listener.Close();
       UnlinkUds();
       std::lock_guard<std::mutex> lk(queue_mu);
       queue_stopped = true;
@@ -698,55 +699,28 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
     l->counters.Register(core->metrics, i);
   }
 
+  // Loop 0 owns the listeners, registered level-triggered: a backlog
+  // this turn could not fully accept (connection cap, fd pressure)
+  // re-arms next wait.
+  Core::Loop* acceptor = core->loops[0].get();
   if (options.enable_tcp) {
-    const bool want_shards = options.reuse_port &&
-                             options.num_event_loops > 1 &&
-                             ReusePortSupported();
     ASAP_ASSIGN_OR_RETURN(
-        Socket first,
-        ListenTcp(options.tcp_host, options.tcp_port, options.listen_backlog,
-                  /*reuse_port=*/want_shards));
-    ASAP_RETURN_NOT_OK(first.SetNonBlocking());
-    ASAP_ASSIGN_OR_RETURN(core->tcp_port, LocalPort(first));
-    core->loops[0]->tcp_listener = std::move(first);
-    if (want_shards) {
-      core->sharded_tcp = true;
-      for (size_t i = 1; i < core->loops.size(); ++i) {
-        // Siblings bind the now-resolved port; a kernel that refuses
-        // drops us back to the single-acceptor handoff topology.
-        Result<Socket> sib =
-            ListenTcp(options.tcp_host, core->tcp_port,
-                      options.listen_backlog, /*reuse_port=*/true);
-        if (!sib.ok() || !sib.ValueOrDie().SetNonBlocking().ok()) {
-          for (size_t j = 1; j < i; ++j) {
-            core->loops[j]->tcp_listener.Close();
-          }
-          core->sharded_tcp = false;
-          break;
-        }
-        core->loops[i]->tcp_listener = std::move(sib).ValueOrDie();
-      }
-    }
+        Socket tcp, ListenTcp(options.tcp_host, options.tcp_port,
+                              options.listen_backlog));
+    ASAP_RETURN_NOT_OK(tcp.SetNonBlocking());
+    ASAP_ASSIGN_OR_RETURN(core->tcp_port, LocalPort(tcp));
+    ASAP_RETURN_NOT_OK(acceptor->ev.Add(tcp.fd(), kTcpListenerTag,
+                                        /*edge_triggered=*/false));
+    acceptor->tcp_listener = std::move(tcp);
   }
   if (!options.uds_path.empty()) {
     ASAP_ASSIGN_OR_RETURN(
         Socket uds, ListenUds(options.uds_path, options.listen_backlog));
     ASAP_RETURN_NOT_OK(uds.SetNonBlocking());
     core->uds_bound = true;
-    core->loops[0]->uds_listener = std::move(uds);
-  }
-
-  // Register the listeners level-triggered: a backlog this turn could
-  // not fully accept (connection cap, fd pressure) re-arms next wait.
-  for (auto& l : core->loops) {
-    if (l->tcp_listener.valid()) {
-      ASAP_RETURN_NOT_OK(l->ev.Add(l->tcp_listener.fd(), kTcpListenerTag,
-                                   /*edge_triggered=*/false));
-    }
-    if (l->uds_listener.valid()) {
-      ASAP_RETURN_NOT_OK(l->ev.Add(l->uds_listener.fd(), kUdsListenerTag,
-                                   /*edge_triggered=*/false));
-    }
+    ASAP_RETURN_NOT_OK(acceptor->ev.Add(uds.fd(), kUdsListenerTag,
+                                        /*edge_triggered=*/false));
+    acceptor->uds_listener = std::move(uds);
   }
   return WireServer(std::move(core));
 }
@@ -786,12 +760,11 @@ size_t WireServer::pending_records() const {
 
 void WireServer::CloseListeners() {
   if (!core_->started.load(std::memory_order_acquire)) {
-    for (auto& l : core_->loops) {
-      l->tcp_listener.Close();
-      if (l->uds_listener.valid()) {
-        l->uds_listener.Close();
-        core_->UnlinkUds();
-      }
+    Core::Loop* acceptor = core_->loops[0].get();
+    acceptor->tcp_listener.Close();
+    if (acceptor->uds_listener.valid()) {
+      acceptor->uds_listener.Close();
+      core_->UnlinkUds();
     }
     return;
   }

@@ -3,22 +3,20 @@
 // storage engine — rearchitected from one poll() loop to a sharded
 // epoll event-loop tier.
 //
-// Topology: N acceptor/decoder loops (WireServerOptions::
-// num_event_loops), each a thread owning one epoll EventLoop with a
-// persistent interest list. Under SO_REUSEPORT every loop gets its own
-// TCP listener on the shared port and the kernel spreads accepts;
-// where SO_REUSEPORT is unavailable (and always for the UDS listener)
-// loop 0 accepts and hands the fd to a loop round-robin through a
-// mailbox + eventfd wake. A connection then lives and dies on its
-// loop: its FrameDecoder is touched by that loop's thread only, so
-// decoding stays lock-free. Each loop drains readable sockets
-// edge-triggered into one reused RecordBatch and enqueues it once per
-// loop turn (per-loop decode batching) into a bounded queue that
-// PollOnce — still pumped by the engine's producer thread via
-// NetMultiSource, exactly as before — drains. A full queue blocks the
-// loops, which stops their reads, which backpressures collectors
-// through TCP; the engine-side overflow policies (block / drop-newest
-// / conflate) apply downstream at the shard queues, unchanged.
+// Topology: N decoder loops (WireServerOptions::num_event_loops), each
+// a thread owning one epoll EventLoop with a persistent interest list.
+// Loop 0 owns the listeners (TCP and UDS): it accepts and hands each
+// socket to a loop round-robin through a mailbox + eventfd wake. A
+// connection then lives and dies on its loop: its FrameDecoder is
+// touched by that loop's thread only, so decoding stays lock-free.
+// Each loop drains readable sockets edge-triggered into one reused
+// RecordBatch and enqueues it once per loop turn (per-loop decode
+// batching) into a bounded queue that PollOnce — pumped by the
+// engine's producer thread via NetMultiSource — drains. A full queue
+// blocks the loops, which stops their reads, which backpressures
+// collectors through TCP; the engine's shard queues downstream block
+// the same way, so overload loses no record between socket and
+// operator.
 //
 // Ordering: one connection = one loop = one decoder, batches enter the
 // queue in decode order, and the queue is FIFO — so each connection's
@@ -58,17 +56,10 @@ struct WireServerOptions {
   /// disables UDS. At least one listener must be enabled.
   std::string uds_path;
 
-  /// Acceptor/decoder event-loop threads. Each loop owns an epoll
-  /// instance and the connections it accepted (or was handed); under
-  /// SO_REUSEPORT each also owns its own TCP listener on the shared
-  /// port. 1 reproduces the old single-loop topology on epoll.
+  /// Decoder event-loop threads. Each loop owns an epoll instance and
+  /// the connections it was handed; loop 0 also owns the listeners and
+  /// deals accepted sockets round-robin across all loops.
   size_t num_event_loops = 1;
-
-  /// Use SO_REUSEPORT to shard the TCP listener across loops when
-  /// num_event_loops > 1 (ignored where unsupported, and for UDS,
-  /// which always uses the single-acceptor + fd-handoff fallback).
-  /// Off forces the handoff path — mainly a test/debug knob.
-  bool reuse_port = true;
 
   /// Per-loop decode-batch cap: a loop flushes its batch to the
   /// output queue at the end of every loop turn, or mid-turn once the
@@ -130,9 +121,10 @@ struct WireLoopStats {
   uint64_t batches = 0;
   /// Records across those batches.
   uint64_t batch_records = 0;
-  /// Connections this loop owns/owned (its own accepts + handoffs).
+  /// Connections this loop owns/owned.
   uint64_t accepted = 0;
-  /// Of those, connections adopted via the fd-handoff mailbox.
+  /// Of those, connections adopted via the fd-handoff mailbox (all of
+  /// them on every loop but 0, the acceptor).
   uint64_t handoffs = 0;
 };
 

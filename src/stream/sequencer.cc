@@ -11,19 +11,11 @@ namespace stream {
 Sequencer::Sequencer(int64_t horizon_ticks)
     : horizon_(horizon_ticks),
       watermark_(std::numeric_limits<int64_t>::min()) {
-  ASAP_CHECK_GE(horizon_ticks, 0);
+  ASAP_CHECK_GE(horizon_ticks, 1);
 }
 
 size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out) {
   ASAP_CHECK(records != nullptr || n == 0);
-  if (horizon_ == 0) {
-    // Sequencing disabled: arrival order IS the emit order.
-    out->insert(out->end(), records, records + n);
-    records_in_ += n;
-    emitted_ += n;
-    return n;
-  }
-
   // Walk the batch in arrival order, advancing the watermark per
   // record: a record is late iff it is more than the horizon behind
   // the newest timestamp seen AT ITS OWN ARRIVAL (earlier records of

@@ -13,78 +13,9 @@
 #include "common/stopwatch.h"
 #include "storage/store.h"
 #include "stream/sequencer.h"
-#include "window/panes.h"
 
 namespace asap {
 namespace stream {
-
-RecordBatch ConflatePanePartials(RecordBatch batch, size_t pane_size,
-                                 int64_t pane_epoch,
-                                 int64_t pane_width_ticks) {
-  const bool timed = pane_width_ticks > 0;
-  if (batch.size() <= 1 || (!timed && pane_size <= 1)) {
-    return batch;
-  }
-  // Stable group by series id. Ids are catalog-dense and shards see
-  // a hashed subset, so a sort keyed on (id, original index) is
-  // simplest; batches here are bounded by batch_size + one merge.
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.series_id < b.series_id;
-                   });
-  RecordBatch out;
-  out.reserve(timed ? batch.size() / 2 + 16
-                    : batch.size() / pane_size + 16);
-  size_t i = 0;
-  while (i < batch.size()) {
-    const SeriesId id = batch[i].series_id;
-    size_t j = i;
-    while (j < batch.size() && batch[j].series_id == id) {
-      ++j;
-    }
-    if (timed) {
-      // Pane-aware: collapse consecutive records of one series that
-      // share a time bucket. A group carries the bucket's mean and
-      // its first timestamp — it re-enters the same pane its records
-      // came from, never a neighbor's.
-      while (i < j) {
-        const int64_t pane = window::PaneIndexForTs(batch[i].ts, pane_epoch,
-                                                    pane_width_ticks);
-        size_t g = i + 1;
-        double sum = batch[i].value;
-        while (g < j && window::PaneIndexForTs(batch[g].ts, pane_epoch,
-                                               pane_width_ticks) == pane) {
-          sum += batch[g].value;
-          ++g;
-        }
-        if (g - i >= 2) {
-          out.push_back(
-              Record{id, sum / static_cast<double>(g - i), batch[i].ts});
-        } else {
-          out.push_back(batch[i]);
-        }
-        i = g;
-      }
-      continue;
-    }
-    // Count-based (arrival mode): complete pane-sized groups collapse
-    // to their mean.
-    while (j - i >= pane_size) {
-      double sum = 0.0;
-      for (size_t k = i; k < i + pane_size; ++k) {
-        sum += batch[k].value;
-      }
-      out.push_back(Record{id, sum / static_cast<double>(pane_size),
-                           batch[i].ts});
-      i += pane_size;
-    }
-    // Trailing short group: raw.
-    for (; i < j; ++i) {
-      out.push_back(batch[i]);
-    }
-  }
-  return out;
-}
 
 // One worker shard: a slice of the fleet's series table plus the
 // bounded batch queue that feeds it. Queue state is guarded by `mu`;
@@ -93,13 +24,6 @@ RecordBatch ConflatePanePartials(RecordBatch batch, size_t pane_size,
 // the map lookup is what needs the lock). Worker-side counters are
 // written by the worker thread only and read after join.
 struct ShardedEngine::Shard {
-  /// Records the newest queued batch may hold under kConflate, in
-  /// units of the engine's nominal batch size. Under sustained
-  /// overflow collapse shrinks batches ~pane_size×, so this headroom
-  /// is rarely reached; it exists so a fully stalled consumer bounds
-  /// queued memory instead of growing the merge batch forever.
-  static constexpr size_t kConflateBackstopBatches = 8;
-
   Shard(const StreamingOptions& series_options, size_t index,
         telemetry::MetricsRegistry* metrics, SeriesCatalog* catalog,
         storage::DurableStore* storage, int64_t sequencer_horizon)
@@ -107,9 +31,9 @@ struct ShardedEngine::Shard {
         catalog(catalog),
         storage(storage),
         timed(series_options.pane_width_ticks > 0),
-        pane_epoch(series_options.pane_epoch),
-        pane_width(series_options.pane_width_ticks),
-        seq_horizon(sequencer_horizon) {
+        sequencer(sequencer_horizon > 0
+                      ? std::make_unique<Sequencer>(sequencer_horizon)
+                      : nullptr) {
     const std::string shard_label = std::to_string(index);
     using Labels = std::vector<std::pair<std::string, std::string>>;
     const Labels labels = {{"shard", shard_label}};
@@ -125,12 +49,6 @@ struct ShardedEngine::Shard {
     records_total = metrics->GetCounter(
         {"asap_shard_records_total", "Records consumed by the shard worker",
          labels});
-    dropped_total = metrics->GetCounter(
-        {"asap_shard_dropped_total", "Records dropped at the full queue",
-         labels});
-    conflated_total = metrics->GetCounter(
-        {"asap_shard_conflated_total",
-         "Records collapsed into pane partials at the full queue", labels});
     // asap_seq_*: registered unconditionally (a scrape sees the family
     // at 0 even when sequencing is off, so dashboards and the CI greps
     // need no horizon-dependent wiring).
@@ -152,14 +70,10 @@ struct ShardedEngine::Shard {
 
   // Timed pane mode (series options' pane grid; see StreamingOptions).
   bool timed = false;
-  int64_t pane_epoch = 0;
-  int64_t pane_width = 0;
-  // Reordering horizon; > 0 activates the per-run sequencer below.
-  int64_t seq_horizon = 0;
-  /// The shard's reordering stage (stream/sequencer.h), recreated at
-  /// each run start so run reports count one run. Null when
-  /// seq_horizon == 0. Worker-thread only during a run; read after
-  /// join.
+  /// The shard's reordering stage (stream/sequencer.h), built once so
+  /// its watermark and late rule hold across runs. Null when the
+  /// horizon is 0: the engine bypasses sequencing. Worker-thread only
+  /// during a run; read after join.
   std::unique_ptr<Sequencer> sequencer;
   /// sequencer->late_dropped() already folded into seq_late_total.
   uint64_t late_folded = 0;
@@ -192,8 +106,6 @@ struct ShardedEngine::Shard {
   std::shared_ptr<telemetry::LatencyHistogram> push_nanos;
   std::shared_ptr<telemetry::LatencyHistogram> drain_nanos;
   std::shared_ptr<telemetry::Counter> records_total;
-  std::shared_ptr<telemetry::Counter> dropped_total;
-  std::shared_ptr<telemetry::Counter> conflated_total;
   std::shared_ptr<telemetry::Counter> seq_emitted_total;
   std::shared_ptr<telemetry::Counter> seq_late_total;
   std::shared_ptr<telemetry::Gauge> seq_buffered;
@@ -205,71 +117,23 @@ struct ShardedEngine::Shard {
   std::deque<RecordBatch> queue;
   bool closed = false;
   size_t peak_queue_depth = 0;  // producer-side, under mu
-  uint64_t dropped = 0;         // producer-side, under mu
-  uint64_t conflated = 0;       // producer-side, under mu
 
   // Worker-side per-run counters.
   uint64_t points = 0;
   uint64_t batches = 0;
+  uint64_t late = 0;
   double busy_seconds = 0.0;
 
-  /// Hands a batch to the worker. Under kBlock, waits for queue room
-  /// (lossless backpressure); under kDropNewest, a full queue discards
-  /// the batch and counts its records instead of stalling the
-  /// producer; under kConflate, a full queue collapses the batch into
-  /// per-series pane partials (mean of each pane_size-sized group)
-  /// merged into the newest queued batch — the shard still sees every
-  /// series' shape, at ~pane_size× reduced time resolution. The merged
-  /// batch is itself bounded (kConflateBackstopBatches nominal batches
-  /// of records): a consumer stalled so long that even collapsed
-  /// records pile past the bound degrades to dropping the overflow
-  /// (counted), keeping queued memory finite. Returns the records
-  /// dropped (0, batch.size(), or the collapsed overflow).
-  size_t Enqueue(RecordBatch batch, size_t capacity, OverflowPolicy policy,
-                 size_t pane_size, size_t nominal_batch_size) {
+  /// Hands a batch to the worker, waiting for queue room first: a
+  /// full queue stalls the producer (lossless backpressure).
+  void Enqueue(RecordBatch batch, size_t capacity) {
     telemetry::ScopedTimer push_timer(push_nanos.get());
     std::unique_lock<std::mutex> lock(mu);
-    if (policy == OverflowPolicy::kDropNewest) {
-      if (queue.size() >= capacity) {
-        const size_t n = batch.size();
-        dropped += n;
-        dropped_total->Add(n);
-        peak_queue_depth = std::max(peak_queue_depth, queue.size());
-        return n;
-      }
-    } else if (policy == OverflowPolicy::kConflate) {
-      if (queue.size() >= capacity) {
-        const size_t before = batch.size();
-        RecordBatch collapsed = ConflatePanePartials(std::move(batch),
-                                                     pane_size, pane_epoch,
-                                                     pane_width);
-        conflated += before - collapsed.size();
-        conflated_total->Add(before - collapsed.size());
-        RecordBatch& back = queue.back();
-        const size_t room_cap = kConflateBackstopBatches * nominal_batch_size;
-        size_t keep = collapsed.size();
-        if (back.size() >= room_cap) {
-          keep = 0;
-        } else if (back.size() + keep > room_cap) {
-          keep = room_cap - back.size();
-        }
-        back.insert(back.end(), collapsed.begin(),
-                    collapsed.begin() + static_cast<ptrdiff_t>(keep));
-        const size_t overflow = collapsed.size() - keep;
-        dropped += overflow;
-        dropped_total->Add(overflow);
-        peak_queue_depth = std::max(peak_queue_depth, queue.size());
-        not_empty.notify_one();
-        return overflow;
-      }
-    } else {
-      not_full.wait(lock, [&] { return queue.size() < capacity; });
-    }
+    not_full.wait(lock, [&] { return queue.size() < capacity; });
     queue.push_back(std::move(batch));
     peak_queue_depth = std::max(peak_queue_depth, queue.size());
     queue_depth->Set(static_cast<double>(queue.size()));
     not_empty.notify_one();
-    return 0;
   }
 
   void Close() {
@@ -386,8 +250,8 @@ struct ShardedEngine::Shard {
   /// records released in timestamp order reach the operators; the
   /// reordering tail is flushed after the queue closes (end of
   /// stream), so `points` counts exactly the records operators
-  /// consumed and the run-report identity
-  /// pulled == consumed + dropped + conflated + late holds.
+  /// consumed and the run-report identity pulled == consumed + late
+  /// holds.
   void WorkerLoop() {
     RecordBatch batch;
     RecordBatch ordered;
@@ -425,11 +289,13 @@ struct ShardedEngine::Shard {
   }
 
   /// Folds the sequencer's since-last-call deltas into the asap_seq_*
-  /// instruments (batch-granular, like every other hot-path write).
+  /// instruments and the run's late count (batch-granular, like every
+  /// other hot-path write).
   void FoldSequencerCounters(size_t emitted_now) {
     seq_emitted_total->Add(emitted_now);
     const uint64_t late_now = sequencer->late_dropped();
     seq_late_total->Add(late_now - late_folded);
+    late += late_now - late_folded;
     late_folded = late_now;
     seq_buffered->Set(static_cast<double>(sequencer->buffered()));
   }
@@ -456,17 +322,10 @@ struct ShardedEngine::Shard {
     ASAP_CHECK(queue.empty());
     closed = false;
     peak_queue_depth = 0;
-    dropped = 0;
-    conflated = 0;
     points = 0;
     batches = 0;
+    late = 0;
     busy_seconds = 0.0;
-    // Fresh sequencer per run: the watermark and late counts in the
-    // run report cover exactly this run (registry instruments stay
-    // lifetime-cumulative, as everywhere else).
-    sequencer = seq_horizon > 0 ? std::make_unique<Sequencer>(seq_horizon)
-                                : nullptr;
-    late_folded = 0;
   }
 };
 
@@ -487,14 +346,11 @@ Result<ShardedEngine> ShardedEngine::Create(
   }
   // Probe the per-series factory configuration once so invalid options
   // fail here instead of aborting inside a worker thread at first use.
-  // The probe also resolves the pane size kConflate groups by.
   Result<StreamingAsap> probe = StreamingAsap::Create(series_options);
   if (!probe.ok()) {
     return probe.status();
   }
-  ShardedEngine engine(series_options, engine_options);
-  engine.pane_size_ = probe->pane_size();
-  return engine;
+  return ShardedEngine(series_options, engine_options);
 }
 
 ShardedEngine::ShardedEngine(const StreamingOptions& series_options,
@@ -634,9 +490,7 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
     }
     report.points += n;
     if (num_shards == 1) {
-      report.dropped += shards_[0]->Enqueue(
-          std::move(pull), options_.queue_capacity, options_.overflow_policy,
-          pane_size_, options_.batch_size);
+      shards_[0]->Enqueue(std::move(pull), options_.queue_capacity);
       pull = RecordBatch{};
       pull.reserve(options_.batch_size);
       continue;
@@ -648,9 +502,7 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
       if (split[i].empty()) {
         continue;
       }
-      report.dropped += shards_[i]->Enqueue(
-          std::move(split[i]), options_.queue_capacity,
-          options_.overflow_policy, pane_size_, options_.batch_size);
+      shards_[i]->Enqueue(std::move(split[i]), options_.queue_capacity);
       split[i] = RecordBatch{};
       split[i].reserve(options_.batch_size);
     }
@@ -677,17 +529,13 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
     sr.batches = shard.batches;
     sr.series = shard.registry.size();
     sr.peak_queue_depth = shard.peak_queue_depth;
-    sr.dropped = shard.dropped;
-    sr.conflated = shard.conflated;
-    sr.late = shard.sequencer != nullptr ? shard.sequencer->late_dropped()
-                                         : 0;
+    sr.late = shard.late;
     sr.busy_seconds = shard.busy_seconds;
     shard.registry.ForEach([&sr](SeriesId, const StreamingAsap& op) {
       sr.refreshes += op.frame().refreshes;
     });
     report.refreshes += sr.refreshes;
     report.series += sr.series;
-    report.conflated += sr.conflated;
     report.late += sr.late;
     report.shards.push_back(sr);
 

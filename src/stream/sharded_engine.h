@@ -45,30 +45,13 @@ class DurableStore;
 
 namespace stream {
 
-/// What the producer does when a shard queue is full.
+/// What the producer does when a shard queue is full. There is one
+/// answer: it blocks until the shard drains a batch, so overload is
+/// backpressure and no record is ever lost at a queue. The enum and
+/// ShardedEngineOptions::overflow_policy remain only because the
+/// pipeline benchmark (perfbench/) names them.
 enum class OverflowPolicy {
-  /// Block until the shard drains a batch (lossless; a slow shard
-  /// stalls the producer — and through it, e.g., a wire socket loop).
   kBlock,
-  /// Drop the incoming batch and keep pumping (lossy; dropped record
-  /// counts surface in ShardReport/FleetReport). For producers that
-  /// must never stall, like a live ingestion socket.
-  kDropNewest,
-  /// Collapse the incoming batch into pane partials and merge it into
-  /// the newest queued batch instead of dropping it: per series, each
-  /// complete group of pane_size consecutive records becomes one
-  /// record carrying the group mean (what the pane buffer would have
-  /// averaged anyway, at coarser alignment), so the shard still sees
-  /// the series' shape — ~pane_size× fewer records — and the producer
-  /// never stalls. Conflated-away record counts surface in
-  /// ShardReport/FleetReport. The merged batch is bounded: a consumer
-  /// stalled so long that even collapsed records pile past a few
-  /// nominal batches degrades to dropping the overflow (counted in
-  /// `dropped`), keeping queued memory finite. Lossy in time
-  /// resolution: partial-group boundaries follow batch arrival, not
-  /// pane boundaries, so (like kDropNewest) determinism parity is
-  /// forfeited under overflow.
-  kConflate,
 };
 
 /// Fleet engine configuration.
@@ -79,12 +62,12 @@ struct ShardedEngineOptions {
   /// Records pulled from the MultiSource per producer pump.
   size_t batch_size = 4096;
 
-  /// In-flight batches buffered per shard before overflow_policy
-  /// applies (backpressure bound).
+  /// In-flight batches buffered per shard; a full queue blocks the
+  /// producer (the backpressure bound).
   size_t queue_capacity = 16;
 
-  /// Full-queue behavior. Note kDropNewest forfeits determinism
-  /// parity: which records drop depends on shard timing.
+  /// Always kBlock; kept only for the callers that set it (see
+  /// OverflowPolicy).
   OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
 
   /// Reordering horizon of the per-shard sequencer (stream/
@@ -94,7 +77,9 @@ struct ShardedEngineOptions {
   /// records and releases them in timestamp order once they age past
   /// the horizon (records more than horizon ticks older than the
   /// newest timestamp seen are dropped as *late*, surfacing in
-  /// ShardReport/FleetReport::late and asap_seq_late_total). Use with
+  /// ShardReport/FleetReport::late and asap_seq_late_total). Each
+  /// shard's sequencer lives as long as the engine, so its watermark
+  /// carries across Run calls; every run ends by flushing it. Use with
   /// timed pane mode (StreamingOptions::pane_width_ticks > 0): a
   /// horizon of a few pane widths absorbs collector clock skew that
   /// would otherwise smear points across pane boundaries.
@@ -131,19 +116,12 @@ struct ShardReport {
   /// Distinct series resident in this shard's registry.
   size_t series = 0;
   /// Deepest the shard's queue got during the run — a backpressure
-  /// indicator (== queue_capacity means the producer blocked or, under
-  /// kDropNewest, dropped).
+  /// indicator (== queue_capacity means the producer blocked).
   size_t peak_queue_depth = 0;
-  /// Records dropped at this shard's full queue (kDropNewest, or
-  /// kConflate's stalled-consumer backstop; always 0 under kBlock).
-  uint64_t dropped = 0;
-  /// Records conflated away at this shard's full queue (kConflate
-  /// only): collapsed into pane-partial means instead of reaching the
-  /// operator individually.
-  uint64_t conflated = 0;
-  /// Records the sequencer dropped as late (timestamp more than the
-  /// reordering horizon behind the newest seen; always 0 when
-  /// sequencer_horizon_ticks == 0).
+  /// Records the sequencer dropped as late during the run (timestamp
+  /// more than the reordering horizon behind the newest seen, in this
+  /// run or any earlier one; always 0 when sequencer_horizon_ticks ==
+  /// 0).
   uint64_t late = 0;
   /// Wall time the worker spent consuming batches (vs waiting).
   double busy_seconds = 0.0;
@@ -157,26 +135,26 @@ struct SeriesReport {
   uint64_t refreshes = 0;
   /// Final chosen SMA window in panes.
   size_t window = 1;
-  /// This series' records dropped as late by the shard sequencer.
-  /// (A series whose every record was late never reaches a registry
-  /// and gets no SeriesReport row; its drops still count in the shard
-  /// and fleet totals.)
+  /// This series' records dropped as late by the shard sequencer,
+  /// lifetime like points and refreshes. (A series whose every record
+  /// was late never reaches a registry and gets no SeriesReport row;
+  /// its drops still count in the shard and fleet totals.)
   uint64_t late = 0;
 };
 
 /// Aggregate result of one fleet run.
 struct FleetReport {
-  /// Records pulled from the source during the run (includes any that
-  /// were then dropped at a full queue).
+  /// Records pulled from the source during the run.
   uint64_t points = 0;
-  /// Records dropped across all shards (kDropNewest or kConflate's
-  /// backstop); pulled records that never reached an operator.
+  /// Always 0: a full queue blocks instead of dropping. Kept only for
+  /// the pipeline benchmark's accounting check (perfbench/).
   uint64_t dropped = 0;
-  /// Records conflated away across all shards (kConflate only).
+  /// Always 0: nothing is conflated at a full queue. Kept only for the
+  /// pipeline benchmark's accounting check (perfbench/).
   uint64_t conflated = 0;
-  /// Records dropped as late across all shard sequencers. Every
-  /// pulled record lands in exactly one bucket:
-  ///   points == sum(shards[i].points) + dropped + conflated + late.
+  /// Records dropped as late across all shard sequencers during the
+  /// run. Every pulled record lands in exactly one bucket:
+  ///   points == sum(shards[i].points) + late.
   uint64_t late = 0;
   double seconds = 0.0;
   double points_per_second = 0.0;
@@ -188,23 +166,6 @@ struct FleetReport {
   /// Sorted by series name.
   std::vector<SeriesReport> per_series;
 };
-
-/// The kConflate collapse, exposed for tests. Records are stably
-/// grouped by series (per-series order preserved); within a series,
-/// pane_width_ticks == 0 collapses every complete run of `pane_size`
-/// consecutive records to one record carrying the group mean (a
-/// trailing short group passes through raw), while pane_width_ticks
-/// > 0 is *pane-aware*: consecutive records of one series that fall
-/// in the same time bucket (floor((ts - pane_epoch) /
-/// pane_width_ticks)) collapse to one record carrying the group mean
-/// and the group's first timestamp — groups never straddle a pane
-/// boundary, so collapse cannot smear values across panes the way
-/// count-based grouping does under timestamped input. Singleton
-/// groups pass through raw. Lossy in weighting either way (a
-/// collapsed group re-enters the pane sum with weight 1).
-RecordBatch ConflatePanePartials(RecordBatch batch, size_t pane_size,
-                                 int64_t pane_epoch,
-                                 int64_t pane_width_ticks);
 
 /// Drives a MultiSource through hash-sharded per-series StreamingAsap
 /// operators on T worker threads. Registries persist across runs, so
@@ -301,10 +262,6 @@ class ShardedEngine {
 
   StreamingOptions series_options_;
   ShardedEngineOptions options_;
-  /// Points per pane under series_options_ (uniform across the fleet:
-  /// all operators share one options struct); the conflation group
-  /// width for OverflowPolicy::kConflate.
-  size_t pane_size_ = 1;
   std::shared_ptr<SeriesCatalog> catalog_;
   /// Owns the private registry when options_.metrics was null.
   std::shared_ptr<telemetry::MetricsRegistry> owned_metrics_;

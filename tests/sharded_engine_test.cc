@@ -1,5 +1,5 @@
 // Tests for the multi-series fleet runtime: named tagged sources, the
-// per-shard series registry, overflow policies, and the sharded
+// per-shard series registry, lossless backpressure, and the sharded
 // engine's determinism parity — for any shard count, every series'
 // final frame must be identical to running that series alone through
 // StreamingAsap.
@@ -312,33 +312,13 @@ TEST(ShardedEngineTest, RunForBudgetStopsPullingEarly) {
 }
 
 TEST(ShardedEngineTest, BlockPolicyNeverDrops) {
-  ShardedEngineOptions engine_options;
-  engine_options.shards = 2;
-  engine_options.queue_capacity = 1;  // maximal backpressure
-  engine_options.batch_size = 128;
-  ShardedEngine engine =
-      ShardedEngine::Create(FleetOptions(), engine_options).ValueOrDie();
-
-  InterleavingMultiSource source(engine.catalog());
-  for (size_t i = 0; i < 8; ++i) {
-    source.AddVector(HostName(i), FleetSeries(i, 4000));
-  }
-  const FleetReport report = engine.RunToCompletion(&source);
-  EXPECT_EQ(report.dropped, 0u);
-  EXPECT_EQ(report.conflated, 0u);
-  uint64_t consumed = 0;
-  for (const ShardReport& sr : report.shards) {
-    EXPECT_EQ(sr.dropped, 0u);
-    consumed += sr.points;
-  }
-  EXPECT_EQ(consumed, report.points);  // lossless
-}
-
-TEST(ShardedEngineTest, DropNewestPolicyAccountsForEveryRecord) {
   // A tiny queue, refresh-heavy operators, and exhaustive search make
-  // the workers slow enough that the producer overruns the queues;
-  // drops are timing-dependent, so the test pins the accounting
-  // invariants rather than an exact count.
+  // the workers slow enough that the producer overruns the queues and
+  // blocks on nearly every batch. Blocking is lossless, so the
+  // saturated run must still consume every record and match each
+  // series' sequential reference bitwise.
+  const size_t kSeries = 8;
+  const size_t kPointsPerSeries = 8000;
   StreamingOptions series_options = FleetOptions();
   series_options.strategy = SearchStrategy::kExhaustive;
   series_options.refresh_every_points = 100;
@@ -346,83 +326,36 @@ TEST(ShardedEngineTest, DropNewestPolicyAccountsForEveryRecord) {
   ShardedEngineOptions engine_options;
   engine_options.shards = 2;
   engine_options.batch_size = 64;
-  engine_options.queue_capacity = 1;
-  engine_options.overflow_policy = OverflowPolicy::kDropNewest;
+  engine_options.queue_capacity = 1;  // maximal backpressure
   ShardedEngine engine =
       ShardedEngine::Create(series_options, engine_options).ValueOrDie();
 
   InterleavingMultiSource source(engine.catalog());
-  for (size_t i = 0; i < 8; ++i) {
-    source.AddVector(HostName(i), FleetSeries(i, 8000));
-  }
-  const FleetReport report = engine.RunToCompletion(&source);
-
-  // Every pulled record was either consumed by a shard or counted
-  // dropped — none vanish.
-  uint64_t consumed = 0;
-  uint64_t dropped = 0;
-  for (const ShardReport& sr : report.shards) {
-    consumed += sr.points;
-    dropped += sr.dropped;
-  }
-  EXPECT_EQ(dropped, report.dropped);
-  EXPECT_EQ(consumed + dropped, report.points);
-  EXPECT_EQ(report.points, 8u * 8000u);
-}
-
-TEST(ShardedEngineTest, ConflatePolicyCollapsesInsteadOfDropping) {
-  // Same overload pressure as the kDropNewest test, but overflow
-  // collapses batches into pane partials: nothing is dropped, every
-  // pulled record is either consumed raw or accounted as conflated
-  // away, and the queues never exceed capacity.
-  StreamingOptions series_options = FleetOptions();
-  series_options.strategy = SearchStrategy::kExhaustive;
-  series_options.refresh_every_points = 100;
-
-  ShardedEngineOptions engine_options;
-  engine_options.shards = 2;
-  // Batches large enough that each series' slice of one batch spans
-  // complete pane groups (512 records / 8 series = 64 > pane size 20)
-  // — otherwise conflation has only short trailing groups to keep.
-  engine_options.batch_size = 512;
-  engine_options.queue_capacity = 1;
-  engine_options.overflow_policy = OverflowPolicy::kConflate;
-  ShardedEngine engine =
-      ShardedEngine::Create(series_options, engine_options).ValueOrDie();
-
-  InterleavingMultiSource source(engine.catalog());
-  const size_t kSeries = 8;
-  const size_t kPointsPerSeries = 8000;
   for (size_t i = 0; i < kSeries; ++i) {
     source.AddVector(HostName(i), FleetSeries(i, kPointsPerSeries));
   }
   const FleetReport report = engine.RunToCompletion(&source);
 
   EXPECT_EQ(report.points, kSeries * kPointsPerSeries);
-  // The slow consumers guarantee overflow, so conflation must have
-  // engaged...
-  EXPECT_GT(report.conflated, 0u);
-  // ...and the accounting closes: consumed records + records collapsed
-  // away (+ any stalled-consumer backstop drops) equals everything
-  // pulled.
   uint64_t consumed = 0;
-  uint64_t conflated = 0;
-  uint64_t dropped = 0;
   for (const ShardReport& sr : report.shards) {
     consumed += sr.points;
-    conflated += sr.conflated;
-    dropped += sr.dropped;
     EXPECT_LE(sr.peak_queue_depth, engine_options.queue_capacity);
   }
-  EXPECT_EQ(conflated, report.conflated);
-  EXPECT_EQ(dropped, report.dropped);
-  EXPECT_EQ(consumed + conflated + dropped, report.points);
-  // Every series still produced frames (its shape survived).
+  EXPECT_EQ(consumed, report.points);  // lossless
+
   const FleetView view(&engine);
   for (size_t i = 0; i < kSeries; ++i) {
+    StreamingAsap reference =
+        StreamingAsap::Create(series_options).ValueOrDie();
+    for (double x : FleetSeries(i, kPointsPerSeries)) {
+      reference.Push(x);
+    }
     const auto frame = view.Frame(HostName(i));
     ASSERT_NE(frame, nullptr) << HostName(i);
-    EXPECT_GT(frame->refreshes, 0u) << HostName(i);
+    EXPECT_EQ(frame->window, reference.frame().window) << HostName(i);
+    EXPECT_EQ(frame->refreshes, reference.frame().refreshes) << HostName(i);
+    EXPECT_EQ(frame->series, reference.frame().series) << HostName(i);
   }
 }
 
@@ -448,45 +381,6 @@ class BatchSource : public MultiSource {
   RecordBatch records_;
   size_t position_ = 0;
 };
-
-TEST(ConflatePanePartialsTest, CountModeCollapsesPaneSizedGroups) {
-  const RecordBatch batch = {{1, 1.0, 0}, {1, 2.0, 0}, {1, 3.0, 0},
-                             {1, 4.0, 0}, {1, 5.0, 0}, {1, 6.0, 0},
-                             {1, 7.0, 0}};
-  const RecordBatch out = ConflatePanePartials(batch, 3, 0, 0);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out[0].value, 2.0);  // mean(1,2,3)
-  EXPECT_DOUBLE_EQ(out[1].value, 5.0);  // mean(4,5,6)
-  EXPECT_DOUBLE_EQ(out[2].value, 7.0);  // trailing short group: raw
-}
-
-TEST(ConflatePanePartialsTest, TimedModeGroupsByPaneNeverAcrossBoundaries) {
-  // Pane width 10: series 1 has three records in pane 0, one in pane
-  // 1, two in pane 2; series 2 interleaves with two in pane 0. Groups
-  // collapse per (series, pane) and carry the group's first
-  // timestamp, so a collapsed record re-enters its own pane.
-  const RecordBatch batch = {{1, 1.0, 1},  {2, 10.0, 2}, {1, 2.0, 5},
-                             {2, 20.0, 6}, {1, 3.0, 9},  {1, 4.0, 12},
-                             {1, 5.0, 21}, {1, 7.0, 25}};
-  const RecordBatch out = ConflatePanePartials(batch, 999, 0, 10);
-  ASSERT_EQ(out.size(), 4u);
-  // Stable grouping: series 1's groups first (its first record leads).
-  EXPECT_EQ(out[0], (Record{1, 2.0, 1}));    // mean(1,2,3) @ pane 0
-  EXPECT_EQ(out[1], (Record{1, 4.0, 12}));   // singleton: raw
-  EXPECT_EQ(out[2], (Record{1, 6.0, 21}));   // mean(5,7) @ pane 2
-  EXPECT_EQ(out[3], (Record{2, 15.0, 2}));   // mean(10,20) @ pane 0
-}
-
-TEST(ConflatePanePartialsTest, AdjacentPanesDoNotMerge) {
-  // ts 9 and 11 are one tick apart but in different panes — count-
-  // based grouping would have collapsed them (the bug class); pane-
-  // aware grouping must not.
-  const RecordBatch batch = {{1, 1.0, 9}, {1, 2.0, 11}};
-  const RecordBatch out = ConflatePanePartials(batch, 2, 0, 10);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], (Record{1, 1.0, 9}));
-  EXPECT_EQ(out[1], (Record{1, 2.0, 11}));
-}
 
 StreamingOptions TimedParityOptions() {
   StreamingOptions options = FleetOptions();
@@ -665,56 +559,78 @@ TEST(ShardedEngineTimedTest, LateRecordsAreCountedExactly) {
   EXPECT_EQ(report.per_series[0].late, 50u);
 }
 
-TEST(ShardedEngineTimedTest, ConflateAccountingClosesUnderReorderedInput) {
-  // kConflate under timed, skewed input: every pulled record must land
-  // in exactly one bucket — consumed, conflated away, backstop-
-  // dropped, or late — whatever the shard timing did.
+TEST(ShardedEngineTimedTest, SequencerWatermarkSurvivesRunBoundaries) {
+  // A record older than the watermark minus the horizon is late no
+  // matter where a run boundary falls: each shard's sequencer lives as
+  // long as the engine. Splitting one input into two runs, right before
+  // a block of stale records, must count the same late records and
+  // publish a bitwise-equal frame — the stale values (1000) must not
+  // reopen the committed panes they would fall in.
   StreamingOptions timed_options = FleetOptions();
-  timed_options.strategy = SearchStrategy::kExhaustive;
-  timed_options.refresh_every_points = 100;
   timed_options.pane_epoch = 0;
-  timed_options.pane_width_ticks = 20;
-
+  timed_options.pane_width_ticks = 10;
   ShardedEngineOptions engine_options;
-  engine_options.shards = 2;
-  engine_options.batch_size = 512;
-  engine_options.queue_capacity = 1;
-  engine_options.overflow_policy = OverflowPolicy::kConflate;
-  engine_options.sequencer_horizon_ticks = 60;
-  ShardedEngine engine =
+  engine_options.shards = 1;
+  engine_options.sequencer_horizon_ticks = 50;
+  ShardedEngine one_run =
       ShardedEngine::Create(timed_options, engine_options).ValueOrDie();
+  ShardedEngine two_runs =
+      ShardedEngine::Create(timed_options, engine_options).ValueOrDie();
+  const SeriesId id = one_run.catalog()->Intern("split/a");
+  ASSERT_EQ(two_runs.catalog()->Intern("split/a"), id);
 
-  InterleavingMultiSource source(engine.catalog());
-  source.StampTimestamps(0, 1);
-  const size_t kSeries = 8;
-  const size_t kPointsPerSeries = 8000;
-  for (size_t i = 0; i < kSeries; ++i) {
-    source.AddVector(HostName(i), FleetSeries(i, kPointsPerSeries));
+  const std::vector<double> values = FleetSeries(0, 4000);
+  RecordBatch head;  // ts 0..2999, in order
+  for (int64_t ts = 0; ts < 3000; ++ts) {
+    head.push_back(Record{id, values[static_cast<size_t>(ts)], ts});
   }
-  const FleetReport report = engine.RunToCompletion(&source);
+  RecordBatch tail;  // 200 stale records, then ts 3000..3999
+  for (int64_t ts = 100; ts < 300; ++ts) {
+    tail.push_back(Record{id, 1000.0, ts});
+  }
+  for (int64_t ts = 3000; ts < 4000; ++ts) {
+    tail.push_back(Record{id, values[static_cast<size_t>(ts)], ts});
+  }
+  RecordBatch all = head;
+  all.insert(all.end(), tail.begin(), tail.end());
 
-  EXPECT_EQ(report.points, kSeries * kPointsPerSeries);
-  uint64_t consumed = 0;
-  uint64_t conflated = 0;
-  uint64_t dropped = 0;
-  uint64_t late = 0;
-  for (const ShardReport& sr : report.shards) {
-    consumed += sr.points;
-    conflated += sr.conflated;
-    dropped += sr.dropped;
-    late += sr.late;
-    EXPECT_LE(sr.peak_queue_depth, engine_options.queue_capacity);
+  BatchSource whole(all);
+  const FleetReport single = one_run.RunToCompletion(&whole);
+  EXPECT_EQ(single.late, 200u);
+
+  BatchSource first(head);
+  BatchSource second(tail);
+  const FleetReport r1 = two_runs.RunToCompletion(&first);
+  const FleetReport r2 = two_runs.RunToCompletion(&second);
+  EXPECT_EQ(r1.late, 0u);
+  EXPECT_EQ(r2.late, 200u);
+  EXPECT_EQ(r1.late + r2.late, single.late);
+  ASSERT_EQ(r2.shards.size(), 1u);
+  EXPECT_EQ(r2.shards[0].late, 200u);
+  EXPECT_EQ(r2.shards[0].points + r2.late, r2.points);  // per run
+
+  const auto want = FleetView(&one_run).Frame("split/a");
+  const auto got = FleetView(&two_runs).Frame("split/a");
+  ASSERT_NE(want, nullptr);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->refreshes, want->refreshes);
+  EXPECT_EQ(got->window, want->window);
+  EXPECT_EQ(got->series, want->series);
+
+  // A third run of stale records only: the run report counts this
+  // run's late records, the per-series row counts the series' lifetime.
+  RecordBatch stale;
+  for (int64_t ts = 500; ts < 510; ++ts) {
+    stale.push_back(Record{id, 1000.0, ts});
   }
-  EXPECT_EQ(conflated, report.conflated);
-  EXPECT_EQ(dropped, report.dropped);
-  EXPECT_EQ(late, report.late);
-  EXPECT_EQ(consumed + conflated + dropped + late, report.points);
-  const FleetView view(&engine);
-  for (size_t i = 0; i < kSeries; ++i) {
-    const auto frame = view.Frame(HostName(i));
-    ASSERT_NE(frame, nullptr) << HostName(i);
-    EXPECT_GT(frame->refreshes, 0u) << HostName(i);
-  }
+  BatchSource third(stale);
+  const FleetReport r3 = two_runs.RunToCompletion(&third);
+  EXPECT_EQ(r3.late, 10u);
+  EXPECT_EQ(r3.shards[0].late, 10u);
+  EXPECT_EQ(r3.shards[0].points, 0u);
+  ASSERT_EQ(r3.per_series.size(), 1u);
+  EXPECT_EQ(r3.per_series[0].late, 210u);
+  EXPECT_EQ(FleetView(&two_runs).Frame("split/a")->series, want->series);
 }
 
 TEST(ShardedEngineTest, RegistriesPersistAcrossRuns) {

@@ -130,7 +130,11 @@ TEST(WireServerTest, LoopbackParityWithInProcessIngestion) {
 
     EXPECT_EQ(report.points, records.size()) << WireEncodingName(encoding);
     EXPECT_EQ(report.series, kSeries);
-    EXPECT_EQ(report.dropped, 0u);
+    uint64_t consumed = 0;
+    for (const stream::ShardReport& sr : report.shards) {
+      consumed += sr.points;
+    }
+    EXPECT_EQ(consumed, report.points);  // lossless
     const WireServerStats stats = server.stats();
     EXPECT_EQ(stats.records, records.size());
     EXPECT_EQ(stats.accepted, 1u);
@@ -552,20 +556,67 @@ TEST(WireServerTest, ConnectionChurnAcrossEncodingsSurvives) {
   EXPECT_GT(stats.wakeups, 0u);
 }
 
-// Determinism parity across loop counts and acceptor topologies: the
-// same multi-client replay through 1, 2, and 4 loops — kernel-sharded
-// TCP (SO_REUSEPORT), handoff TCP (reuse_port off), and UDS (always
-// handoff) — must produce frames bitwise identical to each series'
-// sequential reference. One connection = one loop = one decoder, and
-// the output queue is FIFO, so loop count must never reorder a
+// A storm of short-lived connections larger than the connection cap is
+// served in full: max_connections bounds the connections open at once,
+// and connections still waiting in the listen backlog are not open.
+// The acceptor takes a bounded number per turn and drains them before
+// taking more, so it never holds the whole backlog at once.
+TEST(WireServerTest, BacklogLargerThanTheConnectionCapIsServedInFull) {
+  SeriesCatalog catalog;
+  WireServerOptions server_options;
+  WireServer server =
+      WireServer::Create(server_options, &catalog).ValueOrDie();
+  const uint16_t port = server.tcp_port();
+
+  // Every connection connects, sends and closes before the loops start,
+  // so the whole storm sits in the listen backlog when the acceptor
+  // first looks.
+  const size_t kConns = 100;
+  const size_t kPerConn = 20;
+  ASSERT_GT(kConns, server_options.max_connections);
+  ASSERT_LE(kConns, static_cast<size_t>(server_options.listen_backlog));
+  for (size_t c = 0; c < kConns; ++c) {
+    Socket sock = ConnectTcp("127.0.0.1", port).ValueOrDie();
+    std::string payload;
+    for (size_t i = 0; i < kPerConn; ++i) {
+      AppendTextRecord(HostName(c % 5), static_cast<double>(i), &payload);
+    }
+    ASSERT_TRUE(SendAll(sock.fd(), payload.data(), payload.size()).ok());
+  }
+  server.Start();
+
+  RecordBatch got;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    server.PollOnce(10, 4096, &got);
+    const WireServerStats stats = server.stats();
+    if (stats.accepted + stats.rejected_connections == kConns &&
+        stats.active == 0 && server.pending_records() == 0) {
+      break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "stalled at " << got.size() << " records";
+  }
+  const WireServerStats stats = server.stats();
+  EXPECT_EQ(stats.rejected_connections, 0u);
+  EXPECT_EQ(stats.accepted, kConns);
+  EXPECT_EQ(got.size(), kConns * kPerConn);
+}
+
+// Determinism parity across loop counts and transports: the same
+// multi-client replay through 1, 2, and 4 loops, over TCP and UDS, must
+// produce frames bitwise identical to each series' sequential
+// reference. Loop 0 accepts on both transports and hands connections
+// to the other loops; one connection = one loop = one decoder, and the
+// output queue is FIFO, so loop count must never reorder a
 // connection's records.
 TEST(WireServerTest, MultiLoopDemuxParityMatchesSequentialReference) {
   const size_t kClients = 4;
   const size_t kPointsPerClient = 2000;
 
-  enum class Transport { kTcpSharded, kTcpHandoff, kUds };
-  for (Transport transport :
-       {Transport::kTcpSharded, Transport::kTcpHandoff, Transport::kUds}) {
+  enum class Transport { kTcp, kUds };
+  for (Transport transport : {Transport::kTcp, Transport::kUds}) {
     for (size_t loops : {size_t{1}, size_t{2}, size_t{4}}) {
       stream::ShardedEngineOptions engine_options;
       engine_options.shards = 2;
@@ -579,8 +630,6 @@ TEST(WireServerTest, MultiLoopDemuxParityMatchesSequentialReference) {
       if (transport == Transport::kUds) {
         server_options.enable_tcp = false;
         server_options.uds_path = uds_path;
-      } else if (transport == Transport::kTcpHandoff) {
-        server_options.reuse_port = false;  // force the mailbox path
       }
       WireServer server =
           WireServer::Create(server_options, engine.catalog()).ValueOrDie();
@@ -640,8 +689,8 @@ TEST(WireServerTest, MultiLoopDemuxParityMatchesSequentialReference) {
       for (const WireLoopStats& ls : stats.per_loop) {
         handoffs += ls.handoffs;
       }
-      if (transport != Transport::kTcpSharded && loops > 1) {
-        // Single-acceptor topologies spread connections by mailbox.
+      if (loops > 1) {
+        // The single acceptor spreads connections by mailbox.
         EXPECT_GT(handoffs, 0u)
             << "transport=" << static_cast<int>(transport)
             << " loops=" << loops;
