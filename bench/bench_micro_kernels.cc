@@ -1,9 +1,11 @@
 // Google-benchmark microbenches for libasap's hot kernels: FFT,
-// autocorrelation, SMA, rolling moments, candidate evaluation, the
-// end-to-end Smooth() operator, and the reduction baselines.
+// autocorrelation, SMA, candidate evaluation, the end-to-end Smooth()
+// operator, the streaming ingest and refresh paths, and the reduction
+// baselines.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "baselines/m4.h"
@@ -242,28 +244,6 @@ void BM_AbsDeltaSimd(benchmark::State& state) {
 BENCHMARK(BM_AbsDeltaScalar)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_AbsDeltaSimd)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_ScalarVsSimd_ComplexNorm(benchmark::State& state,
-                                 asap::SimdMode mode) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const std::vector<double> signal = MakeSignal(2 * n);
-  std::vector<double> interleaved = signal;
-  const asap::kern::KernelTable& kt = asap::kern::ActiveKernels(mode);
-  for (auto _ : state) {
-    interleaved.assign(signal.begin(), signal.end());
-    kt.complex_norm(interleaved.data(), n);
-    benchmark::DoNotOptimize(interleaved.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-void BM_ComplexNormScalar(benchmark::State& state) {
-  BM_ScalarVsSimd_ComplexNorm(state, asap::SimdMode::kScalar);
-}
-void BM_ComplexNormSimd(benchmark::State& state) {
-  BM_ScalarVsSimd_ComplexNorm(state, asap::SimdMode::kAuto);
-}
-BENCHMARK(BM_ComplexNormScalar)->Arg(1 << 16)->Arg(1 << 20);
-BENCHMARK(BM_ComplexNormSimd)->Arg(1 << 16)->Arg(1 << 20);
-
 // Streaming ingest: per-point Push vs the pane-granular PushBatch
 // fast path, at a lazy refresh cadence where ingest (not the window
 // search) dominates. range(0) is the batch size handed to the
@@ -300,6 +280,48 @@ void BM_StreamingIngestPushBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(chunk));
 }
 BENCHMARK(BM_StreamingIngestPushBatch)->Range(1 << 10, 1 << 16);
+
+// Streaming refresh: the cost of one refresh (ACF, context rebuild,
+// warm-started search, frame publish) at the pipeline benchmark's two
+// refresh geometries, 400 and 2000 visible panes (range(0)) of 10
+// points each, in timed-pane mode with a refresh on every pane. The
+// window starts full (restored panes); each iteration pushes one
+// pane, so the time per iteration is the time per refresh.
+void BM_StreamingRefresh(benchmark::State& state) {
+  const size_t panes = static_cast<size_t>(state.range(0));
+  const size_t pane_size = 10;
+  asap::StreamingOptions options;
+  options.resolution = panes;
+  options.visible_points = panes * pane_size;
+  options.pane_width_ticks = static_cast<int64_t>(pane_size);
+  asap::StreamingAsap op = asap::StreamingAsap::Create(options).ValueOrDie();
+
+  const std::vector<double> x = MakeSignal(2 * panes * pane_size);
+  std::vector<double> means(panes);
+  for (size_t p = 0; p < panes; ++p) {
+    double sum = 0.0;
+    for (size_t i = 0; i < pane_size; ++i) {
+      sum += x[p * pane_size + i];
+    }
+    means[p] = sum / static_cast<double>(pane_size);
+  }
+  op.RestorePanes(means.data(), panes, /*cadenced=*/false);
+
+  // Live panes cycle through the signal; timestamps keep rising.
+  std::vector<int64_t> ts(pane_size);
+  int64_t next_ts = static_cast<int64_t>(panes * pane_size);
+  size_t offset = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < pane_size; ++i) {
+      ts[i] = next_ts++;
+    }
+    benchmark::DoNotOptimize(
+        op.PushTimed(x.data() + offset, ts.data(), pane_size));
+    offset = (offset + pane_size) % x.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamingRefresh)->Arg(400)->Arg(2000);
 
 }  // namespace
 

@@ -25,11 +25,12 @@ std::vector<size_t> FindAcfPeaks(const std::vector<double>& acf,
 }
 
 AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
-                       double peak_threshold, const ExecPolicy& policy) {
+                       double peak_threshold, const ExecPolicy& policy,
+                       fft::AcfScratch* scratch) {
   ASAP_CHECK_GE(series.size(), 2u);
   max_lag = std::min(max_lag, series.size() - 1);
   AcfInfo info;
-  info.correlations = fft::AutocorrelationFft(series, max_lag, policy);
+  info.correlations = fft::AutocorrelationFft(series, max_lag, policy, scratch);
   info.peaks = FindAcfPeaks(info.correlations, peak_threshold);
   for (size_t p : info.peaks) {
     info.max_acf = std::max(info.max_acf, info.correlations[p]);

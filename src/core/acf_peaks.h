@@ -12,6 +12,10 @@
 
 namespace asap {
 
+namespace fft {
+struct AcfScratch;  // fft/autocorrelation.h
+}  // namespace fft
+
 /// ACF summary used by the searches.
 struct AcfInfo {
   /// acf[k] for k = 0..max_lag (acf[0] == 1).
@@ -27,11 +31,13 @@ struct AcfInfo {
 /// implementations use threshold = 0.2; below it, periodicity is too
 /// weak for the Eq. 5/6 pruning rules to be trustworthy and ASAP falls
 /// back to binary search.
-/// The policy parallelizes/vectorizes the FFT passes; the computed
-/// values are bitwise-identical under every policy.
+/// The policy threads the FFT passes; the computed values are
+/// bitwise-identical under every policy. `scratch` (optional) is the
+/// FFT's reusable work buffers (see fft::AutocorrelationFft).
 AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
                        double peak_threshold = 0.2,
-                       const ExecPolicy& policy = {});
+                       const ExecPolicy& policy = {},
+                       fft::AcfScratch* scratch = nullptr);
 
 /// Peak detection over an existing ACF vector (lags 1..size-1).
 std::vector<size_t> FindAcfPeaks(const std::vector<double>& acf,

@@ -139,18 +139,9 @@ void BucketizeScalar(const double* col, size_t n, double min_v, double scale,
   }
 }
 
-void ComplexNormScalar(double* interleaved, size_t n_complex) {
-  for (size_t k = 0; k < n_complex; ++k) {
-    const double re = interleaved[2 * k];
-    const double im = interleaved[2 * k + 1];
-    interleaved[2 * k] = re * re + im * im;
-    interleaved[2 * k + 1] = 0.0;
-  }
-}
-
 const KernelTable kScalarTable = {
-    "scalar",          ScoreSegmentScalar, AbsDeltaScalar, Gather4Scalar,
-    ColumnMinMaxScalar, BucketizeScalar,   ComplexNormScalar,
+    "scalar",           ScoreSegmentScalar, AbsDeltaScalar,
+    Gather4Scalar,      ColumnMinMaxScalar, BucketizeScalar,
 };
 
 const KernelTable* PickSimdTable() {

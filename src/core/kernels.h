@@ -101,10 +101,6 @@ struct KernelTable {
   /// with max/min in the same select semantics as column_minmax.
   void (*bucketize)(const double* col, size_t n, double min_v, double scale,
                     unsigned char* bucket, unsigned int* hist256);
-
-  /// In-place power pass over interleaved complex doubles:
-  /// (re, im) -> (re * re + im * im, 0) for n_complex pairs.
-  void (*complex_norm)(double* interleaved, size_t n_complex);
 };
 
 /// The scalar reference table (always available; the parity baseline).

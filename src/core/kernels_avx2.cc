@@ -216,28 +216,9 @@ void BucketizeAvx2(const double* col, size_t n, double min_v, double scale,
   }
 }
 
-void ComplexNormAvx2(double* interleaved, size_t n_complex) {
-  const __m256d vzero = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 2 <= n_complex; k += 2) {
-    const __m256d v = _mm256_loadu_pd(interleaved + 2 * k);
-    const __m256d sq = _mm256_mul_pd(v, v);
-    // hadd(sq, 0) = (re0^2 + im0^2, 0, re1^2 + im1^2, 0): the scalar
-    // path's re*re + im*im in the same order, zeroing the imaginary
-    // slots in the same store.
-    _mm256_storeu_pd(interleaved + 2 * k, _mm256_hadd_pd(sq, vzero));
-  }
-  for (; k < n_complex; ++k) {
-    const double re = interleaved[2 * k];
-    const double im = interleaved[2 * k + 1];
-    interleaved[2 * k] = re * re + im * im;
-    interleaved[2 * k + 1] = 0.0;
-  }
-}
-
 const KernelTable kAvx2Table = {
     "avx2",           ScoreSegmentAvx2, AbsDeltaAvx2, Gather4Avx2,
-    ColumnMinMaxAvx2, BucketizeAvx2,    ComplexNormAvx2,
+    ColumnMinMaxAvx2, BucketizeAvx2,
 };
 
 }  // namespace

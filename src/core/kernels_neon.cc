@@ -7,8 +7,8 @@
 // idiom (vcgtq/vcltq + vbslq), NOT vmaxq/vminq — ARM's fmax/fmin
 // propagate NaN, which would diverge from the canonical
 // `(a > b) ? a : b` select semantics. Kernels with no cross-element
-// reduction (gather4, bucketize, complex_norm) are per-element exact
-// in any implementation; they use the plain scalar loops here.
+// reduction (gather4, bucketize) are per-element exact in any
+// implementation; they use the plain scalar loops here.
 
 #include "core/kernels.h"
 
@@ -190,18 +190,9 @@ void BucketizeNeon(const double* col, size_t n, double min_v, double scale,
   }
 }
 
-void ComplexNormNeon(double* interleaved, size_t n_complex) {
-  for (size_t k = 0; k < n_complex; ++k) {
-    const double re = interleaved[2 * k];
-    const double im = interleaved[2 * k + 1];
-    interleaved[2 * k] = re * re + im * im;
-    interleaved[2 * k + 1] = 0.0;
-  }
-}
-
 const KernelTable kNeonTable = {
     "neon",           ScoreSegmentNeon, AbsDeltaNeon, Gather4Neon,
-    ColumnMinMaxNeon, BucketizeNeon,    ComplexNormNeon,
+    ColumnMinMaxNeon, BucketizeNeon,
 };
 
 }  // namespace

@@ -4,23 +4,23 @@
 
 #include "common/macros.h"
 #include "stats/descriptive.h"
-#include "stats/welford.h"
 
 namespace asap {
 
 double Roughness(const std::vector<double>& x) {
-  if (x.size() < 3) {
+  const size_t n = x.size();
+  if (n < 3) {
     return 0.0;
   }
-  // One allocation-free pass via the generalized Welford accumulator
-  // instead of materializing the difference series and sweeping it
-  // twice; every caller (context construction, the naive evaluator,
-  // the render metrics) shares the saving.
-  stats::ScoreAccumulator acc;
-  for (double v : x) {
-    acc.Add(v);
+  // The differences' mean telescopes to (x[n-1] - x[0]) / (n - 1), so
+  // one central pass over the differences gives their variance.
+  const double mean_d = (x[n - 1] - x[0]) / static_cast<double>(n - 1);
+  double s = 0.0;
+  for (size_t i = 1; i < n; ++i) {
+    const double d = (x[i] - x[i - 1]) - mean_d;
+    s += d * d;
   }
-  return acc.roughness();
+  return std::sqrt(s / static_cast<double>(n - 1));
 }
 
 double Kurtosis(const std::vector<double>& x) { return stats::Kurtosis(x); }

@@ -140,8 +140,10 @@ SearchResult AsapSearch(const std::vector<double>& x,
                         const SearchOptions& options,
                         AsapState* seed = nullptr);
 
-/// ASAP search when the ACF is already available (streaming path keeps
-/// it incrementally refreshed).
+/// ASAP search when the ACF is already available. The streaming
+/// refresh computes it once per refresh, from scratch over the visible
+/// panes (SeriesContext::EnsureAcf), then seeds this search with the
+/// previous window.
 SearchResult AsapSearchWithAcf(SeriesContext* ctx, const AcfInfo& acf,
                                const SearchOptions& options,
                                AsapState* seed = nullptr);

@@ -8,7 +8,6 @@
 #include "core/metrics.h"
 #include "core/search.h"
 #include "stats/descriptive.h"
-#include "stats/welford.h"
 #include "window/sma.h"
 
 namespace asap {
@@ -76,7 +75,7 @@ const AcfInfo& SeriesContext::EnsureAcf(size_t max_lag, double peak_threshold,
   // part of the key: it never changes the computed values.
   if (!acf_valid_ || acf_max_lag_ != max_lag ||
       acf_threshold_ != peak_threshold) {
-    acf_ = ComputeAcfInfo(x_, max_lag, peak_threshold, policy);
+    acf_ = ComputeAcfInfo(x_, max_lag, peak_threshold, policy, &acf_scratch_);
     acf_valid_ = true;
     acf_max_lag_ = max_lag;
     acf_threshold_ = peak_threshold;
@@ -137,11 +136,18 @@ void ForEachNaiveSmaValue(const std::vector<double>& x, size_t w,
 // difference and can flip the feasibility test.
 CandidateScore ReplayNaiveScore(const std::vector<double>& x, size_t w) {
   const size_t m = x.size() - w + 1;
-  stats::ScoreAccumulator diff_acc;  // Roughness()'s accumulation
-  double ysum = 0.0;                 // stats::Mean()'s compensated sum
+  // First pass: stats::Mean()'s compensated sum, and the end points
+  // Roughness() telescopes its difference mean from.
+  double ysum = 0.0;
   double ycomp = 0.0;
+  double y_first = 0.0;
+  double y_last = 0.0;
+  size_t count = 0;
   ForEachNaiveSmaValue(x, w, [&](double y) {
-    diff_acc.Add(y);
+    if (count++ == 0) {
+      y_first = y;
+    }
+    y_last = y;
     const double t1 = y - ycomp;
     const double t = ysum + t1;
     ycomp = (t - ysum) - t1;
@@ -149,18 +155,31 @@ CandidateScore ReplayNaiveScore(const std::vector<double>& x, size_t w) {
   });
 
   CandidateScore score;
-  score.roughness = m >= 3 ? diff_acc.roughness() : 0.0;
   if (m >= 2) {
-    // stats::ComputeMoments' central accumulation around the Kahan mean.
+    // Second pass: stats::ComputeMoments' central accumulation around
+    // the Kahan mean, and Roughness()'s central difference pass.
     const double mean = ysum / static_cast<double>(m);
+    const double mean_d = (y_last - y_first) / static_cast<double>(m - 1);
     double s2 = 0.0;
     double s4 = 0.0;
+    double sd2 = 0.0;
+    double prev = 0.0;
+    bool has_prev = false;
     ForEachNaiveSmaValue(x, w, [&](double y) {
       const double d = y - mean;
       const double d2 = d * d;
       s2 += d2;
       s4 += d2 * d2;
+      if (has_prev) {
+        const double dd = (y - prev) - mean_d;
+        sd2 += dd * dd;
+      }
+      prev = y;
+      has_prev = true;
     });
+    if (m >= 3) {
+      score.roughness = std::sqrt(sd2 / static_cast<double>(m - 1));
+    }
     const double variance = s2 / static_cast<double>(m);
     if (variance > 0.0) {
       score.kurtosis =

@@ -14,19 +14,18 @@
 //   * Roughness(X) and Kurtosis(X) (every strategy needs the kurtosis
 //     bound, and both are the exact w == 1 score);
 //   * the FFT autocorrelation summary, on request, cached per
-//     (max_lag, threshold) so batch and streaming searches share it.
+//     (max_lag, threshold) so batch and streaming searches share it;
+//     the transform's work buffers stay with the context and are
+//     reused after Reset.
 //
 // ScoreWindow(ctx, w) then fuses smoothing and scoring into a single
 // allocation-free pass that tracks the 4th central moment of the
 // smoothed values and the variance of their first differences
 // simultaneously. Because both stream means are O(1) expressions over
 // the precomputed prefix arrays, the kernel accumulates *central*
-// moments directly — no per-point Welford rescaling. When values
-// arrive one at a time with no precomputed mean (streaming
-// sub-aggregation), stats::ScoreAccumulator is the online
-// generalization of the same running state. The naive EvaluateWindow
-// (core/search.h) is kept as the reference implementation; tests
-// assert score parity within 1e-9.
+// moments directly — no per-point Welford rescaling. The naive
+// EvaluateWindow (core/search.h) is kept as the reference
+// implementation; tests assert score parity within 1e-9.
 
 #ifndef ASAP_CORE_SERIES_CONTEXT_H_
 #define ASAP_CORE_SERIES_CONTEXT_H_
@@ -36,6 +35,7 @@
 
 #include "common/exec_policy.h"
 #include "core/acf_peaks.h"
+#include "fft/autocorrelation.h"
 
 namespace asap {
 
@@ -43,8 +43,9 @@ struct CandidateScore;  // core/search.h
 
 /// Per-series evaluation state shared by all candidate evaluations.
 /// Owns a copy of the series, so it has no lifetime coupling to the
-/// caller's buffer; Reset() reuses all internal capacity, which is what
-/// the streaming refresh path relies on to stay allocation-stable.
+/// caller's buffer; Reset() reuses all internal capacity (the ACF's
+/// transform buffers included), which is what the streaming refresh
+/// path relies on to stay allocation-stable.
 class SeriesContext {
  public:
   SeriesContext() = default;
@@ -111,6 +112,7 @@ class SeriesContext {
   size_t acf_max_lag_ = 0;
   double acf_threshold_ = 0.0;
   AcfInfo acf_;
+  fft::AcfScratch acf_scratch_;
 };
 
 /// Fused scoring kernel: roughness and kurtosis of SMA(x, w) in one

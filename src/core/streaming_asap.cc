@@ -5,6 +5,7 @@
 
 #include "common/macros.h"
 #include "core/metrics.h"
+#include "core/series_context.h"
 #include "window/preaggregate.h"
 #include "window/sma.h"
 
@@ -163,17 +164,22 @@ void StreamingAsap::Refresh() {
   if (x.size() < 4) {
     return;
   }
-  // Rebuild the evaluation context from the pane buffer: prefix sums
-  // and series metrics are recomputed once per refresh, then every
-  // candidate evaluation below is an allocation-free fused pass.
-  ctx_.Reset(x);
+  // Rebuild this thread's evaluation context from the pane buffer:
+  // prefix sums and series metrics are recomputed once per refresh,
+  // then every candidate evaluation below is an allocation-free fused
+  // pass. Reset reuses the context's buffers, so steady-state
+  // refreshes on a thread stay allocation-stable whichever operator
+  // they belong to. A pool running the search under
+  // ExecPolicy::threads > 1 reads this context while this thread waits.
+  thread_local SeriesContext ctx;
+  ctx.Reset(x);
   const size_t max_window = options_.search.ResolveMaxWindow(x.size());
 
   // UpdateAcf: the visible window changed, recompute its ACF (one
   // extra lag so a period at exactly max_window remains detectable).
-  const AcfInfo& acf = ctx_.EnsureAcf(
+  const AcfInfo& acf = ctx.EnsureAcf(
       max_window + 1, options_.search.acf_threshold, options_.search.exec);
-  const double kurtosis_x = ctx_.kurtosis();
+  const double kurtosis_x = ctx.kurtosis();
 
   // CheckLastWindow: seed with the previous solution if it is still
   // feasible on the refreshed data; otherwise search from scratch.
@@ -185,7 +191,7 @@ void StreamingAsap::Refresh() {
     if (options_.search.use_naive_evaluator) {
       score = EvaluateWindow(x, previous_window_);
     } else {
-      score = ScoreWindow(ctx_, previous_window_, options_.search.exec);
+      score = ScoreWindow(ctx, previous_window_, options_.search.exec);
       frame_.allocation_free_evals += 1;
     }
     frame_.candidates_evaluated += 1;
@@ -205,16 +211,16 @@ void StreamingAsap::Refresh() {
   SearchResult result;
   switch (options_.strategy) {
     case SearchStrategy::kAsap:
-      result = AsapSearchWithAcf(&ctx_, acf, options_.search, &state_);
+      result = AsapSearchWithAcf(&ctx, acf, options_.search, &state_);
       break;
     case SearchStrategy::kExhaustive:
-      result = ExhaustiveSearch(&ctx_, options_.search);
+      result = ExhaustiveSearch(&ctx, options_.search);
       break;
     case SearchStrategy::kGrid:
-      result = GridSearch(&ctx_, options_.search);
+      result = GridSearch(&ctx, options_.search);
       break;
     case SearchStrategy::kBinary:
-      result = BinarySearch(&ctx_, options_.search);
+      result = BinarySearch(&ctx, options_.search);
       break;
   }
 

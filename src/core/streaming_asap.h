@@ -15,6 +15,11 @@
 // The preaggregation/strategy/refresh knobs exist so the Fig. 11
 // factor analysis and lesion study can disable each optimization
 // independently while exercising the identical pipeline.
+//
+// The evaluation scratch is per thread, not per operator: a refresh
+// rebuilds its thread's SeriesContext (prefix sums, ACF work buffers)
+// from the pane buffer, and nothing else reads it, so a fleet of
+// resident operators holds no evaluation scratch between refreshes.
 
 #ifndef ASAP_CORE_STREAMING_ASAP_H_
 #define ASAP_CORE_STREAMING_ASAP_H_
@@ -24,7 +29,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/series_context.h"
 #include "core/smooth.h"
 #include "window/panes.h"
 
@@ -194,11 +198,6 @@ class StreamingAsap {
   uint64_t points_since_refresh_ = 0;
 
   AsapState state_;
-  /// Evaluation context rebuilt from the pane buffer at every refresh
-  /// (Reset reuses its buffers, so steady-state refreshes stay
-  /// allocation-stable); candidate scoring runs through its fused
-  /// zero-allocation kernel.
-  SeriesContext ctx_;
   bool has_previous_window_ = false;
   size_t previous_window_ = 1;
   Frame frame_;

@@ -4,7 +4,10 @@
 // autocorrelation function (paper §4.3). The brute-force estimator is
 // O(n * maxLag); the FFT path (demean -> zero-pad -> FFT -> power
 // spectrum -> inverse FFT -> normalize by lag 0) is O(n log n), the
-// "two FFTs" optimization the paper describes.
+// "two FFTs" optimization the paper describes. Both transforms are
+// half-length: the series is real, so its m-point spectrum comes from
+// one m/2-point complex transform, and so does the inverse of its
+// (real, even) power spectrum.
 
 #ifndef ASAP_FFT_AUTOCORRELATION_H_
 #define ASAP_FFT_AUTOCORRELATION_H_
@@ -13,19 +16,38 @@
 #include <vector>
 
 #include "common/exec_policy.h"
+#include "fft/fft.h"
 
 namespace asap {
 namespace fft {
 
+/// Work buffers of AutocorrelationFft. A caller that computes many
+/// ACFs keeps one and passes it to every call, so the buffers are
+/// allocated once; their contents never carry from one call to the
+/// next.
+struct AcfScratch {
+  /// The m/2 transform points (m = the padded length).
+  std::vector<Complex> packed;
+  /// The power spectrum |X_k|^2, k = 0..m/2.
+  std::vector<double> power;
+};
+
 /// Sample ACF for lags 0..max_lag via FFT. Uses the biased estimator
 ///   acf[k] = sum_{i<n-k} (x_i - mean)(x_{i+k} - mean) / sum (x_i - mean)^2
 /// so acf[0] == 1. Returns max_lag + 1 values. If the series is constant
-/// (zero variance) all lags are defined as 0 except lag 0 which is 1.
-/// The policy threads/vectorizes the FFT stages and the power pass;
-/// the returned values are bitwise-identical under every policy.
+/// (zero variance) or the lag-0 sum is not finite, all lags are defined
+/// as 0 except lag 0 which is 1.
+///
+/// The series is zero-padded to m = NextPowerOfTwo(n + max_lag), the
+/// smallest power of two whose circular correlation does not wrap at
+/// any lag <= max_lag, and transformed as m/2 complex points (even
+/// samples real, odd samples imaginary). The policy threads the FFT
+/// stages; the returned values are bitwise-identical under every
+/// policy. `scratch` (optional) supplies reusable work buffers.
 std::vector<double> AutocorrelationFft(const std::vector<double>& series,
                                        size_t max_lag,
-                                       const ExecPolicy& policy = {});
+                                       const ExecPolicy& policy = {},
+                                       AcfScratch* scratch = nullptr);
 
 /// Quadratic-time reference estimator (identical definition).
 std::vector<double> AutocorrelationBruteForce(const std::vector<double>& series,

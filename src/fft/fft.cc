@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/macros.h"
 #include "common/task_pool.h"
@@ -39,17 +40,65 @@ void BitReversePermute(std::vector<Complex>* data) {
   }
 }
 
-}  // namespace
-
-namespace {
-
 // Minimum transform size before a stage's blocks are worth fanning
 // out (a pure function of n, so the decision never depends on the
 // environment — though even if it did, the per-block arithmetic is
 // identical either way).
 constexpr size_t kMinParallelFftSize = 1u << 14;
 
+// One table per power-of-two size: index log2(n).
+constexpr size_t kMaxLog2Size = 64;
+
+size_t Log2(size_t n) {
+  size_t log2n = 0;
+  while ((size_t{1} << log2n) < n) {
+    ++log2n;
+  }
+  return log2n;
+}
+
+// Butterflies of blocks [b0, b1) of the stage of length `len`: block b
+// covers data[b * len, (b + 1) * len), and twiddle k is tw[k]
+// (conjugated for the inverse).
+template <bool kInverse>
+void StageBlocks(Complex* data, size_t len, const Complex* tw, size_t b0,
+                 size_t b1) {
+  const size_t half = len / 2;
+  for (size_t block = b0; block < b1; ++block) {
+    Complex* a = data + block * len;
+    Complex* b = a + half;
+    for (size_t k = 0; k < half; ++k) {
+      const double wr = tw[k].real();
+      const double wi = kInverse ? -tw[k].imag() : tw[k].imag();
+      const double vr = b[k].real() * wr - b[k].imag() * wi;
+      const double vi = b[k].real() * wi + b[k].imag() * wr;
+      const Complex u = a[k];
+      a[k] = Complex(u.real() + vr, u.imag() + vi);
+      b[k] = Complex(u.real() - vr, u.imag() - vi);
+    }
+  }
+}
+
 }  // namespace
+
+const Complex* Twiddles(size_t n) {
+  ASAP_CHECK(IsPowerOfTwo(n) && n >= 2);
+  static std::once_flag built[kMaxLog2Size];
+  static std::vector<Complex> tables[kMaxLog2Size];
+  const size_t log2n = Log2(n);
+  std::call_once(built[log2n], [n, log2n] {
+    std::vector<Complex>& table = tables[log2n];
+    table.resize(n / 2);
+    for (size_t k = 0; k < n / 2; ++k) {
+      // k / n is exact for a power-of-two n, so each angle is one
+      // rounding away from the true -2*pi*k/n.
+      const double angle =
+          -2.0 * M_PI * (static_cast<double>(k) / static_cast<double>(n));
+      table[k] = Complex(std::cos(angle), std::sin(angle));
+    }
+  });
+  return tables[log2n].data();
+}
 
 void TransformRadix2(std::vector<Complex>* data, bool inverse,
                      const ExecPolicy& policy) {
@@ -62,36 +111,26 @@ void TransformRadix2(std::vector<Complex>* data, bool inverse,
 
   const size_t threads = policy.ResolveThreads();
   for (size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
-    const Complex wlen(std::cos(angle), std::sin(angle));
-    // One butterfly block starting at element i. Blocks of a stage
-    // touch disjoint elements and carry their own twiddle recurrence,
-    // so they can run in any order — or concurrently — without
+    const Complex* tw = Twiddles(len);
+    // Blocks of a stage touch disjoint elements and read the shared
+    // table, so they can run in any order — or concurrently — without
     // changing a single operation.
-    const auto run_block = [&](size_t i) {
-      Complex w(1.0, 0.0);
-      for (size_t k = 0; k < len / 2; ++k) {
-        Complex u = (*data)[i + k];
-        Complex v = (*data)[i + k + len / 2] * w;
-        (*data)[i + k] = u + v;
-        (*data)[i + k + len / 2] = u - v;
-        w *= wlen;
+    const auto run_blocks = [&](size_t b0, size_t b1) {
+      if (inverse) {
+        StageBlocks<true>(data->data(), len, tw, b0, b1);
+      } else {
+        StageBlocks<false>(data->data(), len, tw, b0, b1);
       }
     };
     const size_t blocks = n / len;
     if (threads > 1 && blocks > 1 && n >= kMinParallelFftSize) {
       const size_t chunks = std::min(blocks, kern::kMaxChunks);
       ParallelChunks(policy, chunks, [&](size_t c) {
-        const size_t b0 = kern::ChunkBound(blocks, chunks, c);
-        const size_t b1 = kern::ChunkBound(blocks, chunks, c + 1);
-        for (size_t b = b0; b < b1; ++b) {
-          run_block(b * len);
-        }
+        run_blocks(kern::ChunkBound(blocks, chunks, c),
+                   kern::ChunkBound(blocks, chunks, c + 1));
       });
     } else {
-      for (size_t i = 0; i < n; i += len) {
-        run_block(i);
-      }
+      run_blocks(0, blocks);
     }
   }
 

@@ -4,6 +4,7 @@
 // FFT-based smoothing baselines (Appendix B.2). We provide:
 //
 //   * an iterative radix-2 Cooley–Tukey transform for power-of-two sizes,
+//     reading its twiddles from a table computed once per size,
 //   * Bluestein's chirp-z algorithm for arbitrary sizes (decomposed into
 //     power-of-two convolutions), and
 //   * helpers for real input, inverse transforms and FFT convolution.
@@ -31,11 +32,18 @@ bool IsPowerOfTwo(size_t n);
 /// Smallest power of two >= n (n >= 1).
 size_t NextPowerOfTwo(size_t n);
 
-/// In-place forward FFT; data.size() must be a power of two. The
-/// policy may split each butterfly stage's independent blocks across
-/// threads; the per-block arithmetic (including the carried twiddle
-/// recurrence) is untouched, so the output is bitwise-identical to
-/// the sequential transform at any thread count.
+/// The twiddle table of an n-point transform: e^{-2*pi*i*k/n} for k in
+/// [0, n/2), n a power of two >= 2. Each size's table is computed once,
+/// on first use, and then shared read-only by every thread, so a
+/// transform of a size seen before computes no sine or cosine.
+const Complex* Twiddles(size_t n);
+
+/// In-place FFT; data.size() must be a power of two. The stage of
+/// length `len` reads its twiddles from Twiddles(len) (conjugated for
+/// the inverse). The policy may split each butterfly stage's
+/// independent blocks across threads; the per-block arithmetic is
+/// untouched, so the output is bitwise-identical to the sequential
+/// transform at any thread count.
 void TransformRadix2(std::vector<Complex>* data, bool inverse,
                      const ExecPolicy& policy = {});
 

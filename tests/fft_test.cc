@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "common/random.h"
 #include "fft/autocorrelation.h"
@@ -215,6 +217,83 @@ TEST_P(AcfAgreementTest, FftMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AcfAgreementTest, ::testing::Range(1, 8));
+
+// The padding rule (m = NextPowerOfTwo(n + max_lag)) and the
+// half-length packing (even samples real, odd samples imaginary) at
+// their edges: the tightest padding and one past it, odd and tiny n,
+// max_lag = n - 1, the streaming refresh geometries and a large level.
+TEST(AcfTest, FftMatchesBruteForceAtPaddingAndPackingEdges) {
+  struct Geometry {
+    size_t n;
+    size_t max_lag;
+    double level;
+  };
+  const Geometry cases[] = {
+      {400, 112, 0.0},   // n + max_lag = 512: no room to spare
+      {400, 113, 0.0},   // n + max_lag = 513: pads to 1024
+      {333, 40, 0.0},    // odd n
+      {1, 0, 0.0},       {2, 1, 0.0},     {3, 0, 0.0},
+      {3, 2, 0.0},       {100, 99, 0.0},  // max_lag = n - 1
+      {257, 256, 0.0},   // odd n, max_lag = n - 1
+      {400, 41, 0.0},    // 400 visible panes (firehose, dashboard)
+      {2000, 201, 0.0},  // 2000 visible panes (refresh_bound)
+      {2000, 201, 1e9},  // offset by 1e9
+  };
+  for (const Geometry& g : cases) {
+    Pcg32 rng(g.n * 31 + g.max_lag);
+    std::vector<double> x =
+        gen::Add(gen::Sine(g.n, 25.0, 1.0), gen::Ar1(&rng, g.n, 0.6, 0.5));
+    for (double& v : x) {
+      v += g.level;
+    }
+    const std::vector<double> fast = AutocorrelationFft(x, g.max_lag);
+    const std::vector<double> slow = AutocorrelationBruteForce(x, g.max_lag);
+    ASSERT_EQ(fast.size(), g.max_lag + 1);
+    ASSERT_EQ(slow.size(), g.max_lag + 1);
+    for (size_t k = 0; k <= g.max_lag; ++k) {
+      EXPECT_NEAR(fast[k], slow[k], 1e-9)
+          << "n=" << g.n << " max_lag=" << g.max_lag << " level=" << g.level
+          << " lag " << k;
+    }
+  }
+}
+
+TEST(AcfTest, ConstantAndNaNSeriesAreDegenerateAtEveryGeometry) {
+  for (size_t n : {size_t{2}, size_t{3}, size_t{64}, size_t{400},
+                   size_t{2000}}) {
+    std::vector<double> constant(n, 3.25);
+    std::vector<double> with_nan = gen::Sine(n, 25.0, 1.0);
+    with_nan[n / 2] = std::nan("");
+    for (const std::vector<double>& x : {constant, with_nan}) {
+      const size_t max_lag = std::max<size_t>(n / 10, 1);
+      const std::vector<double> acf = AutocorrelationFft(x, max_lag);
+      ASSERT_EQ(acf.size(), max_lag + 1);
+      EXPECT_EQ(acf[0], 1.0) << "n=" << n;
+      for (size_t k = 1; k <= max_lag; ++k) {
+        EXPECT_EQ(acf[k], 0.0) << "n=" << n << " lag " << k;
+      }
+    }
+  }
+}
+
+TEST(AcfTest, ScratchCarriesNothingBetweenCalls) {
+  // One scratch reused across sizes and series gives what a fresh
+  // call gives, bit for bit.
+  AcfScratch scratch;
+  Pcg32 rng(12);
+  for (size_t n : {size_t{2000}, size_t{400}, size_t{3}, size_t{2000},
+                   size_t{401}}) {
+    const std::vector<double> x = GaussianVector(&rng, n, 0.0, 1.0);
+    const size_t max_lag = n / 10;
+    const std::vector<double> reused =
+        AutocorrelationFft(x, max_lag, {}, &scratch);
+    const std::vector<double> fresh = AutocorrelationFft(x, max_lag);
+    ASSERT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(0, std::memcmp(reused.data(), fresh.data(),
+                             fresh.size() * sizeof(double)))
+        << "n=" << n;
+  }
+}
 
 TEST(AcfTest, LagZeroIsOne) {
   Pcg32 rng(5);

@@ -50,6 +50,27 @@ TEST(RoughnessTest, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(Roughness({1.0, 5.0}), 0.0);  // one diff: sd undefined -> 0
 }
 
+TEST(RoughnessTest, MatchesStdDevOfFirstDifferences) {
+  // The one-pass form (telescoped difference mean, one central pass)
+  // must agree with the definition: the population stddev of the
+  // materialized first differences.
+  std::vector<std::vector<double>> series;
+  for (int seed = 1; seed <= 8; ++seed) {
+    Pcg32 rng(seed * 13);
+    series.push_back(seed % 2 == 0 ? GaussianVector(&rng, 2500, 2.0, 1.5)
+                                   : LaplaceVector(&rng, 2500, 0.0, 1.0));
+  }
+  std::vector<double> offset = series[0];
+  gen::InjectLevelShift(&offset, 0, offset.size(), 1e9);
+  series.push_back(offset);
+  series.push_back({1.0, 4.0, 2.5});
+  for (size_t i = 0; i < series.size(); ++i) {
+    const std::vector<double>& v = series[i];
+    EXPECT_NEAR(Roughness(v), stats::StdDev(stats::FirstDifferences(v)), 1e-9)
+        << "series " << i << " (n = " << v.size() << ")";
+  }
+}
+
 TEST(RoughnessTest, ScalesLinearlyWithAmplitude) {
   Pcg32 rng(3);
   std::vector<double> x = GaussianVector(&rng, 1000, 0, 1);

@@ -17,7 +17,6 @@
 #include "core/streaming_asap.h"
 #include "fft/autocorrelation.h"
 #include "stats/descriptive.h"
-#include "stats/welford.h"
 #include "ts/csv.h"
 #include "ts/generators.h"
 #include "window/panes.h"
@@ -122,20 +121,6 @@ TEST_P(SeedSweep, PreaggregateCommutesWithScaling) {
   for (size_t i = 0; i < a.series.size(); ++i) {
     EXPECT_NEAR(a.series[i], 4.0 * b.series[i], 1e-9);
   }
-}
-
-// --- Independent implementations agree ---------------------------------------
-
-TEST_P(SeedSweep, WelfordAndBatchAgree) {
-  const std::vector<double> x = RandomMixedSeries(GetParam(), 256);
-  stats::WelfordAccumulator welford;
-  for (double v : x) {
-    welford.Add(v);
-  }
-  const stats::Moments batch = stats::ComputeMoments(x);
-  EXPECT_NEAR(welford.mean(), batch.mean, 1e-9);
-  EXPECT_NEAR(welford.variance(), batch.variance, 1e-8);
-  EXPECT_NEAR(welford.kurtosis(), batch.kurtosis, 1e-6);
 }
 
 TEST_P(SeedSweep, PaneSmaEqualsDirectSmaOnRandomGeometry) {

@@ -1,5 +1,4 @@
-// Tests for src/stats: descriptive moments, Welford streaming
-// accumulation, normalization, histograms.
+// Tests for src/stats: descriptive moments, normalization, histograms.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "stats/normalize.h"
-#include "stats/welford.h"
 
 namespace asap {
 namespace stats {
@@ -92,123 +90,6 @@ TEST(DescriptiveTest, KurtosisAnchorsNormalLaplaceUniform) {
   EXPECT_NEAR(Kurtosis(GaussianVector(&rng, 300000, 0, 1)), 3.0, 0.1);
   EXPECT_NEAR(Kurtosis(LaplaceVector(&rng, 300000, 0, 1)), 6.0, 0.4);
   EXPECT_NEAR(Kurtosis(UniformVector(&rng, 300000, 0, 1)), 1.8, 0.05);
-}
-
-// --- Welford ---------------------------------------------------------------------
-
-TEST(WelfordTest, EmptyAccumulator) {
-  WelfordAccumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.kurtosis(), 0.0);
-}
-
-class WelfordAgreementTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(WelfordAgreementTest, MatchesBatchMoments) {
-  Pcg32 rng(GetParam());
-  // Alternate distributions across seeds to vary tail weight.
-  std::vector<double> v = GetParam() % 2 == 0
-                              ? GaussianVector(&rng, 3000, 1.0, 2.0)
-                              : LaplaceVector(&rng, 3000, -1.0, 1.5);
-  WelfordAccumulator acc;
-  for (double x : v) {
-    acc.Add(x);
-  }
-  Moments m = ComputeMoments(v);
-  EXPECT_EQ(acc.count(), v.size());
-  EXPECT_NEAR(acc.mean(), m.mean, 1e-9);
-  EXPECT_NEAR(acc.variance(), m.variance, 1e-9);
-  EXPECT_NEAR(acc.skewness(), m.skewness, 1e-9);
-  EXPECT_NEAR(acc.kurtosis(), m.kurtosis, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WelfordAgreementTest, ::testing::Range(1, 9));
-
-TEST(WelfordTest, MergeEqualsSequential) {
-  Pcg32 rng(42);
-  std::vector<double> v = GaussianVector(&rng, 2000, 0.5, 1.5);
-  WelfordAccumulator whole;
-  for (double x : v) {
-    whole.Add(x);
-  }
-  WelfordAccumulator left;
-  WelfordAccumulator right;
-  for (size_t i = 0; i < v.size(); ++i) {
-    (i < 700 ? left : right).Add(v[i]);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-10);
-  EXPECT_NEAR(left.kurtosis(), whole.kurtosis(), 1e-9);
-}
-
-// --- ScoreAccumulator (generalized Welford: M4 + diff variance) -----------------
-
-class ScoreAccumulatorAgreementTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ScoreAccumulatorAgreementTest, TracksValueKurtosisAndDiffStddev) {
-  Pcg32 rng(GetParam() * 13);
-  std::vector<double> v = GetParam() % 2 == 0
-                              ? GaussianVector(&rng, 2500, 2.0, 1.5)
-                              : LaplaceVector(&rng, 2500, 0.0, 1.0);
-  ScoreAccumulator acc;
-  for (double x : v) {
-    acc.Add(x);
-  }
-  const Moments m = ComputeMoments(v);
-  EXPECT_EQ(acc.count(), v.size());
-  EXPECT_NEAR(acc.mean(), m.mean, 1e-9);
-  EXPECT_NEAR(acc.variance(), m.variance, 1e-9);
-  EXPECT_NEAR(acc.kurtosis(), m.kurtosis, 1e-9);
-  // The difference stream must match the batch pipeline
-  // StdDev(FirstDifferences(v)) — i.e. the Roughness definition.
-  EXPECT_NEAR(acc.roughness(), StdDev(FirstDifferences(v)), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ScoreAccumulatorAgreementTest,
-                         ::testing::Range(1, 9));
-
-TEST(ScoreAccumulatorTest, DegenerateInputsScoreZero) {
-  ScoreAccumulator acc;
-  EXPECT_DOUBLE_EQ(acc.kurtosis(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.roughness(), 0.0);
-  acc.Add(5.0);
-  EXPECT_DOUBLE_EQ(acc.kurtosis(), 0.0);  // single point
-  EXPECT_DOUBLE_EQ(acc.roughness(), 0.0);
-  acc.Add(5.0);
-  // Two points: one difference is not enough for a roughness (matches
-  // Roughness() returning 0 below 3 points), constant => kurtosis 0.
-  EXPECT_DOUBLE_EQ(acc.kurtosis(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.roughness(), 0.0);
-  acc.Add(5.0);
-  EXPECT_DOUBLE_EQ(acc.kurtosis(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.roughness(), 0.0);
-  acc.Reset();
-  EXPECT_EQ(acc.count(), 0u);
-}
-
-TEST(WelfordTest, MergeWithEmptyIsNoOp) {
-  WelfordAccumulator acc;
-  acc.Add(1.0);
-  acc.Add(2.0);
-  WelfordAccumulator empty;
-  acc.Merge(empty);
-  EXPECT_EQ(acc.count(), 2u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 1.5);
-  empty.Merge(acc);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
-}
-
-TEST(WelfordTest, ResetClearsState) {
-  WelfordAccumulator acc;
-  acc.Add(5.0);
-  acc.Reset();
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
 }
 
 // --- Normalization -----------------------------------------------------------------

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
@@ -347,6 +349,98 @@ TEST(StreamingAsapTest, SnapshotRingReadsStayCoherentUnderConcurrentPush) {
   const auto final_history = op.FrameHistory();
   ASSERT_EQ(final_history.size(), 3u);
   EXPECT_EQ(final_history.back()->refreshes, op.frame().refreshes);
+}
+
+// --- Per-thread refresh scratch -----------------------------------------------
+
+// Every refresh of one operator, in order, as the frames it rendered.
+using Frames = std::vector<StreamingAsap::Frame>;
+
+constexpr size_t kLivePanes = 40;
+
+struct ScratchFeed {
+  size_t panes;                // visible panes (2 points each)
+  std::vector<double> points;  // a full window, then the live panes
+};
+
+ScratchFeed MakeScratchFeed(size_t panes, uint64_t seed, double period) {
+  return ScratchFeed{panes,
+                     PeriodicStream(seed, 2 * (panes + kLivePanes), period)};
+}
+
+// Feeds the operators in turn, one pane each, on the calling thread,
+// after preloading each with a full window, so every push refreshes.
+std::vector<Frames> FeedInTurn(const std::vector<ScratchFeed>& feeds) {
+  std::vector<StreamingAsap> ops;
+  for (const ScratchFeed& feed : feeds) {
+    StreamingOptions options;
+    options.resolution = feed.panes;
+    options.visible_points = 2 * feed.panes;
+    ops.push_back(StreamingAsap::Create(options).ValueOrDie());
+    ops.back().Prefill(std::vector<double>(
+        feed.points.begin(), feed.points.begin() + 2 * feed.panes));
+  }
+  std::vector<Frames> frames(feeds.size());
+  for (size_t pane = 0; pane < kLivePanes; ++pane) {
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const size_t first = 2 * (feeds[i].panes + pane);
+      EXPECT_EQ(ops[i].PushBatch(feeds[i].points.data() + first, 2), 1u);
+      frames[i].push_back(ops[i].frame());
+    }
+  }
+  return frames;
+}
+
+void ExpectBitwiseEqualFrames(const Frames& got, const Frames& want,
+                              const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].series.size(), want[r].series.size()) << what;
+    EXPECT_EQ(0, std::memcmp(got[r].series.data(), want[r].series.data(),
+                             want[r].series.size() * sizeof(double)))
+        << what << " refresh " << r;
+    EXPECT_EQ(got[r].window, want[r].window) << what << " refresh " << r;
+    EXPECT_EQ(got[r].seeded_searches, want[r].seeded_searches) << what;
+    EXPECT_EQ(got[r].candidates_evaluated, want[r].candidates_evaluated)
+        << what;
+  }
+}
+
+TEST(StreamingAsapTest, PerThreadScratchCarriesNothingBetweenOperators) {
+  // A refresh evaluates in its thread's SeriesContext, so operators
+  // fed from one thread share it. Operators with 400 and 2000 visible
+  // panes change its size and the ACF's transform size at every
+  // refresh; a third with the first one's geometry but other data
+  // would also expose an ACF cached across operators. Every frame must
+  // equal, bit for bit, the frame the operator renders when it is fed
+  // alone on its own thread.
+  const std::vector<ScratchFeed> feeds = {MakeScratchFeed(400, 31, 48.0),
+                                          MakeScratchFeed(2000, 32, 60.0),
+                                          MakeScratchFeed(400, 33, 24.0)};
+  std::vector<Frames> alone(feeds.size());
+  for (size_t i = 0; i < feeds.size(); ++i) {
+    std::thread([&, i] { alone[i] = FeedInTurn({feeds[i]})[0]; }).join();
+  }
+
+  const std::vector<Frames> interleaved = FeedInTurn(feeds);
+  for (size_t i = 0; i < feeds.size(); ++i) {
+    ExpectBitwiseEqualFrames(interleaved[i], alone[i],
+                             "one thread, operator " + std::to_string(i));
+  }
+
+  // Two threads interleaving their own operators at the same time.
+  std::vector<Frames> first;
+  std::vector<Frames> second;
+  std::thread a([&] { first = FeedInTurn(feeds); });
+  std::thread b([&] { second = FeedInTurn({feeds[2], feeds[1], feeds[0]}); });
+  a.join();
+  b.join();
+  for (size_t i = 0; i < feeds.size(); ++i) {
+    ExpectBitwiseEqualFrames(first[i], alone[i],
+                             "thread a, operator " + std::to_string(i));
+    ExpectBitwiseEqualFrames(second[2 - i], alone[i],
+                             "thread b, operator " + std::to_string(i));
+  }
 }
 
 }  // namespace
