@@ -2,6 +2,12 @@
 
 #include "common/stopwatch.h"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+#endif
+
 namespace asap {
 
 TaskPool& TaskPool::Global() {
@@ -31,9 +37,36 @@ TaskPool::TaskPool() {
                                     {},
                                     1e-9});
 
+  // On Linux, worker i is pinned to CPU i + 1 (wrapping) of those the
+  // main thread may use — not the starting thread's own mask, which
+  // may be pinned — so a caller on any CPU finds a worker on another.
+  // With one allowed CPU the workers stay unpinned.
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(getpid(), sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) {
+        cpus.push_back(c);
+      }
+    }
+  }
+#endif
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.push_back(std::make_unique<Worker>());
+    Worker* w = workers_.back().get();
+    w->thread = std::thread([this, w] { WorkerLoop(w); });
+#if defined(__linux__)
+    if (cpus.size() > 1) {
+      CPU_ZERO(&set);
+      CPU_SET(cpus[(i + 1) % cpus.size()], &set);
+      if (pthread_setaffinity_np(w->thread.native_handle(), sizeof(set),
+                                 &set) == 0) {
+        w->cpu = cpus[(i + 1) % cpus.size()];
+      }
+    }
+#endif
   }
 }
 
@@ -41,27 +74,27 @@ TaskPool::~TaskPool() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
-    ++epoch_;
+    for (const std::unique_ptr<Worker>& w : workers_) {
+      w->wake_cv.notify_one();
+    }
   }
-  wake_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    t.join();
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    w->thread.join();
   }
 }
 
-void TaskPool::WorkerLoop() {
-  uint64_t seen = 0;
+void TaskPool::WorkerLoop(Worker* self) {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    wake_cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-    seen = epoch_;
+    self->wake_cv.wait(lk, [&] { return stop_ || self->summoned; });
+    self->summoned = false;
     if (stop_) {
       return;
     }
     Job* job = active_;
     if (job == nullptr || job->next.load() >= job->count ||
         job->helpers.load() >= job->max_helpers) {
-      continue;  // stale wakeup, drained job, or enough helpers already
+      continue;  // drained job, or enough helpers already
     }
     // Register under mu_: ParallelFor's completion wait counts us, so
     // `job` stays alive until our matching deregistration below.
@@ -116,11 +149,28 @@ void TaskPool::ParallelFor(size_t count, size_t parallelism,
   job.max_helpers = parallelism - 1;  // the caller is the first thread
   job.pending.store(count);
   {
+    // Summon only the helpers the job can use, none pinned to the
+    // caller's CPU (there it would only take turns with the caller).
+#if defined(__linux__)
+    const int here = sched_getcpu();
+#else
+    const int here = -1;
+#endif
     std::lock_guard<std::mutex> lk(mu_);
     active_ = &job;
-    ++epoch_;
+    size_t summoned = 0;
+    for (const std::unique_ptr<Worker>& w : workers_) {
+      if (summoned == job.max_helpers) {
+        break;
+      }
+      if (w->cpu >= 0 && w->cpu == here) {
+        continue;
+      }
+      w->summoned = true;
+      w->wake_cv.notify_one();
+      ++summoned;
+    }
   }
-  wake_cv_.notify_all();
 
   // The caller always participates, so the job completes even if every
   // worker stays busy elsewhere.
@@ -138,6 +188,11 @@ void TaskPool::ParallelFor(size_t count, size_t parallelism,
 
   std::unique_lock<std::mutex> lk(mu_);
   active_ = nullptr;
+  // A summoned worker that has not woken yet must not join a later job
+  // that did not summon it.
+  for (const std::unique_ptr<Worker>& w : workers_) {
+    w->summoned = false;
+  }
   done_cv_.wait(lk, [&] {
     return job.pending.load() == 0 && job.helpers.load() == 0;
   });

@@ -8,6 +8,13 @@
 //   * One process-wide pool (Global()), lazily started with
 //     hardware_concurrency - 1 workers (minimum one). Queries borrow
 //     workers per call; there is no per-query thread spawn.
+//   * A job wakes only the helpers it can use, never one on the
+//     caller's CPU: on Linux each worker is pinned to one CPU of the
+//     process's affinity mask, and a fan-out summons workers pinned
+//     away from the CPU the caller is on. The kernel may place a woken
+//     thread on its waker's CPU, where a helper only takes turns with
+//     the caller; pinning keeps a fan-out's speed-up from depending on
+//     where threads happen to sit.
 //   * The caller always participates in its own job, so ParallelFor
 //     makes progress even when every worker is busy elsewhere.
 //   * Only one job is broadcast at a time. A ParallelFor that arrives
@@ -66,10 +73,19 @@ class TaskPool {
  private:
   TaskPool();
 
-  void WorkerLoop();
+  // A pool thread: sleeps until a job summons it.
+  struct Worker {
+    /// The CPU the thread is pinned to, or -1 when it is not pinned.
+    int cpu = -1;
+    bool summoned = false;  // guarded by mu_
+    std::condition_variable wake_cv;
+    std::thread thread;
+  };
+
+  void WorkerLoop(Worker* self);
 
   // The currently broadcast job. Guarded by job_mu_; workers read the
-  // fields only between the epoch handshake and their done signal.
+  // fields only between their summons and their done signal.
   struct Job {
     const std::function<void(size_t)>* fn = nullptr;
     size_t count = 0;
@@ -83,14 +99,12 @@ class TaskPool {
   // workers at a time; contenders fall back to inline execution.
   std::mutex job_mu_;
 
-  std::mutex mu_;  // guards epoch_/stop_ and pairs with wake_cv_
-  std::condition_variable wake_cv_;
+  std::mutex mu_;  // guards stop_, active_ and Worker::summoned
   std::condition_variable done_cv_;
-  uint64_t epoch_ = 0;
   bool stop_ = false;
   Job* active_ = nullptr;
 
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Worker>> workers_;
 
   // asap_pool_* instruments in MetricsRegistry::Global() (the pool is
   // a true process singleton). shared_ptr handles keep them valid

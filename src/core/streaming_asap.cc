@@ -17,10 +17,14 @@ StreamingAsap::StreamingAsap(const StreamingOptions& options)
                      ? window::PointToPixelRatio(options.visible_points,
                                                  options.resolution)
                      : 1),
-      refresh_interval_points_(options.refresh_every_points != 0
-                                   ? options.refresh_every_points
-                                   : pane_size_),
-      panes_(pane_size_,
+      refresh_interval_panes_(std::max<size_t>(
+          options.refresh_every_points / pane_size_ +
+              (options.refresh_every_points % pane_size_ != 0 ? 1 : 0),
+          1)),
+      panes_(options.pane_width_ticks > 0
+                 ? options.pane_width_ticks
+                 : static_cast<int64_t>(pane_size_),
+             options.pane_width_ticks > 0 ? options.pane_epoch : 0,
              /*max_panes=*/std::max<size_t>(options.visible_points /
                                                 std::max<size_t>(pane_size_, 1),
                                             4)) {}
@@ -40,101 +44,48 @@ Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
   return StreamingAsap(options);
 }
 
-bool StreamingAsap::Push(double x) {
-  ++points_consumed_;
-  ++points_since_refresh_;
-  panes_.Push(x);
-  if (points_since_refresh_ >= refresh_interval_points_ &&
-      panes_.size() >= 4) {
+size_t StreamingAsap::Ingest(const double* xs, const int64_t* ts, size_t n,
+                             bool render) {
+  ASAP_CHECK(n == 0 || (ts != nullptr) == (options_.pane_width_ticks > 0));
+  ASAP_CHECK(xs != nullptr || n == 0);
+  size_t refreshes = 0;
+  panes_.Add(xs, ts, n, [&] {
+    if (OnPaneCommitted(render)) {
+      ++refreshes;
+    }
+  });
+  points_consumed_ += n;
+  return refreshes;
+}
+
+bool StreamingAsap::AdvanceFrontier(int64_t frontier) {
+  return panes_.AdvanceFrontier(frontier) && OnPaneCommitted(/*render=*/true);
+}
+
+bool StreamingAsap::OnPaneCommitted(bool render) {
+  ++panes_since_refresh_;
+  if (panes_since_refresh_ < refresh_interval_panes_ || panes_.size() < 4) {
+    return false;
+  }
+  panes_since_refresh_ = 0;
+  if (render) {
     Refresh();
-    points_since_refresh_ = 0;
-    return true;
   }
-  return false;
-}
-
-void StreamingAsap::Prefill(const std::vector<double>& xs) {
-  panes_.PushBulk(xs.data(), xs.size());
-  points_consumed_ += xs.size();
-  points_since_refresh_ = 0;
-}
-
-size_t StreamingAsap::PushBatch(const double* xs, size_t n) {
-  size_t refreshes = 0;
-  size_t i = 0;
-  while (i < n) {
-    // Distance to the first point after which the refresh condition
-    // (points_since_refresh_ >= interval AND >= 4 complete panes) can
-    // hold. Both conditions are monotone within a chunk, so the
-    // earliest firing point is the max of the two distances — every
-    // point before it is safe to bulk-append with no boundary check.
-    const size_t until_interval =
-        points_since_refresh_ >= refresh_interval_points_
-            ? 1
-            : refresh_interval_points_ - points_since_refresh_;
-    const size_t until_panes = panes_.PointsUntilPaneCount(4);
-    const size_t stop =
-        std::max<size_t>(std::max(until_interval, until_panes), 1);
-    const size_t chunk = std::min(stop, n - i);
-    panes_.PushBulk(xs + i, chunk);
-    points_consumed_ += chunk;
-    points_since_refresh_ += chunk;
-    i += chunk;
-    if (points_since_refresh_ >= refresh_interval_points_ &&
-        panes_.size() >= 4) {
-      Refresh();
-      points_since_refresh_ = 0;
-      ++refreshes;
-    }
-  }
-  return refreshes;
-}
-
-size_t StreamingAsap::PushTimed(const double* xs, const int64_t* ts,
-                                size_t n) {
-  ASAP_CHECK_GT(options_.pane_width_ticks, 0);
-  size_t refreshes = 0;
-  for (size_t i = 0; i < n; ++i) {
-    panes_.PushTimed(xs[i],
-                     window::PaneIndexForTs(ts[i], options_.pane_epoch,
-                                            options_.pane_width_ticks));
-    ++points_consumed_;
-    ++points_since_refresh_;
-    if (points_since_refresh_ >= refresh_interval_points_ &&
-        panes_.size() >= 4) {
-      Refresh();
-      points_since_refresh_ = 0;
-      ++refreshes;
-    }
-  }
-  return refreshes;
+  return render;
 }
 
 void StreamingAsap::RestorePanes(const double* means, size_t n,
                                  bool cadenced) {
+  points_consumed_ += n * pane_size_;
   if (!cadenced) {
     panes_.RestoreCompleted(means, n);
-    points_consumed_ += n * pane_size_;
-    points_since_refresh_ = 0;
-    if (panes_.size() >= 4) {
-      Refresh();
-    }
+    panes_since_refresh_ = 0;
+    Refresh();
     return;
   }
-  // Replay the live refresh cadence one pane at a time: each restored
-  // pane advances the point clock by pane_size, firing Refresh at
-  // exactly the boundaries live ingestion would have (boundaries are
-  // pane-aligned whenever refresh_interval_points is a multiple of
-  // pane_size — in particular for the refresh-per-pane default).
   for (size_t i = 0; i < n; ++i) {
     panes_.RestoreCompleted(means + i, 1);
-    points_consumed_ += pane_size_;
-    points_since_refresh_ += pane_size_;
-    if (points_since_refresh_ >= refresh_interval_points_ &&
-        panes_.size() >= 4) {
-      Refresh();
-      points_since_refresh_ = 0;
-    }
+    OnPaneCommitted(/*render=*/true);
   }
 }
 

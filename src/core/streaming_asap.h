@@ -3,8 +3,8 @@
 // The operator ingests raw points, sub-aggregates them into panes
 // sized at the point-to-pixel ratio (§4.4 applied to streams), retains
 // the panes covering the visible time window, and re-runs the window
-// search only at a configurable, human-perceptible refresh interval
-// (on-demand updates). Each refresh:
+// search only every k committed panes, a configurable, human-
+// perceptible refresh interval (on-demand updates). Each refresh:
 //
 //   1. UpdateAcf      — recompute the ACF over the visible panes;
 //   2. CheckLastWindow — test whether the previous window is still
@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -43,9 +44,12 @@ struct StreamingOptions {
   /// telemetry = 1800). Required.
   size_t visible_points = 0;
 
-  /// Raw points between refreshes. 0 = refresh whenever a pane
-  /// completes (the non-lazy default); larger values are the
-  /// "on-demand update" optimization (e.g. one day's worth of points).
+  /// Raw points between refreshes. Refreshes fire on pane commits:
+  /// every ceil(refresh_every_points / pane_size()) committed panes
+  /// (once at least 4 are retained). 0 = refresh on every committed
+  /// pane (the non-lazy default); larger values are the "on-demand
+  /// update" optimization (e.g. one day's worth of points). A value
+  /// that is not a multiple of pane_size() rounds up to whole panes.
   size_t refresh_every_points = 0;
 
   /// Disable to make panes one point wide (the Fig. 11 "no pixel"
@@ -62,20 +66,26 @@ struct StreamingOptions {
   /// >= 1.
   size_t snapshot_ring_frames = 1;
 
-  /// Timed pane mode. When pane_width_ticks > 0 the operator assigns
-  /// points to panes by *timestamp* instead of arrival count: a point
-  /// with timestamp ts lands in pane floor((ts - pane_epoch) /
-  /// pane_width_ticks), ingested via PushTimed. The in-progress pane
-  /// commits when a point of a different pane index arrives, so a
-  /// pane holds however many points actually fell in its time bucket
-  /// — the fix for the arrival-order pane-stamping bug class, where
-  /// wall-clock skew between collectors smeared points across pane
-  /// boundaries. 0 (the default) keeps the arrival-count mode bit-
-  /// for-bit: Record::ts is never read. Both must be >= 0; choose
-  /// pane_width_ticks so a bucket covers ~pane_size() points of the
-  /// expected point rate (e.g. pane_size * tick period) — pane means
-  /// then match the arrival-order pane means whenever input arrives
-  /// in time order at a uniform rate.
+  /// The pane grid. Every point carries a tick and lands in pane
+  /// floor((tick - pane_epoch) / width); the open pane commits when
+  /// the frontier, the lowest tick that may still arrive, reaches its
+  /// end (see window::PaneBuffer).
+  ///
+  /// pane_width_ticks == 0 (the default) is arrival input: a point's
+  /// tick is its per-series arrival index, the width is pane_size()
+  /// and the epoch 0, so a pane commits on its pane_size()-th point
+  /// and the operator never reads Record::ts. pane_width_ticks > 0 is
+  /// timed input, fed through PushTimed: the tick is the point's
+  /// timestamp, so a pane holds however many points fell in its time
+  /// bucket — the fix for the arrival-order pane-stamping bug class,
+  /// where wall-clock skew between collectors smeared points across
+  /// pane boundaries. The frontier is then the series' newest
+  /// timestamp, raised behind a sequencer to the shard's release floor
+  /// (AdvanceFrontier). Both must be >= 0; choose pane_width_ticks so
+  /// a bucket covers ~pane_size() points of the expected point rate
+  /// (e.g. pane_size * tick period) — pane means then match the
+  /// arrival-order pane means whenever input arrives in time order at
+  /// a uniform rate.
   int64_t pane_epoch = 0;
   int64_t pane_width_ticks = 0;
 
@@ -112,33 +122,50 @@ class StreamingAsap {
   /// semantics are inconsistent.
   static Result<StreamingAsap> Create(const StreamingOptions& options);
 
-  /// Ingests one raw point; returns true iff a refresh happened.
-  bool Push(double x);
+  /// Ingests one raw point of arrival input (pane_width_ticks == 0);
+  /// returns true iff a refresh happened.
+  bool Push(double x) { return Ingest(&x, nullptr, 1, /*render=*/true) > 0; }
 
-  /// Loads historical points into the pane buffer WITHOUT triggering
-  /// refreshes (bootstrap from a backfill, or bench warm-up so that
-  /// steady-state throughput is measured against a full window).
-  void Prefill(const std::vector<double>& xs);
-
-  /// Ingests a batch; returns the number of refreshes triggered.
-  /// Fast path: points are bulk-appended a pane (or a refresh
-  /// interval) at a time, with refresh boundaries checked per chunk
-  /// instead of per point — refresh-for-refresh identical to calling
-  /// Push() on each point.
-  size_t PushBatch(const double* xs, size_t n);
+  /// Ingests a batch of arrival input; returns the number of
+  /// refreshes triggered. Push, PushBatch and PushTimed are entry
+  /// points over one ingest loop, and refreshes fire on pane commits
+  /// (see refresh_every_points), so any batch segmentation renders the
+  /// frames per-point ingest renders.
+  size_t PushBatch(const double* xs, size_t n) {
+    return Ingest(xs, nullptr, n, /*render=*/true);
+  }
   size_t PushBatch(const std::vector<double>& xs) {
     return PushBatch(xs.data(), xs.size());
   }
 
-  /// Timed-mode batch ingest (requires pane_width_ticks > 0): point i
-  /// carries value xs[i] and timestamp ts[i]; each lands in the pane
-  /// its timestamp maps to (see StreamingOptions::pane_width_ticks).
-  /// The refresh condition is checked per point exactly as Push()
-  /// does. Returns the number of refreshes triggered. Callers feed
-  /// points in non-decreasing ts order per series (the sequencer's
-  /// output order); out-of-order input within a pane is tolerated,
-  /// across panes it would reopen a committed bucket as a new pane.
-  size_t PushTimed(const double* xs, const int64_t* ts, size_t n);
+  /// Loads historical arrival-input points WITHOUT rendering (bootstrap
+  /// from a backfill, or bench warm-up so that steady-state throughput
+  /// is measured against a full window). The refresh cadence still
+  /// counts the panes it commits, so later refreshes fall where they
+  /// would have had every pane arrived live.
+  void Prefill(const std::vector<double>& xs) {
+    Ingest(xs.data(), nullptr, xs.size(), /*render=*/false);
+  }
+
+  /// Timed-input ingest (requires pane_width_ticks > 0): point i
+  /// carries value xs[i] and timestamp ts[i]. Returns the number of
+  /// refreshes triggered. Callers feed points in non-decreasing ts
+  /// order per series (the sequencer's output order); a point older
+  /// than the open pane joins it.
+  size_t PushTimed(const double* xs, const int64_t* ts, size_t n) {
+    return Ingest(xs, ts, n, /*render=*/true);
+  }
+
+  /// Raises the frontier of timed input to `frontier`, the lowest
+  /// timestamp that may still arrive (a sequencer's release floor):
+  /// commits the open pane if `frontier` is past its last tick.
+  /// Returns true iff a refresh happened.
+  bool AdvanceFrontier(int64_t frontier);
+
+  /// Last timestamp of the open pane; nullopt when none is open.
+  std::optional<int64_t> open_pane_last() const {
+    return panes_.open_pane_last();
+  }
 
   /// Forces a refresh now (used when the user scrolls/zooms).
   /// No-op until at least 4 panes are buffered.
@@ -153,13 +180,12 @@ class StreamingAsap {
   /// Restores `n` recovered pane means as already-complete panes,
   /// advancing the point clock by n * pane_size and NOT firing the
   /// pane sink (the panes are already durable). With cadenced == true
-  /// the refresh schedule live ingestion would have run is replayed
-  /// pane by pane — frames (and the snapshot ring) come out identical
-  /// to an uninterrupted run whenever refresh_interval_points is a
-  /// multiple of pane_size (always true for the refresh-per-pane
-  /// default). With cadenced == false the panes load in bulk and a
-  /// single Refresh renders the final frame (fast-forward recovery).
-  /// Only legal before any live point is pushed.
+  /// each pane counts as a commit toward the refresh cadence, so
+  /// refreshes replay at the pane counts live ingestion ran them and
+  /// frames (and the snapshot ring) come out identical to an
+  /// uninterrupted run. With cadenced == false the panes load in bulk
+  /// and a single Refresh renders the final frame (fast-forward
+  /// recovery). Only legal before any live point is pushed.
   void RestorePanes(const double* means, size_t n, bool cadenced);
 
   const Frame& frame() const { return frame_; }
@@ -184,18 +210,28 @@ class StreamingAsap {
   /// Points per pane (the point-to-pixel ratio in effect).
   size_t pane_size() const { return pane_size_; }
 
-  /// Raw points between refreshes in effect.
-  size_t refresh_interval_points() const { return refresh_interval_points_; }
+  /// Committed panes between refreshes in effect.
+  size_t refresh_interval_panes() const { return refresh_interval_panes_; }
 
  private:
   explicit StreamingAsap(const StreamingOptions& options);
 
+  /// The one ingest loop: feeds points into the pane buffer, counting
+  /// each commit toward the cadence. `ts` is nullptr for arrival
+  /// input. With render == false the cadence advances but no refresh
+  /// runs. Returns the number of refreshes.
+  size_t Ingest(const double* xs, const int64_t* ts, size_t n, bool render);
+
+  /// Counts one committed pane toward the refresh cadence; returns
+  /// true iff it refreshed.
+  bool OnPaneCommitted(bool render);
+
   StreamingOptions options_;
   size_t pane_size_ = 1;
-  size_t refresh_interval_points_ = 1;
+  size_t refresh_interval_panes_ = 1;
   window::PaneBuffer panes_;
   uint64_t points_consumed_ = 0;
-  uint64_t points_since_refresh_ = 0;
+  size_t panes_since_refresh_ = 0;
 
   AsapState state_;
   bool has_previous_window_ = false;

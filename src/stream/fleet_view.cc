@@ -213,7 +213,6 @@ FleetView::DeepHistory(std::string_view name, size_t max_frames) const {
     return {};
   }
   const size_t pane = std::max<size_t>(op->pane_size(), 1);
-  const size_t interval_points = op->refresh_interval_points();
 
   // Skip the durable prefix no requested frame can see: with the
   // refresh interval at I panes, boundaries sit at pane counts
@@ -221,23 +220,19 @@ FleetView::DeepHistory(std::string_view name, size_t max_frames) const {
   // and the oldest wanted boundary only renders the visible window's
   // worth of panes before it. Skipping a multiple of I panes keeps
   // the replayed boundary phase identical to a from-zero replay.
-  uint64_t skip = 0;
-  if (interval_points % pane == 0) {
-    const uint64_t ipanes = std::max<uint64_t>(interval_points / pane, 1);
-    const uint64_t c0 = std::max<uint64_t>(4, ipanes);
-    if (total < c0) {
-      return {};  // no refresh boundary fits the stored history
-    }
-    const uint64_t last = c0 + ((total - c0) / ipanes) * ipanes;
-    const uint64_t span = (max_frames - 1) * ipanes;
-    const uint64_t oldest = last > c0 + span ? last - span : c0;
-    const uint64_t window_panes = std::max<uint64_t>(
-        opts.visible_points / pane, 4);
-    const uint64_t keep_from =
-        std::min(oldest > window_panes ? oldest - window_panes : 0,
-                 oldest - c0);
-    skip = (keep_from / ipanes) * ipanes;
+  const uint64_t ipanes = op->refresh_interval_panes();
+  const uint64_t c0 = std::max<uint64_t>(4, ipanes);
+  if (total < c0) {
+    return {};  // no refresh boundary fits the stored history
   }
+  const uint64_t last = c0 + ((total - c0) / ipanes) * ipanes;
+  const uint64_t span = (max_frames - 1) * ipanes;
+  const uint64_t oldest = last > c0 + span ? last - span : c0;
+  const uint64_t window_panes =
+      std::max<uint64_t>(opts.visible_points / pane, 4);
+  const uint64_t keep_from = std::min(
+      oldest > window_panes ? oldest - window_panes : 0, oldest - c0);
+  const uint64_t skip = (keep_from / ipanes) * ipanes;
 
   std::vector<double> means;
   if (!store->ReadPanes(sid.ValueOrDie(), skip, total - skip, &means).ok()) {

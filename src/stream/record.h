@@ -26,12 +26,15 @@ using SeriesId = uint32_t;
 ///
 /// `ts` is the point's timestamp in application-defined ticks (a
 /// collector might use milliseconds since epoch; tests use small
-/// integers). 0 is the unstamped default: sources that predate
-/// timestamps leave it alone, and the engine's arrival-order mode
-/// (StreamingOptions::pane_width_ticks == 0) never reads it. Wire
-/// input without a timestamp (text lines with two tokens, 0xA5
-/// frames) is stamped by the receiving FrameDecoder's stamp clock —
-/// or 0 when none is installed.
+/// integers). In timed pane mode (StreamingOptions::pane_width_ticks >
+/// 0) it is the point's pane tick: it picks the pane, and a series'
+/// newest ts is its pane frontier (window::PaneBuffer). Arrival mode
+/// (pane_width_ticks == 0) ticks panes by per-series arrival index
+/// and never reads it; a shard sequencer orders records by it in
+/// either mode. 0 is the unstamped default: sources that predate
+/// timestamps leave it alone. Wire input without a timestamp (text
+/// lines with two tokens, 0xA5 frames) is stamped by the receiving
+/// FrameDecoder's stamp clock — or 0 when none is installed.
 struct Record {
   SeriesId series_id = 0;
   double value = 0.0;

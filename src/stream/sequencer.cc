@@ -10,30 +10,35 @@ namespace stream {
 
 Sequencer::Sequencer(int64_t horizon_ticks)
     : horizon_(horizon_ticks),
-      watermark_(std::numeric_limits<int64_t>::min()) {
+      watermark_(std::numeric_limits<int64_t>::min()),
+      emitted_max_(std::numeric_limits<int64_t>::min()) {
   ASAP_CHECK_GE(horizon_ticks, 1);
+}
+
+int64_t Sequencer::floor() const {
+  // watermark - horizon without wraparound near INT64_MIN.
+  const int64_t release =
+      watermark_ < std::numeric_limits<int64_t>::min() + horizon_
+          ? std::numeric_limits<int64_t>::min()
+          : watermark_ - horizon_;
+  return std::max(release, emitted_max_);
 }
 
 size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out) {
   ASAP_CHECK(records != nullptr || n == 0);
   // Walk the batch in arrival order, advancing the watermark per
-  // record: a record is late iff it is more than the horizon behind
-  // the newest timestamp seen AT ITS OWN ARRIVAL (earlier records of
-  // the same batch included). A record can only raise the watermark,
-  // so in-order input — however large the batch or the total span —
-  // is never late; only a record arriving after a sufficiently newer
-  // one drops. Stage the on-time records as one sorted run (or an
+  // record: a record is late iff it is below the floor AT ITS OWN
+  // ARRIVAL (earlier records of the same batch included). A record can
+  // only raise the watermark, so in-order input — however large the
+  // batch or the total span — is never late; only a record arriving
+  // after a sufficiently newer one, or older than what a Flush already
+  // emitted, drops. Stage the on-time records as one sorted run (or an
   // extension of the newest run, when batches arrive already roughly
   // ordered — the common case keeps the run count at 1).
   scratch_.clear();
   for (size_t i = 0; i < n; ++i) {
     watermark_ = std::max(watermark_, records[i].ts);
-    // watermark - horizon without wraparound near INT64_MIN.
-    const int64_t arrival_floor =
-        watermark_ < std::numeric_limits<int64_t>::min() + horizon_
-            ? std::numeric_limits<int64_t>::min()
-            : watermark_ - horizon_;
-    if (records[i].ts < arrival_floor) {
+    if (records[i].ts < floor()) {
       late_dropped_ += 1;
       late_by_series_[records[i].series_id] += 1;
       continue;
@@ -41,10 +46,6 @@ size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out) {
     scratch_.push_back(Item{records[i], next_seq_++});
     records_in_ += 1;
   }
-  const int64_t floor =
-      watermark_ < std::numeric_limits<int64_t>::min() + horizon_
-          ? std::numeric_limits<int64_t>::min()
-          : watermark_ - horizon_;
   if (!scratch_.empty()) {
     std::sort(scratch_.begin(), scratch_.end(),
               [](const Item& a, const Item& b) {
@@ -63,14 +64,14 @@ size_t Sequencer::Push(const Record* records, size_t n, RecordBatch* out) {
     }
   }
 
-  return EmitUpTo(floor, out);
+  return EmitUpTo(floor(), out);
 }
 
 size_t Sequencer::Flush(RecordBatch* out) {
   return EmitUpTo(std::numeric_limits<int64_t>::max(), out);
 }
 
-size_t Sequencer::EmitUpTo(int64_t floor, RecordBatch* out) {
+size_t Sequencer::EmitUpTo(int64_t limit, RecordBatch* out) {
   size_t appended = 0;
   // K-way merge by (ts, seq): linear min-scan per pop. The run count
   // stays tiny in practice (in-order traffic keeps it at 1; skewed
@@ -83,7 +84,7 @@ size_t Sequencer::EmitUpTo(int64_t floor, RecordBatch* out) {
         continue;
       }
       const Item& h = run.items[run.head];
-      if (h.rec.ts > floor) {
+      if (h.rec.ts > limit) {
         continue;
       }
       if (best == nullptr) {
@@ -100,6 +101,7 @@ size_t Sequencer::EmitUpTo(int64_t floor, RecordBatch* out) {
       break;
     }
     out->push_back(best->items[best->head].rec);
+    emitted_max_ = out->back().ts;
     best->head += 1;
     appended += 1;
   }

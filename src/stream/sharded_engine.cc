@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -57,7 +58,7 @@ struct ShardedEngine::Shard {
          "Records the shard sequencer released in timestamp order", labels});
     seq_late_total = metrics->GetCounter(
         {"asap_seq_late_total",
-         "Records dropped as late (older than watermark - horizon)", labels});
+         "Records dropped as late (below the sequencer floor)", labels});
     seq_buffered = metrics->GetGauge(
         {"asap_seq_buffered",
          "Records staged in the shard sequencer's reordering window",
@@ -77,6 +78,17 @@ struct ShardedEngine::Shard {
   std::unique_ptr<Sequencer> sequencer;
   /// sequencer->late_dropped() already folded into seq_late_total.
   uint64_t late_folded = 0;
+  /// Timed panes opened behind the sequencer, by last tick. The
+  /// sequencer emits in timestamp order, so panes open in that order
+  /// and a FIFO suffices: after each drained batch, the sequencer's
+  /// floor commits every pane it passed (see ProcessRecords). An entry
+  /// whose pane its own series already committed is a no-op.
+  struct OpenPane {
+    int64_t last;
+    SeriesId id;
+    StreamingAsap* op;
+  };
+  std::deque<OpenPane> open_panes;
 
   // Durable-tier scratch, touched by the worker thread only. Each
   // drained batch accumulates completed-pane means per series run in
@@ -159,17 +171,21 @@ struct ShardedEngine::Shard {
   /// Feeds one ordered batch into the shard's operators. Records of
   /// one series are contiguous runs within a batch only by accident;
   /// the loop groups whatever runs exist so full panes take
-  /// StreamingAsap's bulk-append fast path (timed mode feeds the same
-  /// runs through PushTimed with the run's timestamps). registry_mu
-  /// is held only around the map lookup/insert — never across
-  /// PushBatch — so a concurrent SnapshotById waits for a pointer chase,
-  /// not a window search. The operator pointer stays valid outside
-  /// the lock: unordered_map never invalidates references on insert,
-  /// and this worker is the shard's only mutator.
+  /// StreamingAsap's bulk ingest path. Behind a sequencer, timed
+  /// operators then advance to its floor: no record below it can
+  /// arrive any more, so every open pane ending at or before it
+  /// commits, the last pane of a series that went quiet included.
+  /// registry_mu is held only around the map lookup/insert — never
+  /// across an operator push — so a concurrent SnapshotById waits for
+  /// a pointer chase, not a window search. The operator pointer stays
+  /// valid outside the lock: unordered_map never invalidates
+  /// references on insert, and this worker is the shard's only
+  /// mutator.
   void ProcessRecords(const RecordBatch& batch) {
-    size_t i = 0;
+    const bool frontier = timed && sequencer != nullptr;
     flat_panes.clear();
     run_meta.clear();
+    size_t i = 0;
     while (i < batch.size()) {
       const SeriesId id = batch[i].series_id;
       size_t j = i + 1;
@@ -193,28 +209,27 @@ struct ShardedEngine::Shard {
         std::lock_guard<std::mutex> lock(registry_mu);
         op = &registry.GetOrCreate(id);
       }
-      if (storage != nullptr && storage_ok) {
-        // Catch the panes this run completes: the sink fills the
-        // shard scratch, flushed once per batch below. (Setting the
-        // sink each run is two pointer stores — cheap, and it also
-        // covers operators created by recovery's RestoreSeries.)
-        pane_scratch.clear();
-        op->set_pane_sink(&PaneSinkThunk, &pane_scratch);
-        PushRun(op);
-        op->set_pane_sink(nullptr, nullptr);
-        if (!pane_scratch.empty()) {
-          const uint32_t sid = StoreSidFor(id);
-          if (storage_ok) {
-            run_meta.push_back(
-                PaneRunMeta{sid, flat_panes.size(), pane_scratch.size()});
-            flat_panes.insert(flat_panes.end(), pane_scratch.begin(),
-                              pane_scratch.end());
-          }
+      const std::optional<int64_t> open_before =
+          frontier ? op->open_pane_last() : std::nullopt;
+      CapturePanes(id, op, [&] { PushRun(op); });
+      if (frontier) {
+        const std::optional<int64_t> open_after = op->open_pane_last();
+        if (open_after.has_value() && open_after != open_before) {
+          ASAP_DCHECK(open_panes.empty() ||
+                      open_panes.back().last <= *open_after);
+          open_panes.push_back(OpenPane{*open_after, id, op});
         }
-      } else {
-        PushRun(op);
       }
       i = j;
+    }
+    if (frontier) {
+      const int64_t floor = sequencer->floor();
+      while (!open_panes.empty() && open_panes.front().last < floor) {
+        const OpenPane pane = open_panes.front();
+        open_panes.pop_front();
+        CapturePanes(pane.id, pane.op,
+                     [&] { pane.op->AdvanceFrontier(floor); });
+      }
     }
     if (!run_meta.empty() && storage_ok) {
       // One durable append per drained batch: all series' completed
@@ -233,6 +248,33 @@ struct ShardedEngine::Shard {
         // paying the append cost and keep the engine serving reads.
         storage_ok = false;
       }
+    }
+  }
+
+  /// Runs `feed` on `op`, catching the panes it completes into this
+  /// batch's durable append (flushed once per batch in
+  /// ProcessRecords). Setting the sink per call is two pointer stores
+  /// — cheap, and it also covers operators created by recovery's
+  /// RestoreSeries.
+  template <typename Feed>
+  void CapturePanes(SeriesId id, StreamingAsap* op, Feed&& feed) {
+    if (storage == nullptr || !storage_ok) {
+      feed();
+      return;
+    }
+    pane_scratch.clear();
+    op->set_pane_sink(&PaneSinkThunk, &pane_scratch);
+    feed();
+    op->set_pane_sink(nullptr, nullptr);
+    if (pane_scratch.empty()) {
+      return;
+    }
+    const uint32_t sid = StoreSidFor(id);
+    if (storage_ok) {
+      run_meta.push_back(
+          PaneRunMeta{sid, flat_panes.size(), pane_scratch.size()});
+      flat_panes.insert(flat_panes.end(), pane_scratch.begin(),
+                        pane_scratch.end());
     }
   }
 

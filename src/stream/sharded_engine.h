@@ -75,14 +75,18 @@ struct ShardedEngineOptions {
   /// bypasses sequencing: batches reach the operators in arrival
   /// order, bitwise the pre-sequencer path. > 0 stages each shard's
   /// records and releases them in timestamp order once they age past
-  /// the horizon (records more than horizon ticks older than the
-  /// newest timestamp seen are dropped as *late*, surfacing in
-  /// ShardReport/FleetReport::late and asap_seq_late_total). Each
+  /// the horizon. Records below the sequencer's floor — more than
+  /// horizon ticks older than the newest timestamp seen, or older than
+  /// one already released — are dropped as *late*, surfacing in
+  /// ShardReport/FleetReport::late and asap_seq_late_total. Each
   /// shard's sequencer lives as long as the engine, so its watermark
-  /// carries across Run calls; every run ends by flushing it. Use with
-  /// timed pane mode (StreamingOptions::pane_width_ticks > 0): a
-  /// horizon of a few pane widths absorbs collector clock skew that
-  /// would otherwise smear points across pane boundaries.
+  /// and floor carry across Run calls; every run ends by flushing it.
+  /// Use with timed pane mode (StreamingOptions::pane_width_ticks >
+  /// 0): a horizon of a few pane widths absorbs collector clock skew
+  /// that would otherwise smear points across pane boundaries, and
+  /// after each drained batch the floor is every timed series'
+  /// frontier, so a series that goes quiet still commits its last
+  /// pane.
   int64_t sequencer_horizon_ticks = 0;
 
   /// Registry the engine's asap_shard_* instruments register in.
@@ -95,8 +99,9 @@ struct ShardedEngineOptions {
 
   /// Durable tier hookup. When non-null, every pane a shard worker
   /// completes is appended to the store at batch granularity: one
-  /// DurableStore::AppendPanes call per drained batch, covering all
-  /// series the batch touched (the store's WAL group-commits them in
+  /// DurableStore::AppendPanes call per drained batch, covering every
+  /// pane the batch committed, including those the sequencer's floor
+  /// closed for quiet series (the store's WAL group-commits them in
   /// one frame). Series register in the store by *name* on first
   /// sight, so the durable identity survives restarts even though
   /// catalog ids are assigned in arrival order. Must outlive the

@@ -5,138 +5,41 @@
 namespace asap {
 namespace window {
 
-size_t Gcd(size_t a, size_t b) {
-  while (b != 0) {
-    size_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
+namespace {
+
+// x mod width in [0, width).
+int64_t Phase(int64_t x, int64_t width) {
+  const int64_t r = x % width;
+  return r < 0 ? r + width : r;
 }
 
-std::vector<Pane> BuildPanes(const std::vector<double>& x, size_t pane_size) {
-  ASAP_CHECK_GE(pane_size, 1u);
-  std::vector<Pane> panes;
-  panes.reserve(x.size() / pane_size + 1);
-  Pane current;
-  for (double v : x) {
-    current.sum += v;
-    current.count += 1;
-    if (current.count == pane_size) {
-      panes.push_back(current);
-      current = Pane{};
-    }
-  }
-  if (current.count > 0) {
-    panes.push_back(current);
-  }
-  return panes;
+}  // namespace
+
+PaneBuffer::PaneBuffer(int64_t width, int64_t epoch, size_t max_panes)
+    : width_(width), epoch_phase_(0), max_panes_(max_panes) {
+  ASAP_CHECK_GE(width, 1);
+  epoch_phase_ = Phase(epoch, width);
 }
 
-std::vector<double> PaneSma(const std::vector<double>& x, size_t w,
-                            size_t slide) {
-  ASAP_CHECK_GE(w, 1u);
-  ASAP_CHECK_GE(slide, 1u);
-  ASAP_CHECK_LE(w, x.size());
-
-  const size_t pane_size = Gcd(w, slide);
-  const size_t panes_per_window = w / pane_size;
-  const size_t panes_per_slide = slide / pane_size;
-
-  std::vector<Pane> panes = BuildPanes(x, pane_size);
-
-  std::vector<double> out;
-  const double inv_w = 1.0 / static_cast<double>(w);
-  for (size_t start = 0; start + panes_per_window <= panes.size();
-       start += panes_per_slide) {
-    double sum = 0.0;
-    size_t count = 0;
-    for (size_t p = start; p < start + panes_per_window; ++p) {
-      sum += panes[p].sum;
-      count += panes[p].count;
-    }
-    if (count < w) {
-      break;  // trailing partial pane: not a full window
-    }
-    out.push_back(sum * inv_w);
+int64_t PaneBuffer::LastTickOfBucket(int64_t tick) const {
+  // (tick - epoch) mod width from the two phases: every term stays in
+  // (-width, width), so no tick a client sends can overflow it.
+  int64_t offset = Phase(tick, width_) - epoch_phase_;
+  if (offset < 0) {
+    offset += width_;
   }
-  return out;
+  const int64_t left = width_ - 1 - offset;  // ticks after `tick`
+  return tick > kMaxTick - left ? kMaxTick : tick + left;
 }
 
-PaneBuffer::PaneBuffer(size_t pane_size, size_t max_panes)
-    : pane_size_(pane_size), max_panes_(max_panes) {
-  ASAP_CHECK_GE(pane_size, 1u);
-}
-
-bool PaneBuffer::Push(double x) {
-  ++points_consumed_;
-  current_.sum += x;
-  current_.count += 1;
-  if (current_.count < pane_size_) {
-    return false;
-  }
-  CommitCurrent();
-  return true;
-}
-
-void PaneBuffer::PushBulk(const double* xs, size_t n) {
-  ASAP_CHECK(xs != nullptr || n == 0);
-  points_consumed_ += n;
-  size_t i = 0;
-  // Top off the in-progress pane point by point.
-  while (i < n && current_.count != 0) {
-    current_.sum += xs[i++];
-    current_.count += 1;
-    if (current_.count == pane_size_) {
-      CommitCurrent();
-    }
-  }
-  // Whole panes: one tight sum per pane, one branch per pane.
-  while (n - i >= pane_size_) {
-    double sum = 0.0;
-    for (size_t j = 0; j < pane_size_; ++j) {
-      sum += xs[i + j];
-    }
-    i += pane_size_;
-    current_.sum = sum;
-    current_.count = pane_size_;
-    CommitCurrent();
-  }
-  // Remainder starts the next in-progress pane.
-  for (; i < n; ++i) {
-    current_.sum += xs[i];
-    current_.count += 1;
-  }
-}
-
-bool PaneBuffer::PushTimed(double x, int64_t pane_index) {
-  bool committed = false;
-  if (current_.count > 0 && pane_index != current_pane_index_) {
-    CommitCurrent();
-    committed = true;
-  }
-  current_pane_index_ = pane_index;
-  ++points_consumed_;
-  current_.sum += x;
-  current_.count += 1;
-  return committed;
-}
-
-size_t PaneBuffer::PointsUntilPaneCount(size_t target) const {
-  if (panes_.size() >= target) {
-    return 0;
-  }
-  return (target - panes_.size()) * pane_size_ - current_.count;
-}
-
-void PaneBuffer::CommitCurrent() {
+void PaneBuffer::Commit() {
   if (sink_ != nullptr) {
     // Fire with the exact mean the query path will later read back —
     // recovery restores this double bitwise.
-    sink_(sink_ctx_, current_.Mean());
+    sink_(sink_ctx_, open_.Mean());
   }
-  panes_.push_back(current_);
-  current_ = Pane{};
+  panes_.push_back(open_);
+  open_ = Pane{};
   if (max_panes_ != 0 && panes_.size() > max_panes_) {
     panes_.pop_front();
   }
@@ -144,8 +47,8 @@ void PaneBuffer::CommitCurrent() {
 
 void PaneBuffer::RestoreCompleted(const double* means, size_t n) {
   ASAP_CHECK(means != nullptr || n == 0);
-  ASAP_CHECK_EQ(current_.count, 0u);  // restore precedes live ingest
-  points_consumed_ += n * pane_size_;
+  ASAP_CHECK_EQ(open_.count, 0u);  // restore precedes live ingest
+  next_arrival_ += static_cast<int64_t>(n) * width_;
   for (size_t i = 0; i < n; ++i) {
     // {sum: mean, count: 1} makes Mean() the recorded value bitwise.
     panes_.push_back(Pane{means[i], 1});
@@ -166,8 +69,9 @@ std::vector<double> PaneBuffer::PaneMeans() const {
 
 void PaneBuffer::Reset() {
   panes_.clear();
-  current_ = Pane{};
-  points_consumed_ = 0;
+  open_ = Pane{};
+  open_last_ = kMaxTick;
+  next_arrival_ = 0;
 }
 
 }  // namespace window

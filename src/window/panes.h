@@ -1,26 +1,24 @@
 // Pane-based sliding-window sub-aggregation ("No pane, no gain",
 // Li et al., SIGMOD Record 2005), the technique §4.5 adapts.
 //
-// A sliding window aggregate with window W and slide S is computed by
-// first aggregating the stream into disjoint panes of size
-// gcd(W, S) and then combining W/gcd panes per window. For
-// averages this reduces both memory and per-window work by the pane
-// size. Streaming ASAP maintains exactly such a pane list, sized at
-// the point-to-pixel ratio.
+// A sliding-window aggregate over disjoint panes costs one pass per
+// pane instead of one per window. Streaming ASAP keeps exactly such a
+// pane list, sized at the point-to-pixel ratio, and re-renders from
+// the pane means.
 
 #ifndef ASAP_WINDOW_PANES_H_
 #define ASAP_WINDOW_PANES_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
+#include <optional>
 #include <vector>
 
 namespace asap {
 namespace window {
-
-/// Greatest common divisor (size_t; gcd(x, 0) == x).
-size_t Gcd(size_t a, size_t b);
 
 /// A pane: a disjoint sub-aggregate of `count` consecutive points.
 struct Pane {
@@ -30,33 +28,23 @@ struct Pane {
   double Mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
 };
 
-/// Splits x into consecutive panes of `pane_size` points (last pane may
-/// be partial) carrying sum and count.
-std::vector<Pane> BuildPanes(const std::vector<double>& x, size_t pane_size);
-
-/// Time bucket of timestamp `ts` under a pane grid anchored at
-/// `epoch` with `width` ticks per pane: floor((ts - epoch) / width),
-/// exact for negative deltas too (integer division truncates toward
-/// zero; pre-epoch timestamps must map to negative indices, not
-/// collapse into buckets 0 and -1). Requires width > 0.
-inline int64_t PaneIndexForTs(int64_t ts, int64_t epoch, int64_t width) {
-  const int64_t delta = ts - epoch;
-  int64_t index = delta / width;
-  if (delta % width != 0 && delta < 0) {
-    index -= 1;
-  }
-  return index;
-}
-
-/// Computes the sliding-window average of window W / slide S over x via
-/// panes of size gcd(W, S). Only full windows are emitted; results are
-/// identical to SmaWithSlide(x, W, S) up to rounding.
-std::vector<double> PaneSma(const std::vector<double>& x, size_t w,
-                            size_t slide);
-
-/// Streaming pane builder: accumulates raw points into fixed-size panes
-/// and retains the most recent `max_panes` of them (the visible window
-/// of Streaming ASAP).
+/// Streaming pane builder with one pane model. Every point carries a
+/// tick and lands in bucket floor((tick - epoch) / width). The open
+/// pane commits once, when the *frontier* — the lowest tick that may
+/// still arrive — reaches its end:
+///
+///   - arrival input (no ticks): a point's tick is its arrival index
+///     and the frontier after it is that index + 1, so a pane commits
+///     on its width-th point;
+///   - timed input: the frontier is the newest tick seen, so the open
+///     pane commits when a point at or past its end arrives (a point
+///     older than the open pane joins it);
+///   - AdvanceFrontier raises it from outside, e.g. to a sequencer's
+///     release floor, so a series that goes quiet still commits.
+///
+/// A buffer takes one kind of input for its lifetime. It retains the
+/// newest `max_panes` committed panes (the visible window of
+/// Streaming ASAP).
 class PaneBuffer {
  public:
   /// Observer fired once per *completed* pane with its mean — the
@@ -65,29 +53,32 @@ class PaneBuffer {
   /// no-sink case a single branch on the pane-commit path.
   using PaneSink = void (*)(void* ctx, double mean);
 
-  /// pane_size: points per pane; max_panes: retained pane count
-  /// (0 = unbounded).
-  PaneBuffer(size_t pane_size, size_t max_panes);
+  /// width: ticks per pane (>= 1); epoch: the tick pane 0 starts at;
+  /// max_panes: retained pane count (0 = unbounded).
+  PaneBuffer(int64_t width, int64_t epoch, size_t max_panes);
 
-  /// Pushes one raw point. Returns true if a pane was completed
-  /// (i.e. the preaggregated series grew by one).
-  bool Push(double x);
+  /// Adds points xs[0..n) in tick order, calling on_commit() right
+  /// after each pane commit, before the next point joins a pane (so a
+  /// caller can render exactly the committed panes). `ticks` holds the
+  /// points' ticks, or is nullptr for arrival input.
+  template <typename OnCommit>
+  void Add(const double* xs, const int64_t* ticks, size_t n,
+           OnCommit&& on_commit);
 
-  /// Bulk-appends n raw points: tops off the in-progress pane, then
-  /// accumulates whole panes in tight sum loops instead of branching
-  /// per point. State is exactly as after n Push() calls.
-  void PushBulk(const double* xs, size_t n);
+  /// Raises the frontier: commits the open pane if `frontier` is past
+  /// its last tick. Returns true if a pane committed.
+  bool AdvanceFrontier(int64_t frontier) {
+    if (open_.count == 0 || frontier <= open_last_) {
+      return false;
+    }
+    Commit();
+    return true;
+  }
 
-  /// Timed pane mode: accumulates x into the pane identified by
-  /// `pane_index` (a time bucket the caller derives from the point's
-  /// timestamp). The in-progress pane commits when a point of a
-  /// *different* index arrives — panes close on time-bucket
-  /// boundaries, never on a point count, so a pane holds however many
-  /// points fell in its bucket. Returns true if this call committed a
-  /// pane. Do not mix with Push/PushBulk on one buffer: count mode
-  /// never reads the index, timed mode never reads pane_size (beyond
-  /// PointsUntilPaneCount estimates).
-  bool PushTimed(double x, int64_t pane_index);
+  /// Last tick of the open pane; nullopt when none is open.
+  std::optional<int64_t> open_pane_last() const {
+    return open_.count > 0 ? std::optional<int64_t>(open_last_) : std::nullopt;
+  }
 
   /// Installs (or clears, with nullptr) the pane-completion sink.
   void set_pane_sink(PaneSink sink, void* ctx) {
@@ -96,17 +87,13 @@ class PaneBuffer {
   }
 
   /// Restores `n` previously completed panes (crash recovery): each
-  /// mean is appended as an already-complete pane and the point clock
-  /// advances by n * pane_size. The sink is NOT fired — these panes
+  /// mean is appended as an already-complete pane and the arrival
+  /// clock advances by n * width. The sink is NOT fired — these panes
   /// are already durable. Restored panes are stored as {sum: mean,
   /// count: 1} so Mean() returns the recorded value bitwise exactly
-  /// (re-multiplying by pane_size and dividing back would round).
+  /// (re-multiplying by the pane size and dividing back would round).
+  /// Requires no open pane.
   void RestoreCompleted(const double* means, size_t n);
-
-  /// Raw points that must still arrive before `target` complete panes
-  /// are retained (0 if already there). Monotone: eviction never
-  /// reduces the retained count below max_panes once reached.
-  size_t PointsUntilPaneCount(size_t target) const;
 
   /// Means of all retained (complete) panes, oldest first.
   std::vector<double> PaneMeans() const;
@@ -114,29 +101,84 @@ class PaneBuffer {
   /// Number of retained complete panes.
   size_t size() const { return panes_.size(); }
 
-  size_t pane_size() const { return pane_size_; }
-
-  /// Total raw points consumed.
-  size_t points_consumed() const { return points_consumed_; }
-
   void Reset();
 
  private:
-  /// Retains the completed in-progress pane, evicting the oldest pane
-  /// beyond max_panes.
-  void CommitCurrent();
+  /// Opens the pane holding `tick`. The bucket after the last
+  /// committed one, the common case, needs no division.
+  void Open(int64_t tick) {
+    if (tick > open_last_ && open_last_ <= kMaxTick - width_ &&
+        tick <= open_last_ + width_) {
+      open_last_ += width_;
+    } else {
+      open_last_ = LastTickOfBucket(tick);
+    }
+  }
+  /// Last tick of the bucket holding `tick`, clamped to the largest
+  /// tick (no later tick exists); exact for any int64 tick.
+  int64_t LastTickOfBucket(int64_t tick) const;
+  /// Retains the open pane, evicting the oldest pane beyond
+  /// max_panes.
+  void Commit();
 
-  size_t pane_size_;
+  static constexpr int64_t kMaxTick = std::numeric_limits<int64_t>::max();
+
+  int64_t width_;
+  int64_t epoch_phase_;  // epoch mod width, in [0, width)
   size_t max_panes_;
   std::deque<Pane> panes_;  // complete panes only
-  Pane current_;            // in-progress pane
-  /// Time bucket current_ belongs to; meaningful only in timed mode
-  /// while current_.count > 0.
-  int64_t current_pane_index_ = 0;
-  size_t points_consumed_ = 0;
+  Pane open_;               // the open pane; open iff open_.count > 0
+  /// Last tick of the open pane, or of the last committed one while
+  /// none is open (kMaxTick before any: no shortcut), so the next
+  /// bucket opens without a division. Inclusive, so the bucket holding
+  /// the largest tick needs no end past it.
+  int64_t open_last_ = kMaxTick;
+  /// Tick of the next arrival-input point.
+  int64_t next_arrival_ = 0;
   PaneSink sink_ = nullptr;
   void* sink_ctx_ = nullptr;
 };
+
+template <typename OnCommit>
+void PaneBuffer::Add(const double* xs, const int64_t* ticks, size_t n,
+                     OnCommit&& on_commit) {
+  size_t i = 0;
+  while (i < n) {
+    const int64_t tick = ticks != nullptr ? ticks[i] : next_arrival_;
+    // A point past the open pane's last tick is the frontier passing
+    // it: commit before the point joins a later pane.
+    if (AdvanceFrontier(tick)) {
+      on_commit();
+    }
+    if (open_.count == 0) {
+      Open(tick);
+    }
+    // Sum the run of points that fall in the open pane: one compare
+    // per point, no division.
+    double sum = open_.sum;
+    size_t end = i;
+    if (ticks == nullptr) {
+      end += static_cast<size_t>(std::min<int64_t>(
+          static_cast<int64_t>(n - i), open_last_ - next_arrival_ + 1));
+      for (size_t k = i; k < end; ++k) {
+        sum += xs[k];
+      }
+      next_arrival_ += static_cast<int64_t>(end - i);
+    } else {
+      for (; end < n && ticks[end] <= open_last_; ++end) {
+        sum += xs[end];
+      }
+    }
+    open_.sum = sum;
+    open_.count += end - i;
+    i = end;
+    // Arrival input: the frontier is the next arrival index, so the
+    // pane's last point commits it.
+    if (ticks == nullptr && AdvanceFrontier(next_arrival_)) {
+      on_commit();
+    }
+  }
+}
 
 }  // namespace window
 }  // namespace asap

@@ -177,12 +177,5 @@ TEST(EdgeTest, SmaWindowEqualsLengthMinusOne) {
   EXPECT_EQ(y.size(), 2u);
 }
 
-TEST(EdgeTest, IncrementalSmaWindowOne) {
-  window::IncrementalSma inc(1);
-  auto v = inc.Push(7.5);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_DOUBLE_EQ(*v, 7.5);
-}
-
 }  // namespace
 }  // namespace asap

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -20,6 +21,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/exec_policy.h"
 #include "common/random.h"
@@ -476,6 +481,72 @@ TEST(TaskPoolTest, ConcurrentParallelForsFromManyThreadsComplete) {
   }
   EXPECT_EQ(total.load(), kThreads * kCount);
 }
+
+#if defined(__linux__)
+// A helper woken onto the caller's own CPU only takes turns with the
+// caller, which halves a two-thread fan-out. The caller is pinned to
+// each allowed CPU in turn while busy threads occupy the others, which
+// leaves the kernel no idle CPU to place a woken helper on; every
+// index a helper ran must still have run on another CPU than the
+// caller's.
+TEST(TaskPoolTest, HelpersNeverRunOnTheCallersCpu) {
+  // Start the pool while this thread may still run on any CPU.
+  ASSERT_GE(TaskPool::Global().worker_count(), 1u);
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &original)) {
+      cpus.push_back(c);
+    }
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> busy;
+  for (size_t k = 1; k < cpus.size(); ++k) {
+    busy.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  constexpr size_t kCount = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t helped = 0;
+  for (const int cpu : cpus) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+      ADD_FAILURE() << "cannot pin the caller to CPU " << cpu;
+      break;  // the busy threads must still be joined
+    }
+    std::vector<int> ran_on(kCount, -1);
+    std::vector<std::thread::id> ran_by(kCount);
+    TaskPool::Global().ParallelFor(kCount, 2, [&](size_t i) {
+      // Long enough (~13 ms a job) for a woken helper to join.
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      ran_on[i] = sched_getcpu();
+      ran_by[i] = std::this_thread::get_id();
+    });
+    for (size_t i = 0; i < kCount; ++i) {
+      if (ran_by[i] != caller) {
+        ++helped;
+        EXPECT_NE(ran_on[i], cpu) << "index " << i;
+      }
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : busy) {
+    t.join();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  if (cpus.size() > 1) {
+    EXPECT_GT(helped, 0u);
+  }
+}
+#endif
 
 TEST(TaskPoolTest, ZeroAndOneCountsAndPolicyResolution) {
   TaskPool::Global().ParallelFor(0, 8, [&](size_t) { FAIL(); });

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -18,6 +22,7 @@
 
 #include "common/random.h"
 #include "core/metrics.h"
+#include "storage/store.h"
 #include "stream/fleet_view.h"
 #include "stream/sharded_engine.h"
 #include "stream/source.h"
@@ -210,6 +215,55 @@ TEST(FleetViewTest, SkippedUnpublishedDistinguishesWarmupFromQuietFleet) {
       AggregateOfSelected(view, AggKind::kSum, warming);
   EXPECT_EQ(warming_agg.series, 0u);
   EXPECT_EQ(warming_agg.skipped_unpublished, 1u);
+}
+
+TEST(FleetViewTest, BoundedDeepHistoryMatchesTheLiveRing) {
+  // 250 points at pane 20 refreshes every 13 panes. A bounded
+  // deep-history request skips a multiple of 13 stored panes that no
+  // requested frame can see and replays the rest at the live cadence,
+  // so its newest frames are the live ring's, bitwise. (Lifetime
+  // counters start at the skip, so they run lower.)
+  char tmpl[] = "/tmp/asap_fleet_view_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  {
+    storage::StoreOptions store_options;
+    store_options.sync = storage::SyncPolicy::kEveryBatch;
+    store_options.background_maintenance = false;
+    auto store = storage::DurableStore::Open(root + "/store", store_options);
+    ASSERT_TRUE(store.ok());
+    StreamingOptions options = FleetOptions();
+    options.snapshot_ring_frames = 3;
+    ShardedEngineOptions engine_options;
+    engine_options.shards = 2;
+    engine_options.storage = store->get();
+    ShardedEngine engine =
+        ShardedEngine::Create(options, engine_options).ValueOrDie();
+    ASSERT_EQ(StreamingAsap::Create(options).ValueOrDie().refresh_interval_panes(),
+              13u);
+    InterleavingMultiSource source(engine.catalog());
+    source.AddVector(HostName(0), FleetSeries(0, 4000));
+    engine.RunToCompletion(&source);
+
+    const FleetView view(&engine);
+    const auto ring = view.History(HostName(0));
+    ASSERT_EQ(ring.size(), 3u);
+    const auto deep = view.History(HostName(0), ring.size() + 1);
+    ASSERT_EQ(deep.size(), ring.size() + 1);
+    EXPECT_LT(deep.back()->refreshes, ring.back()->refreshes)
+        << "the replay should skip a stored prefix";
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const StreamingAsap::Frame& got = *deep[i + 1];
+      const StreamingAsap::Frame& want = *ring[i];
+      EXPECT_EQ(got.window, want.window) << "frame " << i;
+      ASSERT_EQ(got.series.size(), want.series.size()) << "frame " << i;
+      EXPECT_EQ(0, std::memcmp(got.series.data(), want.series.data(),
+                               want.series.size() * sizeof(double)))
+          << "frame " << i;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
 }
 
 TEST(FleetViewTest, HistoryServesTheSnapshotRingByName) {

@@ -123,20 +123,6 @@ TEST_P(SeedSweep, PreaggregateCommutesWithScaling) {
   }
 }
 
-TEST_P(SeedSweep, PaneSmaEqualsDirectSmaOnRandomGeometry) {
-  Pcg32 rng(GetParam() * 17 + 1);
-  const std::vector<double> x = RandomMixedSeries(GetParam(), 500);
-  // Random window/slide combinations.
-  const size_t w = 2 + rng.NextBounded(40);
-  const size_t s = 1 + rng.NextBounded(w);
-  std::vector<double> via_panes = window::PaneSma(x, w, s);
-  std::vector<double> direct = window::SmaWithSlide(x, w, s);
-  ASSERT_EQ(via_panes.size(), direct.size()) << "w=" << w << " s=" << s;
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_NEAR(via_panes[i], direct[i], 1e-9);
-  }
-}
-
 TEST_P(SeedSweep, AcfFftMatchesBruteForceOnMixedSignals) {
   const std::vector<double> x = RandomMixedSeries(GetParam(), 700);
   std::vector<double> fast = fft::AutocorrelationFft(x, 100);

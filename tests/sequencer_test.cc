@@ -92,6 +92,40 @@ TEST(SequencerTest, LateRuleFollowsArrivalOrderWithinABatch) {
   EXPECT_EQ(out.size(), 2u);
 }
 
+TEST(SequencerTest, OutputStaysInOrderAcrossFlush) {
+  // A Flush releases records newer than watermark - horizon, so the
+  // floor rises to the newest one released: a record older than that
+  // is late in any later push, and emission stays non-decreasing in
+  // ts across the flush.
+  Sequencer seq(50);
+  RecordBatch out;
+  RecordBatch first;
+  for (int64_t ts = 0; ts < 1000; ++ts) {
+    if (ts != 985) {
+      first.push_back(Record{1, 1.0, ts});
+    }
+  }
+  seq.Push(first.data(), first.size(), &out);
+  EXPECT_EQ(seq.floor(), 949);
+  seq.Flush(&out);
+  EXPECT_EQ(seq.floor(), 999);
+  ASSERT_EQ(out.size(), first.size());
+
+  const RecordBatch second = {{2, 2.0, 985}, {1, 3.0, 999}, {1, 4.0, 1000}};
+  seq.Push(second.data(), second.size(), &out);
+  seq.Flush(&out);
+  EXPECT_EQ(seq.late_dropped(), 1u);
+  EXPECT_EQ(seq.late_by_series().at(2), 1u);
+  EXPECT_EQ(seq.late_by_series().count(1), 0u);
+  // ts 999 equals the newest flushed timestamp: still on time.
+  ASSERT_EQ(out.size(), first.size() + 2);
+  EXPECT_EQ(out[out.size() - 2].ts, 999);
+  EXPECT_EQ(out.back().ts, 1000);
+  for (size_t k = 1; k < out.size(); ++k) {
+    EXPECT_LE(out[k - 1].ts, out[k].ts) << "position " << k;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Seeded property: random timestamps within and beyond the horizon,
 // pushed in random batch splits, checked against an independent

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <atomic>
+#include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
 
+#include "common/macros.h"
 #include "common/random.h"
+#include "storage/store.h"
 #include "stream/fleet_view.h"
 #include "stream/sharded_engine.h"
 #include "stream/source.h"
@@ -382,76 +388,76 @@ class BatchSource : public MultiSource {
   size_t position_ = 0;
 };
 
-StreamingOptions TimedParityOptions() {
-  StreamingOptions options = FleetOptions();
-  // A refresh cadence that never lands on a pane boundary (251k mod
-  // 20 != 0 for every refresh in a 4000-point stream): timed mode
-  // commits a pane one point later than count mode (on the first
-  // point of the next bucket), so a refresh at an exact boundary
-  // would see one fewer pane and break bitwise parity. Off-boundary
-  // refreshes see identical committed pane sets in both modes.
-  options.refresh_every_points = 251;
-  return options;
-}
+/// The count-mode configuration the timed parity tests mirror on a
+/// pane grid of pane_size() ticks.
+StreamingOptions TimedParityOptions() { return FleetOptions(); }
 
 TEST(ShardedEngineTimedTest, TimedPaneParityMatchesArrivalOrder) {
   const size_t kSeries = 8;
   const size_t kPointsPerSeries = 4000;
-  const StreamingOptions arrival_options = TimedParityOptions();
-  const size_t pane_size =
-      StreamingAsap::Create(arrival_options).ValueOrDie().pane_size();
+  for (size_t refresh_every : {size_t{0}, size_t{7}, size_t{250}}) {
+    StreamingOptions arrival_options = TimedParityOptions();
+    arrival_options.refresh_every_points = refresh_every;
+    const size_t pane_size =
+        StreamingAsap::Create(arrival_options).ValueOrDie().pane_size();
 
-  // Arrival-order reference: one series at a time, count-based panes.
-  std::vector<StreamingAsap> reference;
-  for (size_t i = 0; i < kSeries; ++i) {
-    StreamingAsap op = StreamingAsap::Create(arrival_options).ValueOrDie();
-    for (double x : FleetSeries(i, kPointsPerSeries)) {
-      op.Push(x);
-    }
-    reference.push_back(std::move(op));
-  }
-
-  // Timed engine: uniform 1-tick sample clock, pane width = pane_size
-  // ticks, so pane k holds exactly the points count mode would give
-  // it. Frames must come out bitwise identical at any shard count.
-  StreamingOptions timed_options = arrival_options;
-  timed_options.pane_epoch = 0;
-  timed_options.pane_width_ticks = static_cast<int64_t>(pane_size);
-
-  for (size_t shard_count : {1u, 4u, 8u}) {
-    ShardedEngineOptions engine_options;
-    engine_options.shards = shard_count;
-    engine_options.batch_size = 512;
-    // The interleaver deals unequal per-series shares inside a batch,
-    // so per-series sample clocks skew by up to a couple of batches;
-    // the horizon must cover that skew for in-order-per-series input
-    // to stay late-free (the sorted emit order is the same for any
-    // sufficient horizon).
-    engine_options.sequencer_horizon_ticks =
-        4 * static_cast<int64_t>(engine_options.batch_size);
-    ShardedEngine engine =
-        ShardedEngine::Create(timed_options, engine_options).ValueOrDie();
-
-    InterleavingMultiSource source(engine.catalog());
-    source.StampTimestamps(0, 1);
+    // Arrival-order reference: one series at a time, count-based panes.
+    std::vector<StreamingAsap> reference;
     for (size_t i = 0; i < kSeries; ++i) {
-      source.AddVector(HostName(i), FleetSeries(i, kPointsPerSeries));
+      StreamingAsap op = StreamingAsap::Create(arrival_options).ValueOrDie();
+      for (double x : FleetSeries(i, kPointsPerSeries)) {
+        op.Push(x);
+      }
+      reference.push_back(std::move(op));
     }
-    const FleetReport report = engine.RunToCompletion(&source);
 
-    EXPECT_EQ(report.points, kSeries * kPointsPerSeries);
-    EXPECT_EQ(report.late, 0u) << "in-order input must never be late";
-    const FleetView view(&engine);
-    for (size_t i = 0; i < kSeries; ++i) {
-      const auto frame = view.Frame(HostName(i));
-      ASSERT_NE(frame, nullptr) << HostName(i);
-      const StreamingAsap::Frame& expected = reference[i].frame();
-      EXPECT_EQ(frame->refreshes, expected.refreshes)
-          << "shards=" << shard_count << " " << HostName(i);
-      EXPECT_EQ(frame->window, expected.window)
-          << "shards=" << shard_count << " " << HostName(i);
-      EXPECT_EQ(frame->series, expected.series)
-          << "shards=" << shard_count << " " << HostName(i);
+    // Timed engine: uniform 1-tick sample clock, pane width = pane_size
+    // ticks, so pane k holds exactly the points count mode gives it and
+    // commits at the same pane count. Each series sends one more point,
+    // in the next bucket (ts = kPointsPerSeries): a timed stream cannot
+    // know its last pane is complete without a later point. Frames
+    // must come out bitwise identical at any shard count.
+    StreamingOptions timed_options = arrival_options;
+    timed_options.pane_epoch = 0;
+    timed_options.pane_width_ticks = static_cast<int64_t>(pane_size);
+
+    for (size_t shard_count : {1u, 4u, 8u}) {
+      ShardedEngineOptions engine_options;
+      engine_options.shards = shard_count;
+      engine_options.batch_size = 512;
+      // The interleaver deals unequal per-series shares inside a batch,
+      // so per-series sample clocks skew by up to a couple of batches;
+      // the horizon must cover that skew for in-order-per-series input
+      // to stay late-free (the sorted emit order is the same for any
+      // sufficient horizon).
+      engine_options.sequencer_horizon_ticks =
+          4 * static_cast<int64_t>(engine_options.batch_size);
+      ShardedEngine engine =
+          ShardedEngine::Create(timed_options, engine_options).ValueOrDie();
+
+      InterleavingMultiSource source(engine.catalog());
+      source.StampTimestamps(0, 1);
+      for (size_t i = 0; i < kSeries; ++i) {
+        std::vector<double> values = FleetSeries(i, kPointsPerSeries);
+        values.push_back(0.0);  // ts = kPointsPerSeries
+        source.AddVector(HostName(i), values);
+      }
+      const FleetReport report = engine.RunToCompletion(&source);
+
+      EXPECT_EQ(report.points, kSeries * (kPointsPerSeries + 1));
+      EXPECT_EQ(report.late, 0u) << "in-order input must never be late";
+      const FleetView view(&engine);
+      for (size_t i = 0; i < kSeries; ++i) {
+        const auto frame = view.Frame(HostName(i));
+        ASSERT_NE(frame, nullptr) << HostName(i);
+        const StreamingAsap::Frame& expected = reference[i].frame();
+        SCOPED_TRACE("refresh_every=" + std::to_string(refresh_every) +
+                     " shards=" + std::to_string(shard_count) + " " +
+                     HostName(i));
+        EXPECT_EQ(frame->refreshes, expected.refreshes);
+        EXPECT_EQ(frame->window, expected.window);
+        EXPECT_EQ(frame->series, expected.series);
+      }
     }
   }
 }
@@ -631,6 +637,144 @@ TEST(ShardedEngineTimedTest, SequencerWatermarkSurvivesRunBoundaries) {
   ASSERT_EQ(r3.per_series.size(), 1u);
   EXPECT_EQ(r3.per_series[0].late, 210u);
   EXPECT_EQ(FleetView(&two_runs).Frame("split/a")->series, want->series);
+}
+
+TEST(ShardedEngineTimedTest, FlushedRecordsBoundTheNextRunsLateRule) {
+  // Run 1 ends with a flush that releases everything up to ts 999.
+  // Record 985, withheld from run 1, arrives in run 2: it must count
+  // as late, not reopen committed bucket 98 as a one-point pane, so
+  // the split run renders the single-run frame of the input without
+  // it.
+  StreamingOptions timed_options = FleetOptions();
+  timed_options.pane_epoch = 0;
+  timed_options.pane_width_ticks = 10;
+  ShardedEngineOptions engine_options;
+  engine_options.shards = 1;
+  engine_options.sequencer_horizon_ticks = 50;
+  ShardedEngine split =
+      ShardedEngine::Create(timed_options, engine_options).ValueOrDie();
+  ShardedEngine whole =
+      ShardedEngine::Create(timed_options, engine_options).ValueOrDie();
+  const SeriesId id = split.catalog()->Intern("split/b");
+  ASSERT_EQ(whole.catalog()->Intern("split/b"), id);
+
+  const std::vector<double> values = FleetSeries(2, 2000);
+  RecordBatch first;  // ts 0..999 without 985
+  RecordBatch second;  // 985, then ts 1000..1999
+  second.push_back(Record{id, values[985], 985});
+  for (int64_t ts = 0; ts < 2000; ++ts) {
+    const Record r{id, values[static_cast<size_t>(ts)], ts};
+    if (ts < 1000 && ts != 985) {
+      first.push_back(r);
+    } else if (ts >= 1000) {
+      second.push_back(r);
+    }
+  }
+  RecordBatch without = first;
+  without.insert(without.end(), second.begin() + 1, second.end());
+
+  BatchSource run1_source(first);
+  BatchSource run2_source(second);
+  const FleetReport r1 = split.RunToCompletion(&run1_source);
+  const FleetReport r2 = split.RunToCompletion(&run2_source);
+  EXPECT_EQ(r1.late, 0u);
+  EXPECT_EQ(r2.late, 1u);
+  for (const FleetReport* r : {&r1, &r2}) {
+    ASSERT_EQ(r->shards.size(), 1u);
+    EXPECT_EQ(r->shards[0].points + r->late, r->points);
+  }
+  ASSERT_EQ(r2.per_series.size(), 1u);
+  EXPECT_EQ(r2.per_series[0].late, 1u);
+
+  BatchSource whole_source(without);
+  EXPECT_EQ(whole.RunToCompletion(&whole_source).late, 0u);
+  const auto want = FleetView(&whole).Frame("split/b");
+  const auto got = FleetView(&split).Frame("split/b");
+  ASSERT_NE(want, nullptr);
+  ASSERT_NE(got, nullptr);
+  EXPECT_GT(want->refreshes, 0u);
+  EXPECT_EQ(got->refreshes, want->refreshes);
+  EXPECT_EQ(got->window, want->window);
+  EXPECT_EQ(got->series, want->series);
+}
+
+/// A self-deleting temp directory holding one durable store.
+class TempStoreDir {
+ public:
+  TempStoreDir() {
+    char tmpl[] = "/tmp/asap_engine_XXXXXX";
+    const char* made = mkdtemp(tmpl);
+    ASAP_CHECK(made != nullptr);
+    root_ = made;
+  }
+  ~TempStoreDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(root_, ec);
+  }
+  std::string path() const { return root_ + "/store"; }
+
+ private:
+  std::string root_;
+};
+
+TEST(ShardedEngineTimedTest, QuietSeriesCommitsItsLastPaneBehindTheSequencer) {
+  // Series B goes quiet after ts 499 while A runs on to 1999. B's own
+  // clock never reaches its last pane's end (500), but the shard's
+  // floor (watermark - horizon) does: that pane commits, refreshes B,
+  // and reaches the store, so B renders the count-mode frame of its
+  // 500 points.
+  StreamingOptions count_options;
+  count_options.resolution = 100;
+  count_options.visible_points = 1000;  // pane 10
+  StreamingOptions timed_options = count_options;
+  timed_options.pane_width_ticks = 10;
+
+  const std::vector<double> a_values = FleetSeries(0, 2000);
+  const std::vector<double> b_values = FleetSeries(1, 500);
+  StreamingAsap reference = StreamingAsap::Create(count_options).ValueOrDie();
+  reference.PushBatch(b_values);
+  ASSERT_EQ(reference.frame().refreshes, 47u);
+
+  TempStoreDir dir;
+  storage::StoreOptions store_options;
+  store_options.sync = storage::SyncPolicy::kEveryBatch;
+  store_options.background_maintenance = false;
+  auto store = storage::DurableStore::Open(dir.path(), store_options);
+  ASSERT_TRUE(store.ok());
+  ShardedEngineOptions engine_options;
+  engine_options.shards = 1;
+  engine_options.batch_size = 256;
+  engine_options.sequencer_horizon_ticks = 50;
+  engine_options.storage = store->get();
+  ShardedEngine engine =
+      ShardedEngine::Create(timed_options, engine_options).ValueOrDie();
+  const SeriesId a = engine.catalog()->Intern("quiet/a");
+  const SeriesId b = engine.catalog()->Intern("quiet/b");
+  RecordBatch records;
+  for (int64_t ts = 0; ts < 2000; ++ts) {
+    const size_t k = static_cast<size_t>(ts);
+    records.push_back(Record{a, a_values[k], ts});
+    if (ts < 500) {
+      records.push_back(Record{b, b_values[k], ts});
+    }
+  }
+  BatchSource source(records);
+  const FleetReport report = engine.RunToCompletion(&source);
+  EXPECT_EQ(report.late, 0u);
+
+  const auto frame = FleetView(&engine).Frame("quiet/b");
+  ASSERT_NE(frame, nullptr);
+  const StreamingAsap::Frame& want = reference.frame();
+  EXPECT_EQ(frame->refreshes, want.refreshes);
+  EXPECT_EQ(frame->window, want.window);
+  EXPECT_EQ(frame->seeded_searches, want.seeded_searches);
+  EXPECT_EQ(frame->candidates_evaluated, want.candidates_evaluated);
+  ASSERT_EQ(frame->series.size(), want.series.size());
+  EXPECT_EQ(0, std::memcmp(frame->series.data(), want.series.data(),
+                           want.series.size() * sizeof(double)));
+  const Result<uint32_t> sid = (*store)->FindSeries("quiet/b");
+  ASSERT_TRUE(sid.ok());
+  EXPECT_EQ((*store)->PaneCount(sid.ValueOrDie()), 50u);
 }
 
 TEST(ShardedEngineTest, RegistriesPersistAcrossRuns) {

@@ -54,19 +54,39 @@ TEST(StreamingAsapTest, DisablingPreaggregationMakesUnitPanes) {
 
 TEST(StreamingAsapTest, DefaultRefreshIsPerPane) {
   StreamingAsap op = StreamingAsap::Create(BasicOptions()).ValueOrDie();
-  EXPECT_EQ(op.refresh_interval_points(), op.pane_size());
+  EXPECT_EQ(op.refresh_interval_panes(), 1u);
 }
 
 TEST(StreamingAsapTest, RefreshCadenceFollowsInterval) {
+  // Pane 20. Refreshes fire on pane commits: per pane by default once
+  // the 4-pane floor is met (points 80, 100, 120, ...), and every 25
+  // panes at a 500-point interval (points 500, 1000, ...).
+  const std::vector<double> data = PeriodicStream(1, 5000);
+  for (size_t refresh_every : {size_t{0}, size_t{500}}) {
+    StreamingOptions options = BasicOptions();
+    options.refresh_every_points = refresh_every;
+    StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
+    ASSERT_EQ(op.pane_size(), 20u);
+    std::vector<size_t> fired;
+    for (size_t i = 0; i < data.size(); ++i) {
+      if (op.Push(data[i])) {
+        fired.push_back(i + 1);
+      }
+    }
+    std::vector<size_t> expected;
+    const size_t first = refresh_every == 0 ? 80 : refresh_every;
+    const size_t step = refresh_every == 0 ? 20 : refresh_every;
+    for (size_t point = first; point <= data.size(); point += step) {
+      expected.push_back(point);
+    }
+    EXPECT_EQ(fired, expected) << "refresh_every=" << refresh_every;
+    EXPECT_EQ(op.frame().refreshes, expected.size());
+  }
+  // A cadence that is not a whole number of panes rounds up to one.
   StreamingOptions options = BasicOptions();
-  options.refresh_every_points = 500;
-  StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
-  const size_t refreshes = op.PushBatch(PeriodicStream(1, 5000));
-  // 5000 points / 500-point interval = 10 refreshes, minus warm-up
-  // gating (needs >= 4 panes = 80 points, so the first interval fires).
-  EXPECT_GE(refreshes, 8u);
-  EXPECT_LE(refreshes, 10u);
-  EXPECT_EQ(op.frame().refreshes, refreshes);
+  options.refresh_every_points = 250;
+  EXPECT_EQ(StreamingAsap::Create(options).ValueOrDie().refresh_interval_panes(),
+            13u);
 }
 
 TEST(StreamingAsapTest, NoRefreshBeforeWarmup) {
@@ -167,12 +187,23 @@ TEST(StreamingAsapTest, CandidateAccountingAccumulates) {
   EXPECT_GT(op.frame().candidates_evaluated, op.frame().refreshes);
 }
 
+void ExpectSameOperatorState(const StreamingAsap& got,
+                             const StreamingAsap& want) {
+  EXPECT_EQ(got.points_consumed(), want.points_consumed());
+  EXPECT_EQ(got.frame().refreshes, want.frame().refreshes);
+  EXPECT_EQ(got.frame().window, want.frame().window);
+  EXPECT_EQ(got.frame().series, want.frame().series);
+  EXPECT_EQ(got.frame().candidates_evaluated,
+            want.frame().candidates_evaluated);
+}
+
 TEST(StreamingAsapTest, PushBatchFastPathMatchesPerPointPush) {
-  // The pane-granular bulk path must be refresh-for-refresh (and
-  // bitwise) identical to per-point Push, for any batch segmentation
-  // and refresh cadence — including batch boundaries that split panes
+  // The bulk ingest path must be refresh-for-refresh (and bitwise)
+  // identical to per-point ingest, for any batch segmentation and
+  // refresh cadence — including batch boundaries that split panes
   // and refresh intervals smaller than a batch.
   const std::vector<double> data = PeriodicStream(10, 2500);
+  const std::vector<size_t> batches = {1, 3, 64, 1000, data.size()};
   for (size_t refresh_every : {size_t{0}, size_t{7}, size_t{500}}) {
     for (bool preaggregate : {true, false}) {
       StreamingOptions options;
@@ -187,8 +218,7 @@ TEST(StreamingAsapTest, PushBatchFastPathMatchesPerPointPush) {
         point_refreshes += per_point.Push(x) ? 1 : 0;
       }
 
-      for (size_t batch : {size_t{1}, size_t{3}, size_t{64}, size_t{1000},
-                           data.size()}) {
+      for (size_t batch : batches) {
         StreamingAsap bulk = StreamingAsap::Create(options).ValueOrDie();
         size_t bulk_refreshes = 0;
         for (size_t i = 0; i < data.size(); i += batch) {
@@ -199,15 +229,93 @@ TEST(StreamingAsapTest, PushBatchFastPathMatchesPerPointPush) {
                      " preaggregate=" + std::to_string(preaggregate) +
                      " batch=" + std::to_string(batch));
         EXPECT_EQ(bulk_refreshes, point_refreshes);
-        EXPECT_EQ(bulk.points_consumed(), per_point.points_consumed());
-        EXPECT_EQ(bulk.frame().refreshes, per_point.frame().refreshes);
-        EXPECT_EQ(bulk.frame().window, per_point.frame().window);
-        EXPECT_EQ(bulk.frame().series, per_point.frame().series);
-        EXPECT_EQ(bulk.frame().candidates_evaluated,
-                  per_point.frame().candidates_evaluated);
+        ExpectSameOperatorState(bulk, per_point);
       }
     }
   }
+
+  // Timed leg (pane width 10): runs of points sharing a bucket and a
+  // tick, steps of 20 ticks (one empty bucket skipped), jumps of 47
+  // (several), and batch splits inside a bucket.
+  std::vector<int64_t> ts;
+  int64_t tick = 0;
+  Pcg32 rng(11);
+  for (size_t i = 0; i < data.size(); ++i) {
+    const uint32_t r = rng.NextBounded(100);
+    tick += r < 30 ? 0 : r < 90 ? 1 : r < 97 ? 20 : 47;
+    ts.push_back(tick);
+  }
+  for (size_t refresh_every : {size_t{0}, size_t{7}, size_t{500}}) {
+    StreamingOptions options;
+    options.resolution = 100;
+    options.visible_points = 1000;
+    options.refresh_every_points = refresh_every;
+    options.pane_width_ticks = 10;
+    StreamingAsap per_point = StreamingAsap::Create(options).ValueOrDie();
+    size_t point_refreshes = 0;
+    for (size_t i = 0; i < data.size(); ++i) {
+      point_refreshes += per_point.PushTimed(&data[i], &ts[i], 1);
+    }
+    ASSERT_GE(point_refreshes, 5u);
+    for (size_t batch : batches) {
+      StreamingAsap bulk = StreamingAsap::Create(options).ValueOrDie();
+      size_t bulk_refreshes = 0;
+      for (size_t i = 0; i < data.size(); i += batch) {
+        const size_t n = std::min(batch, data.size() - i);
+        bulk_refreshes += bulk.PushTimed(data.data() + i, ts.data() + i, n);
+      }
+      SCOPED_TRACE("timed refresh_every=" + std::to_string(refresh_every) +
+                   " batch=" + std::to_string(batch));
+      EXPECT_EQ(bulk_refreshes, point_refreshes);
+      ExpectSameOperatorState(bulk, per_point);
+    }
+  }
+}
+
+TEST(StreamingAsapTest, TimedFramesDoNotLagCountFrames) {
+  // Timestamps ts = i on a pane grid of 10 ticks: the point with
+  // ts = 10(p + 1) is the frontier reaching pane p's end, so it
+  // commits pane p and renders the frame count mode renders after
+  // 10(p + 1) points — not one pane behind.
+  StreamingOptions count_options;
+  count_options.resolution = 100;
+  count_options.visible_points = 1000;
+  StreamingOptions timed_options = count_options;
+  timed_options.pane_width_ticks = 10;
+  StreamingAsap count = StreamingAsap::Create(count_options).ValueOrDie();
+  StreamingAsap timed = StreamingAsap::Create(timed_options).ValueOrDie();
+  ASSERT_EQ(count.pane_size(), 10u);
+  const std::vector<double> data = PeriodicStream(12, 2000);
+
+  std::vector<StreamingAsap::Frame> count_frames;  // after 10(p + 1) points
+  for (size_t i = 0; i < data.size(); ++i) {
+    count.Push(data[i]);
+    if ((i + 1) % 10 == 0) {
+      count_frames.push_back(count.frame());
+    }
+  }
+  size_t compared = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    const int64_t ts = static_cast<int64_t>(i);
+    timed.PushTimed(&data[i], &ts, 1);
+    if (i % 10 != 0 || i < 40) {
+      continue;
+    }
+    const size_t p = i / 10 - 1;
+    const StreamingAsap::Frame& want = count_frames[p];
+    const StreamingAsap::Frame& got = timed.frame();
+    SCOPED_TRACE("p=" + std::to_string(p));
+    ASSERT_EQ(got.series.size(), want.series.size());
+    EXPECT_EQ(0, std::memcmp(got.series.data(), want.series.data(),
+                             want.series.size() * sizeof(double)));
+    EXPECT_EQ(got.window, want.window);
+    EXPECT_EQ(got.refreshes, want.refreshes);
+    EXPECT_EQ(got.seeded_searches, want.seeded_searches);
+    EXPECT_EQ(got.cold_searches, want.cold_searches);
+    EXPECT_EQ(got.candidates_evaluated, want.candidates_evaluated);
+    ++compared;
+  }
+  EXPECT_EQ(compared, 196u);  // p = 3 .. 198
 }
 
 TEST(StreamingAsapTest, FrameSnapshotPublishesEachRefresh) {

@@ -1,7 +1,10 @@
-// Tests for src/window: SMA (batch, slide, incremental), pane-based
-// aggregation and pixel-aware preaggregation.
+// Tests for src/window: SMA, the pane buffer and pixel-aware
+// preaggregation.
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <optional>
 
 #include "common/random.h"
 #include "window/panes.h"
@@ -77,23 +80,6 @@ TEST(SmaTest, ConstantSeriesIsUnchanged) {
   }
 }
 
-// --- SMA with slide -----------------------------------------------------------
-
-TEST(SmaWithSlideTest, MatchesNaive) {
-  Pcg32 rng(5);
-  std::vector<double> x = UniformVector(&rng, 127, 0, 1);
-  for (size_t w : {1u, 3u, 10u}) {
-    for (size_t s : {1u, 2u, 5u, 10u}) {
-      std::vector<double> fast = SmaWithSlide(x, w, s);
-      std::vector<double> slow = NaiveSma(x, w, s);
-      ASSERT_EQ(fast.size(), slow.size()) << "w=" << w << " s=" << s;
-      for (size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_NEAR(fast[i], slow[i], 1e-9);
-      }
-    }
-  }
-}
-
 // --- Running-sum drift regression (kRecomputeInterval) -------------------------
 
 // Exact mean of x[begin, begin + w) via compensated summation — the
@@ -124,121 +110,97 @@ TEST(SmaTest, DriftStaysBelow1e9OnMillionPointSeries) {
   ASSERT_NEAR(y.back(), ExactWindowMean(x, y.size() - 1, w), 1e-9);
 }
 
-TEST(SmaWithSlideTest, DriftStaysBelow1e9OnMillionPointSeries) {
-  // Regression for the running-sum + periodic-resummation path: before
-  // it shared Sma's kRecomputeInterval bound, a long overlapped-slide
-  // scan either drifted (incremental) or cost O(N * w / slide)
-  // (fresh sums). Pin both accuracy and the exact output geometry.
-  Pcg32 rng(4048);
-  std::vector<double> x = UniformVector(&rng, 1000000, 10.0, 11.0);
-  const size_t w = 1000;
-  for (size_t slide : {1u, 3u, 7u}) {
-    const std::vector<double> y = SmaWithSlide(x, w, slide);
-    ASSERT_EQ(y.size(), (x.size() - w) / slide + 1) << "slide=" << slide;
-    for (size_t k = 0; k < y.size(); k += 9973) {
-      ASSERT_NEAR(y[k], ExactWindowMean(x, k * slide, w), 1e-9)
-          << "slide=" << slide << " k=" << k;
-    }
-    ASSERT_NEAR(y.back(), ExactWindowMean(x, (y.size() - 1) * slide, w), 1e-9)
-        << "slide=" << slide;
-  }
-}
-
-// --- Incremental SMA -----------------------------------------------------------
-
-TEST(IncrementalSmaTest, WarmupThenMatchesBatch) {
-  Pcg32 rng(6);
-  std::vector<double> x = UniformVector(&rng, 100, -1, 1);
-  const size_t w = 8;
-  IncrementalSma inc(w);
-  std::vector<double> batch = Sma(x, w);
-  size_t out_i = 0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    auto v = inc.Push(x[i]);
-    if (i + 1 < w) {
-      EXPECT_FALSE(v.has_value());
-    } else {
-      ASSERT_TRUE(v.has_value());
-      EXPECT_NEAR(*v, batch[out_i++], 1e-9);
-    }
-  }
-  EXPECT_EQ(out_i, batch.size());
-}
-
-TEST(IncrementalSmaTest, ResetClearsWarmup) {
-  IncrementalSma inc(3);
-  inc.Push(1);
-  inc.Push(2);
-  inc.Push(3);
-  EXPECT_TRUE(inc.warm());
-  inc.Reset();
-  EXPECT_FALSE(inc.warm());
-  EXPECT_FALSE(inc.Push(10).has_value());
-}
-
 // --- Panes ----------------------------------------------------------------------
 
-TEST(PanesTest, Gcd) {
-  EXPECT_EQ(Gcd(12, 8), 4u);
-  EXPECT_EQ(Gcd(8, 12), 4u);
-  EXPECT_EQ(Gcd(7, 13), 1u);
-  EXPECT_EQ(Gcd(5, 0), 5u);
-  EXPECT_EQ(Gcd(0, 5), 5u);
-}
-
-TEST(PanesTest, BuildPanesSumsAndCounts) {
-  std::vector<Pane> panes = BuildPanes({1, 2, 3, 4, 5}, 2);
-  ASSERT_EQ(panes.size(), 3u);
-  EXPECT_DOUBLE_EQ(panes[0].sum, 3.0);
-  EXPECT_EQ(panes[0].count, 2u);
-  EXPECT_DOUBLE_EQ(panes[2].sum, 5.0);
-  EXPECT_EQ(panes[2].count, 1u);  // trailing partial pane
-  EXPECT_DOUBLE_EQ(panes[2].Mean(), 5.0);
-}
-
-TEST(PanesTest, PaneSmaMatchesSlideSma) {
-  Pcg32 rng(7);
-  std::vector<double> x = UniformVector(&rng, 240, -3, 3);
-  for (size_t w : {4u, 6u, 12u}) {
-    for (size_t s : {2u, 3u, 6u}) {
-      std::vector<double> via_panes = PaneSma(x, w, s);
-      std::vector<double> direct = SmaWithSlide(x, w, s);
-      ASSERT_EQ(via_panes.size(), direct.size()) << "w=" << w << " s=" << s;
-      for (size_t i = 0; i < direct.size(); ++i) {
-        EXPECT_NEAR(via_panes[i], direct[i], 1e-9);
-      }
-    }
-  }
+// Feeds every point, returning the number of panes committed.
+size_t AddAll(PaneBuffer* buffer, const std::vector<double>& xs,
+              const std::vector<int64_t>& ticks = {}) {
+  size_t commits = 0;
+  buffer->Add(xs.data(), ticks.empty() ? nullptr : ticks.data(), xs.size(),
+              [&] { ++commits; });
+  return commits;
 }
 
 TEST(PaneBufferTest, CompletesPanesAtBoundary) {
-  PaneBuffer buffer(3, 0);
-  EXPECT_FALSE(buffer.Push(1));
-  EXPECT_FALSE(buffer.Push(2));
-  EXPECT_TRUE(buffer.Push(3));  // pane completed
+  // Arrival input: the frontier after a point is its index + 1, so a
+  // pane commits on its width-th point.
+  PaneBuffer buffer(/*width=*/3, /*epoch=*/0, /*max_panes=*/0);
+  EXPECT_EQ(AddAll(&buffer, {1, 2}), 0u);
+  EXPECT_EQ(buffer.open_pane_last(), std::optional<int64_t>(2));
+  EXPECT_EQ(AddAll(&buffer, {3}), 1u);  // pane completed
   EXPECT_EQ(buffer.size(), 1u);
+  EXPECT_FALSE(buffer.open_pane_last().has_value());
   EXPECT_DOUBLE_EQ(buffer.PaneMeans()[0], 2.0);
+  // A batch spanning boundaries reports each commit as it happens,
+  // before the next point joins a pane.
+  const std::vector<double> xs = {4, 5, 6, 7, 8, 9, 10};
+  std::vector<std::vector<double>> at_commit;
+  buffer.Add(xs.data(), nullptr, xs.size(),
+             [&] { at_commit.push_back(buffer.PaneMeans()); });
+  ASSERT_EQ(at_commit.size(), 2u);
+  EXPECT_EQ(at_commit[0], (std::vector<double>{2, 5}));
+  EXPECT_EQ(at_commit[1], (std::vector<double>{2, 5, 8}));
+  EXPECT_EQ(buffer.open_pane_last(), std::optional<int64_t>(11));
+}
+
+TEST(PaneBufferTest, TimedPaneCommitsWhenTheFrontierReachesItsEnd) {
+  // Width 10, epoch 5: buckets [-5, 5), [5, 15), [15, 25), ...
+  PaneBuffer buffer(/*width=*/10, /*epoch=*/5, /*max_panes=*/0);
+  EXPECT_EQ(AddAll(&buffer, {1, 3}, {5, 14}), 0u);
+  EXPECT_EQ(buffer.open_pane_last(), std::optional<int64_t>(14));
+  EXPECT_FALSE(buffer.AdvanceFrontier(14));
+  // A point at the pane's end commits it before joining the next.
+  EXPECT_EQ(AddAll(&buffer, {10}, {15}), 1u);
+  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{2}));
+  // Skipped buckets leave no panes; a point older than the open pane
+  // joins it.
+  EXPECT_EQ(AddAll(&buffer, {20, 6}, {47, 12}), 1u);
+  EXPECT_EQ(buffer.open_pane_last(), std::optional<int64_t>(54));
+  // An outside frontier commits the open pane once it passes the end.
+  EXPECT_FALSE(buffer.AdvanceFrontier(54));
+  EXPECT_TRUE(buffer.AdvanceFrontier(55));
+  EXPECT_FALSE(buffer.AdvanceFrontier(1000));
+  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{2, 10, 13}));
+  // Pre-epoch ticks map to negative buckets.
+  PaneBuffer early(/*width=*/10, /*epoch=*/5, /*max_panes=*/0);
+  EXPECT_EQ(AddAll(&early, {1}, {-6}), 0u);
+  EXPECT_EQ(early.open_pane_last(), std::optional<int64_t>(-6));
+}
+
+TEST(PaneBufferTest, ExtremeTicksLandInTheirBuckets) {
+  // Timed ticks come off the wire, so the smallest and largest int64
+  // must bucket without overflow, and the pane holding the largest
+  // tick ends there: it cannot commit, but it still takes points.
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  // Width 10, epoch -3: buckets [-3 + 10k, 7 + 10k).
+  PaneBuffer buffer(/*width=*/10, /*epoch=*/-3, /*max_panes=*/0);
+  EXPECT_EQ(AddAll(&buffer, {1, 2}, {lo, lo + 1}), 0u);
+  EXPECT_EQ(buffer.open_pane_last(), std::optional<int64_t>(lo + 4));
+  EXPECT_EQ(AddAll(&buffer, {3, 5}, {hi, hi}), 1u);
+  EXPECT_EQ(buffer.open_pane_last(), std::optional<int64_t>(hi));
+  EXPECT_FALSE(buffer.AdvanceFrontier(hi));
+  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{1.5}));
 }
 
 TEST(PaneBufferTest, EvictsOldestBeyondCapacity) {
-  PaneBuffer buffer(1, 3);
-  for (int i = 1; i <= 5; ++i) {
-    buffer.Push(i);
-  }
+  PaneBuffer buffer(/*width=*/1, /*epoch=*/0, /*max_panes=*/3);
+  EXPECT_EQ(AddAll(&buffer, {1, 2, 3, 4, 5}), 5u);
   EXPECT_EQ(buffer.size(), 3u);
   std::vector<double> means = buffer.PaneMeans();
   EXPECT_DOUBLE_EQ(means[0], 3.0);
   EXPECT_DOUBLE_EQ(means[2], 5.0);
-  EXPECT_EQ(buffer.points_consumed(), 5u);
 }
 
 TEST(PaneBufferTest, ResetClears) {
-  PaneBuffer buffer(2, 0);
-  buffer.Push(1);
-  buffer.Push(2);
+  PaneBuffer buffer(/*width=*/2, /*epoch=*/0, /*max_panes=*/0);
+  AddAll(&buffer, {1, 2, 3});
   buffer.Reset();
   EXPECT_EQ(buffer.size(), 0u);
-  EXPECT_EQ(buffer.points_consumed(), 0u);
+  EXPECT_FALSE(buffer.open_pane_last().has_value());
+  // The arrival clock restarts: the next pane is a whole one again.
+  EXPECT_EQ(AddAll(&buffer, {5, 7}), 1u);
+  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{6}));
 }
 
 // --- Preaggregation --------------------------------------------------------------
