@@ -193,8 +193,9 @@ BENCHMARK(BM_VisvalingamSimplify);
 // Side-by-side pairs for each dispatched kernel: the same work through
 // kern::ScalarKernels() and through the runtime-selected SIMD table
 // (identical results by contract — see core/kernels.h — so the pair
-// isolates the vectorization win). On a host without AVX2/NEON, or
-// with ASAP_DISABLE_SIMD set, the Simd variants measure scalar again.
+// isolates the vectorization win). On a host without AVX2/NEON, or in
+// a -DASAP_DISABLE_SIMD=ON build, the Simd variants measure scalar
+// again.
 // Run with --benchmark_filter='ScalarVsSimd' for just these.
 
 asap::ExecPolicy SimdOnlyPolicy(asap::SimdMode mode) {

@@ -8,14 +8,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "core/streaming_asap.h"
 #include "stream/source.h"
-#include "telemetry/metrics.h"
 
 namespace asap {
 namespace bench {
@@ -71,32 +69,6 @@ inline double TimeBest(const std::function<void()>& fn, int reps = 3) {
     Stopwatch watch;
     fn();
     best = std::min(best, watch.ElapsedSeconds());
-  }
-  return best;
-}
-
-/// TimeBest that also records every rep into the global telemetry
-/// registry as asap_bench_seconds{case="<label>"} — the bench tier
-/// dogfooding the same histogram the production hot paths use. A
-/// harness can RenderPrometheus(MetricsRegistry::Global()) at exit to
-/// emit all its timings in one machine-readable block.
-inline double TimeBestReported(const std::string& label,
-                               const std::function<void()>& fn, int reps = 3) {
-  std::shared_ptr<telemetry::LatencyHistogram> hist =
-      telemetry::MetricsRegistry::Global().GetHistogram(
-          {"asap_bench_seconds",
-           "Per-rep bench case wall time",
-           {{"case", label}},
-           1e-9});
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch watch;
-    fn();
-    const uint64_t nanos = watch.ElapsedNanos();
-    if (hist != nullptr) {
-      hist->Record(nanos);
-    }
-    best = std::min(best, static_cast<double>(nanos) * 1e-9);
   }
   return best;
 }

@@ -7,7 +7,6 @@
 #include "core/kernels.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 namespace asap {
@@ -148,9 +147,6 @@ const KernelTable* PickSimdTable() {
 #if defined(ASAP_DISABLE_SIMD)
   return nullptr;
 #else
-  if (std::getenv("ASAP_DISABLE_SIMD") != nullptr) {
-    return nullptr;
-  }
   if (const KernelTable* t = internal::GetNeonKernels()) {
     return t;
   }

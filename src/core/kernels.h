@@ -107,9 +107,8 @@ struct KernelTable {
 const KernelTable& ScalarKernels();
 
 /// The table to use under `mode`: the widest implementation compiled
-/// in and supported by this CPU, unless mode forces scalar, the build
-/// was configured with ASAP_DISABLE_SIMD, or the ASAP_DISABLE_SIMD
-/// environment variable is set (checked once per process).
+/// in and supported by this CPU, unless mode forces scalar or the
+/// build was configured with ASAP_DISABLE_SIMD.
 const KernelTable& ActiveKernels(SimdMode mode);
 
 /// True iff a non-scalar table is compiled in and usable on this CPU.

@@ -12,12 +12,7 @@
 namespace asap {
 
 size_t SearchOptions::ResolveMaxWindow(size_t n) const {
-  size_t mw = max_window;
-  if (mw == 0) {
-    const size_t divisor = max_window_divisor == 0 ? 10 : max_window_divisor;
-    mw = n / divisor;
-  }
-  mw = std::min(mw, n);
+  const size_t mw = std::min(max_window == 0 ? n / 10 : max_window, n);
   return std::max<size_t>(mw, 1);
 }
 

@@ -60,11 +60,9 @@ struct SearchResult {
 
 /// Search-space configuration.
 struct SearchOptions {
-  /// Largest window to consider; 0 = auto (N / max_window_divisor).
+  /// Largest window to consider; 0 = auto: N / 10, as in the paper's
+  /// implementations (it reproduces Table 2's candidate counts).
   size_t max_window = 0;
-  /// Divisor for the automatic max window (paper's implementations use
-  /// N/10, which reproduces Table 2's candidate counts).
-  size_t max_window_divisor = 10;
   /// ACF peak detection threshold (ASAP only).
   double acf_threshold = 0.2;
   /// Step for grid search.

@@ -184,8 +184,8 @@ class StreamingAsap {
   /// refreshes replay at the pane counts live ingestion ran them and
   /// frames (and the snapshot ring) come out identical to an
   /// uninterrupted run. With cadenced == false the panes load in bulk
-  /// and a single Refresh renders the final frame (fast-forward
-  /// recovery). Only legal before any live point is pushed.
+  /// and a single Refresh renders the final frame (a bulk warm-up).
+  /// Only legal before any live point is pushed.
   void RestorePanes(const double* means, size_t n, bool cadenced);
 
   const Frame& frame() const { return frame_; }

@@ -243,40 +243,5 @@ std::vector<Complex> NaiveDft(const std::vector<Complex>& input, bool inverse) {
   return out;
 }
 
-std::vector<double> CircularConvolve(const std::vector<double>& a,
-                                     const std::vector<double>& b) {
-  ASAP_CHECK_EQ(a.size(), b.size());
-  std::vector<Complex> fa = RealTransform(a);
-  std::vector<Complex> fb = RealTransform(b);
-  for (size_t i = 0; i < fa.size(); ++i) {
-    fa[i] *= fb[i];
-  }
-  return InverseRealTransform(fa);
-}
-
-std::vector<double> LinearConvolve(const std::vector<double>& a,
-                                   const std::vector<double>& b) {
-  ASAP_CHECK(!a.empty());
-  ASAP_CHECK(!b.empty());
-  const size_t out_size = a.size() + b.size() - 1;
-  const size_t m = NextPowerOfTwo(out_size);
-  std::vector<double> pa(m, 0.0);
-  std::vector<double> pb(m, 0.0);
-  std::copy(a.begin(), a.end(), pa.begin());
-  std::copy(b.begin(), b.end(), pb.begin());
-  std::vector<double> conv = CircularConvolve(pa, pb);
-  conv.resize(out_size);
-  return conv;
-}
-
-std::vector<double> PowerSpectrum(const std::vector<double>& input) {
-  std::vector<Complex> spectrum = RealTransform(input);
-  std::vector<double> power(spectrum.size());
-  for (size_t i = 0; i < spectrum.size(); ++i) {
-    power[i] = std::norm(spectrum[i]);
-  }
-  return power;
-}
-
 }  // namespace fft
 }  // namespace asap

@@ -66,17 +66,6 @@ std::vector<double> InverseRealTransform(const std::vector<Complex>& spectrum);
 /// Quadratic-time reference DFT for testing the fast paths.
 std::vector<Complex> NaiveDft(const std::vector<Complex>& input, bool inverse);
 
-/// Circular convolution of equal-length vectors via FFT.
-std::vector<double> CircularConvolve(const std::vector<double>& a,
-                                     const std::vector<double>& b);
-
-/// Linear convolution via zero-padded FFT; result size = |a| + |b| - 1.
-std::vector<double> LinearConvolve(const std::vector<double>& a,
-                                   const std::vector<double>& b);
-
-/// Power spectrum |X_k|^2 of a real signal (n bins).
-std::vector<double> PowerSpectrum(const std::vector<double>& input);
-
 }  // namespace fft
 }  // namespace asap
 

@@ -42,6 +42,23 @@ int64_t GetI64(const char* p) {
 
 bool IsLineSpace(char c) { return c == ' ' || c == '\t'; }
 
+// Bytes of `data` that the carried partial frame `carry` still lacks:
+// the rest of a binary header, then of its (already vetted) payload,
+// or a text line's bytes through the next newline (all of `data` when
+// it holds none).
+size_t CarryShortfall(const std::vector<char>& carry, const char* data,
+                      size_t n) {
+  const unsigned char first = static_cast<unsigned char>(carry.front());
+  if (first == kBinaryMagic || first == kNameMagic || first == kTimedMagic) {
+    if (carry.size() < kBinaryHeaderBytes) {
+      return kBinaryHeaderBytes - carry.size();
+    }
+    return kBinaryHeaderBytes + GetU32(carry.data() + 1) - carry.size();
+  }
+  const char* nl = static_cast<const char*>(std::memchr(data, '\n', n));
+  return nl == nullptr ? n : static_cast<size_t>(nl - data) + 1;
+}
+
 }  // namespace
 
 const char* WireEncodingName(WireEncoding encoding) {
@@ -182,19 +199,27 @@ bool FrameDecoder::Feed(const char* data, size_t n, stream::RecordBatch* out) {
     return false;
   }
   stats_.bytes += n;
-  if (buffer_.empty()) {
-    // Common case: no carry-over — decode straight from the caller's
-    // slice and stash only the unconsumed tail.
+  // A carried partial frame takes from the slice only the bytes it
+  // lacks. Appending the whole slice instead would copy every byte of
+  // a stream whose frames straddle each read, as they do under
+  // fixed-size reads.
+  while (!buffer_.empty() && n > 0 && !poisoned_) {
+    const size_t take = std::min(n, CarryShortfall(buffer_, data, n));
+    buffer_.insert(buffer_.end(), data, data + take);
+    data += take;
+    n -= take;
+    const size_t consumed = DecodeSome(buffer_.data(), buffer_.size(), out);
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<ptrdiff_t>(consumed));
+  }
+  if (buffer_.empty() && !poisoned_) {
+    // Decode straight from the caller's slice and stash only the
+    // unconsumed tail.
     const size_t consumed = DecodeSome(data, n, out);
     if (consumed < n) {
       buffer_.assign(data + consumed, data + n);
     }
-    return !poisoned_;
   }
-  buffer_.insert(buffer_.end(), data, data + n);
-  const size_t consumed = DecodeSome(buffer_.data(), buffer_.size(), out);
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<ptrdiff_t>(consumed));
   return !poisoned_;
 }
 
@@ -293,7 +318,6 @@ size_t FrameDecoder::DecodeSome(const char* data, size_t size,
               r.ts = GetI64(p + 12);
               stats_.timed_records += 1;
             } else {
-              r.ts = stamp_clock_ != nullptr ? stamp_clock_(stamp_ctx_) : 0;
               stats_.stamped_records += 1;
             }
             out->push_back(r);
@@ -410,10 +434,9 @@ void FrameDecoder::DecodeLine(const char* line, size_t len,
     return;
   }
   // Optional <timestamp>: a full int64 token, and nothing after it.
-  // Its absence is the pre-timestamp two-token grammar (the record is
-  // server-stamped); a token that is present but unparsable, or a
-  // fourth token, makes the whole line malformed — exactly one unit
-  // is counted either way.
+  // Its absence is the pre-timestamp two-token grammar (ts = 0); a
+  // token that is present but unparsable, or a fourth token, makes
+  // the whole line malformed — exactly one unit is counted either way.
   p = value_end;
   while (p < end && IsLineSpace(*p)) {
     ++p;
@@ -453,7 +476,6 @@ void FrameDecoder::DecodeLine(const char* line, size_t len,
   if (timed) {
     stats_.timed_records += 1;
   } else {
-    ts = stamp_clock_ != nullptr ? stamp_clock_(stamp_ctx_) : 0;
     stats_.stamped_records += 1;
   }
   out->push_back(stream::Record{id, value, ts});

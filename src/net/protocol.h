@@ -15,11 +15,10 @@
 //       emitted as the shortest round-trip decimal (std::to_chars) so
 //       the receiver recovers the exact bits, independent of locale.
 //     - timestamp (optional third token): a decimal int64 in the
-//       sender's tick unit. Two-token lines remain valid — the
-//       receiver stamps them from its own clock (see
-//       FrameDecoder::set_stamp_clock) — so pre-timestamp collectors
-//       keep working unchanged. A present-but-unparsable third token
-//       (or a fourth token) makes the line malformed.
+//       sender's tick unit. Two-token lines remain valid and decode
+//       with ts = 0, so pre-timestamp collectors keep working
+//       unchanged. A present-but-unparsable third token (or a fourth
+//       token) makes the line malformed.
 //     - LF or CRLF terminated; empty lines are ignored; a malformed
 //       line (bad grammar, invalid name, non-finite value) is counted
 //       and skipped, the stream keeps going. Nothing is interned for
@@ -43,9 +42,8 @@
 //       on the same connection; records referencing an unregistered
 //       id are counted (unknown_series_records) and skipped — never
 //       guessed at or silently truncated into some other series.
-//     - Carries no timestamps: decoded records are stamped by the
-//       receiver's stamp clock (or 0). Still fully supported so
-//       pre-timestamp collectors keep working.
+//     - Carries no timestamps: decoded records get ts = 0. Still
+//       fully supported so pre-timestamp collectors keep working.
 //
 //   Timestamped binary record frames (0xA7):
 //       0xA7 | u32 payload_bytes (LE) | payload
@@ -207,11 +205,10 @@ struct DecoderStats {
   uint64_t text_records = 0;
   uint64_t binary_records = 0;
   /// Of `records`, how many carried a wire timestamp (three-token
-  /// text lines or 0xA7 frames); the rest were server-stamped.
+  /// text lines or 0xA7 frames).
   uint64_t timed_records = 0;
-  /// Records that arrived without a wire timestamp and were stamped
-  /// by the decoder (from the stamp clock, or 0 when none is set).
-  /// Invariant: timed_records + stamped_records == records.
+  /// Records that arrived without a wire timestamp and decoded with
+  /// ts = 0. Invariant: timed_records + stamped_records == records.
   uint64_t stamped_records = 0;
   /// Complete binary record frames decoded (0xA5 and 0xA7).
   uint64_t binary_frames = 0;
@@ -238,23 +235,8 @@ struct DecoderStats {
 /// (normally ShardedEngine::catalog()).
 class FrameDecoder {
  public:
-  /// Server-stamp clock: called once per record that arrives without
-  /// a wire timestamp (two-token text, 0xA5 frames). A function
-  /// pointer + context (not std::function) keeps the per-record call
-  /// a plain indirect call on the decode hot path.
-  using StampClock = int64_t (*)(void* ctx);
-
   explicit FrameDecoder(stream::SeriesCatalog* catalog,
                         size_t max_frame_bytes = kDefaultMaxFrameBytes);
-
-  /// Installs (or clears, with nullptr) the clock used to stamp
-  /// records that carry no wire timestamp. Without one such records
-  /// decode with ts == 0 — deterministic, and ignored entirely by the
-  /// engine's arrival-order mode.
-  void set_stamp_clock(StampClock clock, void* ctx) {
-    stamp_clock_ = clock;
-    stamp_ctx_ = ctx;
-  }
 
   /// Decodes as many complete frames from `data[0, n)` (plus any
   /// carried-over partial) as possible, appending records to *out.
@@ -311,8 +293,6 @@ class FrameDecoder {
   bool poisoned_ = false;
   /// Inside an oversized text line, discarding until its newline.
   bool discarding_line_ = false;
-  StampClock stamp_clock_ = nullptr;
-  void* stamp_ctx_ = nullptr;
   DecoderStats stats_;
 };
 

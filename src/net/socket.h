@@ -74,9 +74,8 @@ RecvStatus RecvSome(int fd, char* buffer, size_t capacity, size_t* n);
 Status SendAll(int fd, const char* data, size_t n);
 
 /// Opens a listening IPv4 TCP socket on host:port (port 0 picks an
-/// ephemeral port — read it back with LocalPort). SO_REUSEADDR is set
-/// and TCP_NODELAY is inherited by accepted connections via the
-/// caller's option choice, not here.
+/// ephemeral port — read it back with LocalPort). SO_REUSEADDR is set;
+/// TCP_NODELAY is the caller's to set on accepted connections.
 Result<Socket> ListenTcp(const std::string& host, uint16_t port, int backlog);
 
 /// The port a TCP listener actually bound (resolves port 0).

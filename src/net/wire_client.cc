@@ -9,6 +9,9 @@ namespace net {
 
 namespace {
 
+// Encoded bytes buffered before an automatic flush.
+constexpr size_t kSendBufferBytes = 256 * 1024;
+
 Status ValidateClientOptions(WireClientOptions* options) {
   if (options->catalog == nullptr) {
     return Status::InvalidArgument(
@@ -34,7 +37,7 @@ WireClient::WireClient(Socket sock, const WireClientOptions& options)
       options_(options),
       encoder_(options.catalog, options.encoding, options.frame_records,
                options.timestamped) {
-  wire_buffer_.reserve(options_.send_buffer_bytes);
+  wire_buffer_.reserve(kSendBufferBytes);
 }
 
 Result<WireClient> WireClient::ConnectTcp(const std::string& host,
@@ -54,13 +57,13 @@ Result<WireClient> WireClient::ConnectUds(const std::string& path,
 
 Status WireClient::Send(const stream::Record* records, size_t n) {
   // Encode frame-sized chunks with the flush check between them, so
-  // one huge Send stays bounded at ~send_buffer_bytes of encode
+  // one huge Send stays bounded at ~kSendBufferBytes of encode
   // buffer instead of materializing the whole batch.
   for (size_t i = 0; i < n; i += options_.frame_records) {
     const size_t chunk = std::min(options_.frame_records, n - i);
     encoder_.Encode(records + i, chunk, &wire_buffer_);
     records_sent_ += chunk;
-    if (wire_buffer_.size() >= options_.send_buffer_bytes) {
+    if (wire_buffer_.size() >= kSendBufferBytes) {
       ASAP_RETURN_NOT_OK(Flush());
     }
   }

@@ -28,7 +28,7 @@ struct WireClientOptions {
   /// Send per-record timestamps: 0xA7 frames instead of 0xA5,
   /// three-token text lines instead of two. Each record's Record::ts
   /// travels verbatim. Off by default — the pre-timestamp wire bytes
-  /// are unchanged, and the receiver server-stamps.
+  /// are unchanged, and the receiver decodes ts = 0.
   bool timestamped = false;
   /// Records per binary frame (text is unframed lines). Clamped to
   /// kDefaultMaxFrameRecords (kDefaultMaxTimedFrameRecords when
@@ -36,8 +36,6 @@ struct WireClientOptions {
   /// max_frame_bytes poisons the connection, so servers configured
   /// below the default bound need a matching smaller value here.
   size_t frame_records = 512;
-  /// Encoded bytes buffered before an automatic flush.
-  size_t send_buffer_bytes = 256 * 1024;
 };
 
 /// One collector connection. Move-only; Close() (or destruction)

@@ -39,16 +39,26 @@ constexpr uint64_t kFirstConnectionTag = 16;
 // listener re-arms for the rest.
 constexpr size_t kMaxAcceptsPerTurn = 16;
 
+// A loop flushes its batch to the output queue at the end of every
+// turn, or mid-turn at this many records: bounds loop-local memory
+// while a firehose connection is drained to EAGAIN.
+constexpr size_t kLoopBatchRecords = 8192;
+
+// Depth, in batches, of the decoded-output queue between the loops
+// and PollOnce. A full queue blocks the loops: TCP backpressure.
+constexpr size_t kQueueBatches = 32;
+
+// recv() size per ready connection per read step.
+constexpr size_t kReadChunkBytes = 64 * 1024;
+
 }  // namespace
 
 struct WireServer::Core {
   // ---- one accepted connection, owned by exactly one loop ----------
   struct Connection {
     Connection(Socket s, stream::SeriesCatalog* catalog,
-               const WireServerOptions& options)
-        : sock(std::move(s)), decoder(catalog, options.max_frame_bytes) {
-      decoder.set_stamp_clock(options.stamp_clock, options.stamp_ctx);
-    }
+               size_t max_frame_bytes)
+        : sock(std::move(s)), decoder(catalog, max_frame_bytes) {}
 
     Socket sock;
     FrameDecoder decoder;
@@ -151,7 +161,7 @@ struct WireServer::Core {
     uint64_t next_tag = kFirstConnectionTag;
     std::vector<char> read_buffer;
     /// The loop's fill batch, flushed to the output queue each turn
-    /// (or mid-turn at loop_batch_records).
+    /// (or mid-turn at kLoopBatchRecords).
     std::unique_ptr<stream::RecordBatch> batch;
     /// Tags of connections that hit EOF/error/poison this turn;
     /// retired only *after* the turn's flush so the consumer never
@@ -184,7 +194,6 @@ struct WireServer::Core {
   std::atomic<bool> started{false};
   std::atomic<bool> stopping{false};
   std::atomic<bool> stopped{false};
-  std::atomic<bool> close_listeners{false};
   /// Only a path this server actually bound may be unlinked — a
   /// failed Create (e.g. the path exists and is not a socket) must
   /// leave the caller's file alone.
@@ -249,7 +258,7 @@ struct WireServer::Core {
 
   void RecycleBatchLocked(std::unique_ptr<stream::RecordBatch> batch) {
     batch->clear();
-    if (free_batches.size() < options.queue_batches + loops.size()) {
+    if (free_batches.size() < kQueueBatches + loops.size()) {
       free_batches.push_back(std::move(batch));
     }
   }
@@ -298,7 +307,7 @@ struct WireServer::Core {
     l->counters.batch_size->Record(n);
     std::unique_lock<std::mutex> lk(queue_mu);
     queue_not_full.wait(lk, [&] {
-      return queue.size() < options.queue_batches ||
+      return queue.size() < kQueueBatches ||
              stopping.load(std::memory_order_acquire);
     });
     queue.push_back(std::move(l->batch));
@@ -310,7 +319,7 @@ struct WireServer::Core {
   /// Registers an accepted (slot-reserved) socket with this loop.
   void AdoptConnection(Loop* l, Socket sock, bool via_handoff) {
     auto conn = std::make_unique<Connection>(std::move(sock), catalog,
-                                             options);
+                                             options.max_frame_bytes);
     const uint64_t tag = l->next_tag++;
     if (!l->ev.Add(conn->sock.fd(), tag, /*edge_triggered=*/true).ok()) {
       rejected->Increment();
@@ -357,7 +366,7 @@ struct WireServer::Core {
         continue;  // sock closes on scope exit
       }
       accepted.fetch_add(1, std::memory_order_relaxed);
-      if (is_tcp && options.tcp_nodelay) {
+      if (is_tcp) {
         (void)sock.SetTcpNoDelay();  // advisory; never worth a drop
       }
       // Once stopping, peer loops may have exited their final adopt — a
@@ -388,13 +397,13 @@ struct WireServer::Core {
   }
 
   /// Drains one connection to EAGAIN/EOF/error, decoding into the
-  /// loop's batch (mid-drain flush at loop_batch_records). Marks the
+  /// loop's batch (mid-drain flush at kLoopBatchRecords). Marks the
   /// connection dead (into l->dead) when the stream ended.
   void DrainConnection(Loop* l, uint64_t tag, Connection* conn) {
     telemetry::ScopedTimer decode_timer(l->counters.decode_nanos.get());
     bool dead = false;
     for (;;) {
-      if (l->batch->size() >= options.loop_batch_records) {
+      if (l->batch->size() >= kLoopBatchRecords) {
         FlushBatch(l);
       }
       size_t n = 0;
@@ -495,9 +504,6 @@ struct WireServer::Core {
         l->counters.events->Add(n);
       }
       AdoptMailbox(l);
-      if (close_listeners.load(std::memory_order_acquire)) {
-        CloseOwnListeners(l);
-      }
       for (const EventLoop::Event& ev : events) {
         if (ev.tag == kTcpListenerTag) {
           if (l->tcp_listener.valid()) {
@@ -541,9 +547,8 @@ struct WireServer::Core {
   /// runs on the Stop() thread after every loop has joined.
   void DrainStray(Socket sock) {
     FrameDecoder decoder(catalog, options.max_frame_bytes);
-    decoder.set_stamp_clock(options.stamp_clock, options.stamp_ctx);
     stream::RecordBatch batch;
-    std::vector<char> buf(options.read_chunk_bytes);
+    std::vector<char> buf(kReadChunkBytes);
     for (;;) {
       size_t n = 0;
       const RecvStatus rs = RecvSome(sock.fd(), buf.data(), buf.size(), &n);
@@ -651,9 +656,6 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
   if (options.max_connections < 1) {
     return Status::InvalidArgument("max_connections must be >= 1");
   }
-  if (options.read_chunk_bytes < 1) {
-    return Status::InvalidArgument("read_chunk_bytes must be >= 1");
-  }
   if (options.max_frame_bytes < kBinaryHeaderBytes + kBinaryRecordBytes) {
     // Checked here so a bad bound is an InvalidArgument at Create, not
     // a FrameDecoder ASAP_CHECK abort at first accept.
@@ -662,12 +664,6 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
   }
   if (options.num_event_loops < 1) {
     return Status::InvalidArgument("num_event_loops must be >= 1");
-  }
-  if (options.loop_batch_records < 1) {
-    return Status::InvalidArgument("loop_batch_records must be >= 1");
-  }
-  if (options.queue_batches < 1) {
-    return Status::InvalidArgument("queue_batches must be >= 1");
   }
 
   auto core = std::make_unique<Core>();
@@ -694,7 +690,7 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
     core->loops.push_back(std::make_unique<Core::Loop>(std::move(ev)));
     Core::Loop* l = core->loops.back().get();
     l->id = i;
-    l->read_buffer.resize(options.read_chunk_bytes);
+    l->read_buffer.resize(kReadChunkBytes);
     l->batch = std::make_unique<stream::RecordBatch>();
     l->counters.Register(core->metrics, i);
   }
@@ -756,22 +752,6 @@ size_t WireServer::pending_records() const {
     n += core_->delivering->size() - core_->delivering_pos;
   }
   return n;
-}
-
-void WireServer::CloseListeners() {
-  if (!core_->started.load(std::memory_order_acquire)) {
-    Core::Loop* acceptor = core_->loops[0].get();
-    acceptor->tcp_listener.Close();
-    if (acceptor->uds_listener.valid()) {
-      acceptor->uds_listener.Close();
-      core_->UnlinkUds();
-    }
-    return;
-  }
-  core_->close_listeners.store(true, std::memory_order_release);
-  for (auto& l : core_->loops) {
-    l->ev.Wake();
-  }
 }
 
 size_t WireServer::PollOnce(int timeout_ms, size_t max_records,

@@ -61,40 +61,12 @@ struct WireServerOptions {
   /// deals accepted sockets round-robin across all loops.
   size_t num_event_loops = 1;
 
-  /// Per-loop decode-batch cap: a loop flushes its batch to the
-  /// output queue at the end of every loop turn, or mid-turn once the
-  /// batch holds this many records (bounds loop-local memory while a
-  /// firehose connection is drained to EAGAIN).
-  size_t loop_batch_records = 8192;
-
-  /// Bounded depth (in batches) of the decoded-output queue between
-  /// the loops and PollOnce. A full queue blocks the loops — TCP
-  /// backpressure to collectors — until the consumer drains.
-  size_t queue_batches = 32;
-
   /// Connections beyond this (across all loops) are accepted and
   /// immediately closed (counted in stats().rejected_connections).
   size_t max_connections = 64;
 
-  /// Disable Nagle on accepted TCP connections (harmless no-op for
-  /// UDS): collectors see acks promptly if a reply channel is added.
-  bool tcp_nodelay = true;
-
-  /// recv() size per ready connection per read step.
-  size_t read_chunk_bytes = 64 * 1024;
-
   /// Frame bound handed to each connection's FrameDecoder.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-
-  /// Server-stamp clock installed on every connection's decoder:
-  /// records arriving without a wire timestamp (two-token text lines,
-  /// 0xA5 frames) get Record::ts = stamp_clock(stamp_ctx) at decode
-  /// time. Timestamped wire input (three-token lines, 0xA7 frames) is
-  /// never re-stamped. Null (the default) stamps 0 — fully
-  /// deterministic, and what the pre-timestamp tests assume. Called
-  /// from event-loop threads; must be thread-safe.
-  FrameDecoder::StampClock stamp_clock = nullptr;
-  void* stamp_ctx = nullptr;
 
   int listen_backlog = 128;
 
@@ -240,10 +212,6 @@ class WireServer {
   /// The registry holding this server's asap_wire_* instruments: the
   /// injected WireServerOptions::metrics, or the server-private one.
   telemetry::MetricsRegistry* metrics() const;
-
-  /// Asks the loops to close the listeners (existing connections keep
-  /// draining); takes effect on each loop's next turn.
-  void CloseListeners();
 
  private:
   struct Core;

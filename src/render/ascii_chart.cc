@@ -30,9 +30,7 @@ std::string RenderWithAxis(const std::vector<double>& values,
     }
     out += label;
     for (size_t x = 0; x < options.width; ++x) {
-      out += canvas.Get(static_cast<long>(x), static_cast<long>(y))
-                 ? options.mark
-                 : ' ';
+      out += canvas.Get(static_cast<long>(x), static_cast<long>(y)) ? '*' : ' ';
     }
     out += '\n';
   }

@@ -14,7 +14,6 @@ namespace render {
 struct AsciiChartOptions {
   size_t width = 72;   // plot columns (excluding axis labels)
   size_t height = 14;  // plot rows
-  char mark = '*';
   /// Optional title printed above the chart.
   std::string title;
 };

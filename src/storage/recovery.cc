@@ -1,32 +1,17 @@
 #include "storage/recovery.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/macros.h"
-#include "core/streaming_asap.h"
-#include "stream/catalog.h"
 
 namespace asap {
 namespace storage {
 
 Result<EngineReplayReport> ReplayIntoEngine(const DurableStore& store,
                                             stream::ShardedEngine* engine,
-                                            ReplayFidelity fidelity) {
+                                            ReplayFidelity /*fidelity*/) {
   ASAP_CHECK(engine != nullptr);
   EngineReplayReport report;
-
-  // Fast-forward only needs the panes the operator can retain: the
-  // visible window's worth (same floor StreamingAsap applies).
-  size_t keep_panes = 0;
-  if (fidelity == ReplayFidelity::kFastForward) {
-    ASAP_ASSIGN_OR_RETURN(StreamingAsap probe,
-                          StreamingAsap::Create(engine->series_options()));
-    const size_t pane = std::max<size_t>(probe.pane_size(), 1);
-    keep_panes = std::max<size_t>(
-        engine->series_options().visible_points / pane, 4);
-  }
-
   std::vector<double> means;
   const size_t sids = store.series_count();
   for (uint32_t sid = 0; sid < sids; ++sid) {
@@ -36,16 +21,9 @@ Result<EngineReplayReport> ReplayIntoEngine(const DurableStore& store,
       ++report.series_skipped;
       continue;
     }
-    uint64_t first = 0;
-    uint64_t count = total;
-    if (fidelity == ReplayFidelity::kFastForward && total > keep_panes) {
-      first = total - keep_panes;
-      count = keep_panes;
-    }
-    ASAP_RETURN_NOT_OK(store.ReadPanes(sid, first, count, &means));
-    const Status st = engine->RestoreSeries(
-        name, means.data(), means.size(),
-        /*cadenced=*/fidelity == ReplayFidelity::kFaithful);
+    ASAP_RETURN_NOT_OK(store.ReadPanes(sid, 0, total, &means));
+    const Status st = engine->RestoreSeries(name, means.data(), means.size(),
+                                            /*cadenced=*/true);
     if (!st.ok()) {
       // Per-series rejection (invalid name, operator already live):
       // recovery keeps going and the caller sees the skip count.

@@ -6,22 +6,11 @@
 // the SeriesCatalog + ShardedEngine ingest surface so dashboards see
 // the fleet exactly where it left off.
 //
-// Two fidelities:
-//
-//   kFaithful     — every recovered pane replays through the live
-//                   refresh cadence. Published frames, snapshot rings,
-//                   and frame counters come out bitwise identical to a
-//                   process that never crashed (the crash-recovery
-//                   property tests pin this). Cost: one window search
-//                   per refresh interval of history.
-//
-//   kFastForward  — only the visible window's worth of panes loads
-//                   (bulk), and one refresh renders the final frame.
-//                   The current frame matches the faithful result's
-//                   series values whenever the search is
-//                   deterministic; lifetime counters and ring depth
-//                   don't. Right for huge histories where time-to-
-//                   serve beats counter parity.
+// Replay is faithful: every recovered pane replays through the live
+// refresh cadence, so published frames, snapshot rings, and frame
+// counters come out bitwise identical to a process that never crashed
+// (the crash-recovery property tests pin this). Cost: one window
+// search per refresh interval of history.
 
 #ifndef ASAP_STORAGE_RECOVERY_H_
 #define ASAP_STORAGE_RECOVERY_H_
@@ -35,9 +24,9 @@
 namespace asap {
 namespace storage {
 
+/// How ReplayIntoEngine replays: faithfully (above), the only mode.
 enum class ReplayFidelity {
   kFaithful,
-  kFastForward,
 };
 
 /// What ReplayIntoEngine restored.

@@ -424,8 +424,7 @@ Status DurableStore::Sync() { return wal_->Sync(); }
 
 Status DurableStore::CompactOnce(bool force) {
   std::lock_guard<std::mutex> compact_lock(compact_mu_);
-  if (!force &&
-      wal_->SealedSeqs().size() < options_.compact_after_sealed_segments) {
+  if (!force && wal_->SealedSeqs().empty()) {
     return Status::OK();
   }
   telemetry::ScopedTimer timer(compaction_nanos_.get());
@@ -566,11 +565,10 @@ Status DurableStore::ReadPanes(uint32_t sid, uint64_t first, uint64_t count,
 }
 
 void DurableStore::MaintenanceLoop() {
-  const auto interval = std::chrono::duration<double>(
-      std::max(options_.maintenance_interval_seconds, 0.01));
+  constexpr auto kInterval = std::chrono::milliseconds(250);
   std::unique_lock<std::mutex> lock(maint_mu_);
   while (!stopping_) {
-    maint_cv_.wait_for(lock, interval, [this] { return stopping_; });
+    maint_cv_.wait_for(lock, kInterval, [this] { return stopping_; });
     if (stopping_) {
       return;
     }

@@ -55,13 +55,10 @@ struct StoreOptions {
   SyncPolicy sync = SyncPolicy::kInterval;
   double sync_interval_seconds = 0.05;
   size_t wal_segment_bytes = 16u << 20;
-  /// Background compaction runs when at least this many sealed WAL
-  /// segments are waiting (or unconditionally via CompactOnce(true)).
-  size_t compact_after_sealed_segments = 1;
-  /// Start a background thread that enforces the kInterval sync
-  /// deadline during idle periods and triggers compaction.
+  /// Start a background thread that, every 250 ms, enforces the
+  /// kInterval sync deadline during idle periods and compacts once a
+  /// sealed WAL segment is waiting (CompactOnce(false)).
   bool background_maintenance = true;
-  double maintenance_interval_seconds = 0.25;
   /// Registers the asap_store_* instrument family when non-null.
   telemetry::MetricsRegistry* metrics = nullptr;
 };
@@ -125,8 +122,8 @@ class DurableStore {
   Status Sync();
 
   /// Compacts the pane tail into a chunk and prunes covered WAL
-  /// segments. With force=false, no-ops unless enough sealed segments
-  /// are waiting. Serialized internally; safe alongside appends.
+  /// segments. With force=false, no-ops unless a sealed segment is
+  /// waiting. Serialized internally; safe alongside appends.
   Status CompactOnce(bool force);
 
   /// Total durable panes for `sid` (chunks + tail).

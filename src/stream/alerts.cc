@@ -31,15 +31,8 @@ Result<std::vector<Alert>> FindDeviations(const std::vector<double>& series,
     return Status::InvalidArgument("threshold_sigmas must be positive");
   }
 
-  double center = 0.0;
-  double scale = 0.0;
-  if (options.robust_baseline) {
-    center = stats::Median(series);
-    scale = Mad(series, center);
-  } else {
-    center = stats::Mean(series);
-    scale = stats::StdDev(series);
-  }
+  const double center = stats::Median(series);
+  const double scale = Mad(series, center);
   std::vector<Alert> alerts;
   if (scale <= 0.0) {
     return alerts;  // perfectly flat series: nothing can deviate

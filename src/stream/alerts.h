@@ -28,8 +28,6 @@ struct AlertOptions {
   /// Minimum run length (in smoothed points) before a deviation counts
   /// as an alert — single-point excursions are kept out.
   size_t min_duration = 3;
-  /// Use median/MAD (robust) instead of mean/stddev for the baseline.
-  bool robust_baseline = true;
 };
 
 /// A detected sustained deviation in a smoothed series.
@@ -46,7 +44,9 @@ struct Alert {
 };
 
 /// Scans a (smoothed) series for sustained deviations beyond the
-/// threshold. Fails on series shorter than 8 points.
+/// threshold, in z-scores against the series' median and MAD (a
+/// baseline the deviations themselves barely move). Fails on series
+/// shorter than 8 points.
 Result<std::vector<Alert>> FindDeviations(const std::vector<double>& series,
                                           const AlertOptions& options = {});
 

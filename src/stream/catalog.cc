@@ -21,16 +21,9 @@ bool IsValidSeriesName(std::string_view name) {
   return true;
 }
 
-SeriesCatalog::SeriesCatalog(size_t arena_block_bytes)
-    : arena_block_bytes_(arena_block_bytes) {
-  // A block must hold the longest legal name, or ArenaStore could loop
-  // allocating empty blocks forever.
-  ASAP_CHECK_GE(arena_block_bytes_, kMaxSeriesNameBytes);
-}
-
 std::string_view SeriesCatalog::ArenaStore(std::string_view name) {
-  if (blocks_.empty() || arena_block_bytes_ - block_used_ < name.size()) {
-    blocks_.push_back(std::make_unique<char[]>(arena_block_bytes_));
+  if (blocks_.empty() || kArenaBlockBytes - block_used_ < name.size()) {
+    blocks_.push_back(std::make_unique<char[]>(kArenaBlockBytes));
     block_used_ = 0;
   }
   char* dst = blocks_.back().get() + block_used_;

@@ -49,10 +49,12 @@ class SeriesCatalog {
  public:
   /// Bytes per arena block. One block holds dozens-to-hundreds of
   /// names, so the intern path allocates at most once per that many
-  /// first-sight names (and never for names already interned).
-  static constexpr size_t kDefaultArenaBlockBytes = 16 * 1024;
+  /// first-sight names (and never for names already interned). A
+  /// block holds the longest legal name.
+  static constexpr size_t kArenaBlockBytes = 16 * 1024;
+  static_assert(kArenaBlockBytes >= kMaxSeriesNameBytes);
 
-  explicit SeriesCatalog(size_t arena_block_bytes = kDefaultArenaBlockBytes);
+  SeriesCatalog() = default;
 
   SeriesCatalog(const SeriesCatalog&) = delete;
   SeriesCatalog& operator=(const SeriesCatalog&) = delete;
@@ -86,8 +88,6 @@ class SeriesCatalog {
  private:
   /// Copies `name` into the arena; the result is stable storage.
   std::string_view ArenaStore(std::string_view name);
-
-  const size_t arena_block_bytes_;
 
   mutable std::shared_mutex mu_;
   std::vector<std::unique_ptr<char[]>> blocks_;

@@ -477,14 +477,6 @@ Status ShardedEngine::RestoreSeries(std::string_view name,
   return Status::OK();
 }
 
-const SeriesRegistry& ShardedEngine::shard_registry(size_t shard) const {
-  ASAP_CHECK_LT(shard, shards_.size());
-  // Contract (see header): deep registry reads race the shard worker,
-  // so they are only legal between runs. Debug builds catch misuse.
-  ASAP_DCHECK(!run_in_flight_->load(std::memory_order_acquire));
-  return shards_[shard]->registry;
-}
-
 FleetReport ShardedEngine::RunToCompletion(MultiSource* source) {
   return Run(source, /*budget_seconds=*/0.0);
 }

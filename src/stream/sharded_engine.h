@@ -249,14 +249,6 @@ class ShardedEngine {
   Status RestoreSeries(std::string_view name, const double* pane_means,
                        size_t n, bool cadenced);
 
-  /// Read access to one shard's series table. Contract: deep reads
-  /// through the registry (iteration, frame() on operators) are
-  /// unsynchronized against the shard worker, so they are only legal
-  /// while no run is in flight — between Run calls, or before the
-  /// first. Debug builds enforce this with a run-in-flight check;
-  /// while a run is live, read frames through FleetView instead.
-  const SeriesRegistry& shard_registry(size_t shard) const;
-
  private:
   struct Shard;
 
@@ -273,7 +265,7 @@ class ShardedEngine {
   telemetry::MetricsRegistry* metrics_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// True while Run is pumping/joining (heap-allocated so the engine
-  /// stays movable); guards the shard_registry() contract above.
+  /// stays movable); RestoreSeries is refused while it is set.
   std::shared_ptr<std::atomic<bool>> run_in_flight_;
 };
 

@@ -80,18 +80,7 @@ TEST(FindDeviationsTest, RobustBaselineSurvivesTheAnomalyItself) {
   Pcg32 rng(5);
   std::vector<double> x = GaussianVector(&rng, 500, 0.0, 0.1);
   gen::InjectLevelShift(&x, 300, 450, 3.0);
-  AlertOptions robust;
-  robust.robust_baseline = true;
-  EXPECT_FALSE(FindDeviations(x, robust).ValueOrDie().empty());
-}
-
-TEST(FindDeviationsTest, NonRobustBaselineStillWorksOnShortEvents) {
-  Pcg32 rng(6);
-  std::vector<double> x = GaussianVector(&rng, 500, 0.0, 0.1);
-  gen::InjectLevelShift(&x, 200, 220, 4.0);
-  AlertOptions options;
-  options.robust_baseline = false;
-  EXPECT_EQ(FindDeviations(x, options).ValueOrDie().size(), 1u);
+  EXPECT_FALSE(FindDeviations(x).ValueOrDie().empty());
 }
 
 TEST(FindDeviationsTest, AlertAtSeriesEndIsClosed) {

@@ -73,7 +73,7 @@ TEST(SeriesCatalogTest, InternIsAllocationStableAfterWarmup) {
     catalog.Intern(name);
   }
   const size_t expected_blocks =
-      total_bytes / SeriesCatalog::kDefaultArenaBlockBytes + 1;
+      total_bytes / SeriesCatalog::kArenaBlockBytes + 1;
   EXPECT_LE(catalog.arena_blocks(), expected_blocks + 1);
   EXPECT_EQ(catalog.arena_bytes(), total_bytes);
 

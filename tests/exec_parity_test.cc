@@ -6,9 +6,9 @@
 // pinned too. The TSan CI job runs this binary: the task-split sweeps
 // here are the concurrency coverage for common/task_pool.
 //
-// Environment note: ASAP_DISABLE_SIMD=1 (or -DASAP_DISABLE_SIMD=ON)
-// turns kern::ActiveKernels(kAuto) into the scalar table; the parity
-// assertions then compare scalar against scalar and still must hold.
+// Build note: -DASAP_DISABLE_SIMD=ON turns kern::ActiveKernels(kAuto)
+// into the scalar table; the parity assertions then compare scalar
+// against scalar and still must hold.
 
 #include <gtest/gtest.h>
 

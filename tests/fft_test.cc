@@ -126,14 +126,14 @@ TEST(RealTransformTest, SpectrumIsConjugateSymmetric) {
 TEST(RealTransformTest, ParsevalHolds) {
   Pcg32 rng(22);
   std::vector<double> x = UniformVector(&rng, 128, -1, 1);
-  std::vector<double> power = PowerSpectrum(x);
+  std::vector<Complex> spectrum = RealTransform(x);
   double time_energy = 0.0;
   for (double v : x) {
     time_energy += v * v;
   }
   double freq_energy = 0.0;
-  for (double p : power) {
-    freq_energy += p;
+  for (const Complex& c : spectrum) {
+    freq_energy += std::norm(c);
   }
   EXPECT_NEAR(freq_energy / static_cast<double>(x.size()), time_energy, 1e-8);
 }
@@ -151,51 +151,15 @@ TEST(RealTransformTest, InverseRealRoundTrip) {
 TEST(RealTransformTest, PureToneConcentratesPower) {
   const size_t n = 128;
   std::vector<double> x = gen::Sine(n, /*period=*/16.0);
-  std::vector<double> power = PowerSpectrum(x);
+  std::vector<Complex> spectrum = RealTransform(x);
   // Expect the energy at bin n/16 = 8 (and its mirror).
   size_t argmax = 1;
   for (size_t k = 1; k < n / 2; ++k) {
-    if (power[k] > power[argmax]) {
+    if (std::norm(spectrum[k]) > std::norm(spectrum[argmax])) {
       argmax = k;
     }
   }
   EXPECT_EQ(argmax, 8u);
-}
-
-// --- Convolution ---------------------------------------------------------------
-
-TEST(ConvolutionTest, LinearConvolveMatchesDirect) {
-  std::vector<double> a = {1, 2, 3};
-  std::vector<double> b = {4, 5};
-  std::vector<double> c = LinearConvolve(a, b);
-  ASSERT_EQ(c.size(), 4u);
-  EXPECT_NEAR(c[0], 4.0, 1e-10);
-  EXPECT_NEAR(c[1], 13.0, 1e-10);
-  EXPECT_NEAR(c[2], 22.0, 1e-10);
-  EXPECT_NEAR(c[3], 15.0, 1e-10);
-}
-
-TEST(ConvolutionTest, ConvolveWithDeltaIsIdentity) {
-  Pcg32 rng(31);
-  std::vector<double> a = UniformVector(&rng, 33, -1, 1);
-  std::vector<double> delta = {1.0};
-  std::vector<double> c = LinearConvolve(a, delta);
-  ASSERT_EQ(c.size(), a.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(c[i], a[i], 1e-10);
-  }
-}
-
-TEST(ConvolutionTest, CircularConvolveMatchesDirect) {
-  std::vector<double> a = {1, 2, 3, 4};
-  std::vector<double> b = {1, 0, 0, 1};
-  std::vector<double> c = CircularConvolve(a, b);
-  // c[k] = sum_j a[j] b[(k-j) mod 4]
-  ASSERT_EQ(c.size(), 4u);
-  EXPECT_NEAR(c[0], 1 * 1 + 2 * 1, 1e-10);   // a0*b0 + a1*b3
-  EXPECT_NEAR(c[1], 2 * 1 + 3 * 1, 1e-10);
-  EXPECT_NEAR(c[2], 3 * 1 + 4 * 1, 1e-10);
-  EXPECT_NEAR(c[3], 4 * 1 + 1 * 1, 1e-10);
 }
 
 // --- Autocorrelation -----------------------------------------------------------

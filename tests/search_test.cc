@@ -35,12 +35,6 @@ TEST(SearchOptionsTest, ResolveMaxWindowExplicit) {
   EXPECT_EQ(options.ResolveMaxWindow(100), 100u);  // clamped to N
 }
 
-TEST(SearchOptionsTest, CustomDivisor) {
-  SearchOptions options;
-  options.max_window_divisor = 4;
-  EXPECT_EQ(options.ResolveMaxWindow(1000), 250u);
-}
-
 // --- EvaluateWindow --------------------------------------------------------------
 
 TEST(EvaluateWindowTest, MatchesDirectComputation) {

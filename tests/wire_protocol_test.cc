@@ -373,12 +373,12 @@ TEST(WireProtocolTest, TimedTextRoundTripCarriesTimestamps) {
   std::string wire;
   AppendTextRecord("alpha", 2.5, 1000, &wire);
   AppendTextRecord("beta", -0.25, -7, &wire);  // negative ticks are data
-  AppendTextRecord("alpha", 3.5, &wire);       // two-token: stamped (0)
+  AppendTextRecord("alpha", 3.5, &wire);       // two-token: ts = 0
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].ts, 1000);
   EXPECT_EQ(out[1].ts, -7);
-  EXPECT_EQ(out[2].ts, 0);  // no stamp clock installed
+  EXPECT_EQ(out[2].ts, 0);
   EXPECT_EQ(decoder.stats().timed_records, 2u);
   EXPECT_EQ(decoder.stats().stamped_records, 1u);
   EXPECT_EQ(decoder.stats().timed_records + decoder.stats().stamped_records,
@@ -420,39 +420,10 @@ TEST(WireProtocolTest, TimedAndUntimedFramesInterleaveOnOneStream) {
   RecordBatch out;
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].ts, 0);  // 0xA5: server-stamped (no clock -> 0)
+  EXPECT_EQ(out[0].ts, 0);  // 0xA5: no wire timestamp
   EXPECT_EQ(out[1].ts, 42);  // 0xA7: wire timestamp verbatim
   EXPECT_EQ(decoder.stats().timed_records, 1u);
   EXPECT_EQ(decoder.stats().stamped_records, 1u);
-}
-
-TEST(WireProtocolTest, StampClockStampsOnlyUnstampedRecords) {
-  // The decoder's stamp clock fills in timestamps for wire forms that
-  // carry none (two-token text, 0xA5); records with a wire timestamp
-  // keep it — the server never overrides a collector's clock.
-  SeriesCatalog sink;
-  FrameDecoder decoder(&sink);
-  int64_t clock = 100;
-  decoder.set_stamp_clock(
-      [](void* ctx) { return (*static_cast<int64_t*>(ctx))++; }, &clock);
-  std::string wire;
-  AppendTextRecord("a", 1.0, &wire);       // stamped: 100
-  AppendTextRecord("a", 2.0, 5555, &wire); // wire ts kept
-  AppendNameFrame(0, "b", &wire);
-  const RecordBatch untimed = {{0, 3.0}};  // stamped: 101
-  AppendBinaryFrame(untimed.data(), untimed.size(), &wire);
-  const RecordBatch timed = {{0, 4.0, -3}};
-  AppendTimedFrame(timed.data(), timed.size(), &wire);
-  RecordBatch out;
-  EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0].ts, 100);
-  EXPECT_EQ(out[1].ts, 5555);
-  EXPECT_EQ(out[2].ts, 101);
-  EXPECT_EQ(out[3].ts, -3);
-  EXPECT_EQ(clock, 102);  // called exactly once per unstamped record
-  EXPECT_EQ(decoder.stats().timed_records, 2u);
-  EXPECT_EQ(decoder.stats().stamped_records, 2u);
 }
 
 TEST(WireProtocolTest, BadTimestampTokensAreMalformed) {
@@ -594,7 +565,7 @@ struct FuzzScript {
   uint64_t expected_malformed_lines = 0;
   uint64_t expected_unknown = 0;
   /// Of expected_records, how many carried a wire timestamp (timed
-  /// text lines and 0xA7 records); the rest decode server-stamped.
+  /// text lines and 0xA7 records); the rest decode with ts = 0.
   uint64_t expected_timed = 0;
 };
 
