@@ -285,15 +285,20 @@ BENCHMARK(BM_StreamingIngestPushBatch)->Range(1 << 10, 1 << 16);
 // Streaming refresh: the cost of one refresh (ACF, context rebuild,
 // warm-started search, frame publish) at the pipeline benchmark's two
 // refresh geometries, 400 and 2000 visible panes (range(0)) of 10
-// points each, in timed-pane mode with a refresh on every pane. The
-// window starts full (restored panes); each iteration pushes one
-// pane, so the time per iteration is the time per refresh.
+// points each, in timed-pane mode, refreshing every range(1) panes.
+// The window starts full (restored panes); each iteration pushes one
+// refresh interval of panes, so the time per iteration is one refresh
+// plus the ingest of its panes. At one pane per refresh the operator
+// slides its ACF (refresh_bound's geometry at 2000); at 400 it runs
+// the FFT at every refresh (firehose's cadence).
 void BM_StreamingRefresh(benchmark::State& state) {
   const size_t panes = static_cast<size_t>(state.range(0));
+  const size_t interval = static_cast<size_t>(state.range(1));
   const size_t pane_size = 10;
   asap::StreamingOptions options;
   options.resolution = panes;
   options.visible_points = panes * pane_size;
+  options.refresh_every_points = interval * pane_size;
   options.pane_width_ticks = static_cast<int64_t>(pane_size);
   asap::StreamingAsap op = asap::StreamingAsap::Create(options).ValueOrDie();
 
@@ -309,20 +314,20 @@ void BM_StreamingRefresh(benchmark::State& state) {
   op.RestorePanes(means.data(), panes, /*cadenced=*/false);
 
   // Live panes cycle through the signal; timestamps keep rising.
-  std::vector<int64_t> ts(pane_size);
+  const size_t points = interval * pane_size;
+  std::vector<int64_t> ts(points);
   int64_t next_ts = static_cast<int64_t>(panes * pane_size);
   size_t offset = 0;
   for (auto _ : state) {
-    for (size_t i = 0; i < pane_size; ++i) {
+    for (size_t i = 0; i < points; ++i) {
       ts[i] = next_ts++;
     }
-    benchmark::DoNotOptimize(
-        op.PushTimed(x.data() + offset, ts.data(), pane_size));
-    offset = (offset + pane_size) % x.size();
+    benchmark::DoNotOptimize(op.PushTimed(x.data() + offset, ts.data(), points));
+    offset = (offset + points) % x.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_StreamingRefresh)->Arg(400)->Arg(2000);
+BENCHMARK(BM_StreamingRefresh)->Args({400, 1})->Args({2000, 1})->Args({400, 400});
 
 }  // namespace
 

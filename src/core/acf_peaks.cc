@@ -31,11 +31,16 @@ AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
   max_lag = std::min(max_lag, series.size() - 1);
   AcfInfo info;
   info.correlations = fft::AutocorrelationFft(series, max_lag, policy, scratch);
-  info.peaks = FindAcfPeaks(info.correlations, peak_threshold);
-  for (size_t p : info.peaks) {
-    info.max_acf = std::max(info.max_acf, info.correlations[p]);
-  }
+  SetAcfPeaks(peak_threshold, &info);
   return info;
+}
+
+void SetAcfPeaks(double peak_threshold, AcfInfo* info) {
+  info->peaks = FindAcfPeaks(info->correlations, peak_threshold);
+  info->max_acf = 0.0;
+  for (size_t p : info->peaks) {
+    info->max_acf = std::max(info->max_acf, info->correlations[p]);
+  }
 }
 
 }  // namespace asap

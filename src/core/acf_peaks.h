@@ -43,6 +43,11 @@ AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
 std::vector<size_t> FindAcfPeaks(const std::vector<double>& acf,
                                  double peak_threshold = 0.2);
 
+/// Sets info->peaks and info->max_acf from info->correlations, as
+/// ComputeAcfInfo does (an ACF from another source, e.g. a sliding
+/// one, gets the same summary).
+void SetAcfPeaks(double peak_threshold, AcfInfo* info);
+
 }  // namespace asap
 
 #endif  // ASAP_CORE_ACF_PEAKS_H_

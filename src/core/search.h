@@ -139,9 +139,10 @@ SearchResult AsapSearch(const std::vector<double>& x,
                         AsapState* seed = nullptr);
 
 /// ASAP search when the ACF is already available. The streaming
-/// refresh computes it once per refresh, from scratch over the visible
-/// panes (SeriesContext::EnsureAcf), then seeds this search with the
-/// previous window.
+/// refresh brings it up to date once per refresh, from a SlidingAcf
+/// updated per pane or, for an operator that does not slide, from
+/// scratch over the visible panes (SeriesContext::EnsureAcf), then
+/// seeds this search with the previous window.
 SearchResult AsapSearchWithAcf(SeriesContext* ctx, const AcfInfo& acf,
                                const SearchOptions& options,
                                AsapState* seed = nullptr);

@@ -18,7 +18,7 @@ void SeriesContext::Reset(const std::vector<double>& x) {
   x_ = x;  // operator= reuses capacity when it suffices
   mean_ = stats::Mean(x_);
   roughness_ = Roughness(x_);
-  kurtosis_ = Kurtosis(x_);
+  kurtosis_ = stats::ComputeMoments(x_, mean_).kurtosis;  // == Kurtosis(x_)
   acf_valid_ = false;
 
   const size_t n = x_.size();

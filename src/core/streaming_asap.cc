@@ -6,10 +6,95 @@
 #include "common/macros.h"
 #include "core/metrics.h"
 #include "core/series_context.h"
+#include "fft/fft.h"
 #include "window/preaggregate.h"
 #include "window/sma.h"
 
 namespace asap {
+
+void SlidingAcf::Rebuild(const std::vector<double>& x, size_t max_lag,
+                         const ExecPolicy& policy, fft::AcfScratch* scratch,
+                         std::vector<double>* acf) {
+  anchor_ = fft::AutocovarianceFft(x, max_lag, policy, scratch, &sums_);
+  total_ = 0.0;
+  for (double v : x) {
+    total_ += v - anchor_;
+  }
+  *acf = sums_;
+  fft::NormalizeAcf(acf);
+}
+
+void SlidingAcf::Slide(const std::deque<double>& window, double evicted) {
+  ASAP_DCHECK(valid() && sums_.size() <= window.size());
+  // Each S_k gains the pair (y_{n-1-k}, y_in) that ends at the new
+  // value and loses the pair (y_out, y_{k-1}) that began at the
+  // evicted one (indices in the window after the slide).
+  const double y_in = window.back() - anchor_;
+  const double y_out = evicted - anchor_;
+  total_ += y_in - y_out;
+  sums_[0] += y_in * y_in - y_out * y_out;
+  auto back = window.end() - 1;
+  auto front = window.begin();
+  for (size_t k = 1; k < sums_.size(); ++k) {
+    --back;
+    sums_[k] += (*back - anchor_) * y_in - y_out * (*front - anchor_);
+    ++front;
+  }
+}
+
+bool SlidingAcf::Correlations(const std::deque<double>& window,
+                              std::vector<double>* acf) const {
+  ASAP_DCHECK(valid() && sums_.size() <= window.size());
+  const size_t n = window.size();
+  const double d = total_ / static_cast<double>(n);
+  acf->resize(sums_.size());
+  double head = 0.0;  // F_k
+  double tail = 0.0;  // B_k
+  auto front = window.begin();
+  auto back = window.end();
+  for (size_t k = 0; k < sums_.size(); ++k) {
+    (*acf)[k] = sums_[k] - d * ((2.0 * total_ - head) - tail) +
+                static_cast<double>(n - k) * d * d;
+    head += *front++ - anchor_;
+    tail += *--back - anchor_;
+  }
+  // S_0 = c_0 + n d^2. The test fails for a NaN or infinite S_0 (a
+  // non-finite y leaves one there, and NaN - NaN and inf - inf are
+  // NaN) and for a NaN c_0; a finite S_0 bounds every |S_k|. It holds
+  // for an exactly constant window at the anchor (0 <= 0), whose ACF
+  // is degenerate.
+  constexpr double kMaxCancellation = 1048576.0;  // 2^20
+  if (!(sums_[0] <= kMaxCancellation * (*acf)[0])) {
+    return false;
+  }
+  fft::NormalizeAcf(acf);
+  return true;
+}
+
+namespace {
+
+// Retained panes: the visible window, at least 4.
+size_t WindowPanes(const StreamingOptions& options, size_t pane_size) {
+  return std::max<size_t>(options.visible_points / pane_size, 4);
+}
+
+// R = I * ceil(n / I) if the operator slides its ACF, else 0 (see
+// StreamingAsap::acf_rebuild_period).
+size_t AcfRebuildPeriod(const StreamingOptions& options, size_t window_panes,
+                        size_t interval) {
+  if (options.strategy != SearchStrategy::kAsap) {
+    return 0;  // the other strategies never read the ACF
+  }
+  const size_t n = window_panes;
+  const size_t max_lag =
+      std::min(options.search.ResolveMaxWindow(n) + 1, n - 1);
+  if (interval * (max_lag + 1) >= fft::NextPowerOfTwo(n + max_lag)) {
+    return 0;
+  }
+  return interval * ((n + interval - 1) / interval);
+}
+
+}  // namespace
 
 StreamingAsap::StreamingAsap(const StreamingOptions& options)
     : options_(options),
@@ -25,9 +110,10 @@ StreamingAsap::StreamingAsap(const StreamingOptions& options)
                  ? options.pane_width_ticks
                  : static_cast<int64_t>(pane_size_),
              options.pane_width_ticks > 0 ? options.pane_epoch : 0,
-             /*max_panes=*/std::max<size_t>(options.visible_points /
-                                                std::max<size_t>(pane_size_, 1),
-                                            4)) {}
+             WindowPanes(options, pane_size_)),
+      acf_rebuild_period_(AcfRebuildPeriod(options,
+                                           WindowPanes(options, pane_size_),
+                                           refresh_interval_panes_)) {}
 
 Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
   if (options.visible_points < 8) {
@@ -63,6 +149,15 @@ bool StreamingAsap::AdvanceFrontier(int64_t frontier) {
 }
 
 bool StreamingAsap::OnPaneCommitted(bool render) {
+  ++panes_committed_;
+  if (sliding_acf_.valid()) {
+    const std::optional<double> evicted = panes_.evicted();
+    if (evicted.has_value()) {
+      sliding_acf_.Slide(panes_.means(), *evicted);
+    } else {
+      sliding_acf_.Invalidate();  // the window grew: rebuild at refresh
+    }
+  }
   ++panes_since_refresh_;
   if (panes_since_refresh_ < refresh_interval_panes_ || panes_.size() < 4) {
     return false;
@@ -79,6 +174,8 @@ void StreamingAsap::RestorePanes(const double* means, size_t n,
   points_consumed_ += n * pane_size_;
   if (!cadenced) {
     panes_.RestoreCompleted(means, n);
+    panes_committed_ += n;
+    sliding_acf_.Invalidate();
     panes_since_refresh_ = 0;
     Refresh();
     return;
@@ -110,9 +207,21 @@ StreamingAsap::FrameHistory() const {
   return ring == nullptr ? FrameRing{} : *ring;
 }
 
+namespace {
+
+// A refresh's evaluation scratch, one per thread (see the header).
+struct RefreshScratch {
+  std::vector<double> x;  // the visible pane means
+  SeriesContext ctx;
+  AcfInfo acf;             // a sliding operator's ACF
+  fft::AcfScratch fft;     // its rebuilds' transform buffers
+};
+
+}  // namespace
+
 void StreamingAsap::Refresh() {
-  const std::vector<double> x = panes_.PaneMeans();
-  if (x.size() < 4) {
+  const std::deque<double>& panes = panes_.means();
+  if (panes.size() < 4) {
     return;
   }
   // Rebuild this thread's evaluation context from the pane buffer:
@@ -122,14 +231,39 @@ void StreamingAsap::Refresh() {
   // refreshes on a thread stay allocation-stable whichever operator
   // they belong to. A pool running the search under
   // ExecPolicy::threads > 1 reads this context while this thread waits.
-  thread_local SeriesContext ctx;
+  thread_local RefreshScratch scratch;
+  std::vector<double>& x = scratch.x;
+  x.assign(panes.begin(), panes.end());
+  SeriesContext& ctx = scratch.ctx;
   ctx.Reset(x);
   const size_t max_window = options_.search.ResolveMaxWindow(x.size());
 
-  // UpdateAcf: the visible window changed, recompute its ACF (one
-  // extra lag so a period at exactly max_window remains detectable).
-  const AcfInfo& acf = ctx.EnsureAcf(
-      max_window + 1, options_.search.acf_threshold, options_.search.exec);
+  // UpdateAcf (ASAP only): one extra lag so a period at exactly
+  // max_window remains detectable.
+  const AcfInfo* acf = nullptr;
+  if (options_.strategy == SearchStrategy::kAsap) {
+    if (acf_rebuild_period_ == 0) {
+      acf = &ctx.EnsureAcf(max_window + 1, options_.search.acf_threshold,
+                           options_.search.exec);
+      frame_.acf_rebuilds += 1;
+    } else {
+      // The sums are valid only while the window has kept its size
+      // since the last rebuild (a growing window invalidates them), so
+      // their max lag, which follows from that size, still holds.
+      const bool scheduled = panes_committed_ / acf_rebuild_period_ !=
+                             panes_at_refresh_ / acf_rebuild_period_;
+      if (scheduled || !sliding_acf_.valid() ||
+          !sliding_acf_.Correlations(panes, &scratch.acf.correlations)) {
+        sliding_acf_.Rebuild(x, std::min(max_window + 1, x.size() - 1),
+                             options_.search.exec, &scratch.fft,
+                             &scratch.acf.correlations);
+        frame_.acf_rebuilds += 1;
+      }
+      SetAcfPeaks(options_.search.acf_threshold, &scratch.acf);
+      acf = &scratch.acf;
+    }
+  }
+  panes_at_refresh_ = panes_committed_;
   const double kurtosis_x = ctx.kurtosis();
 
   // CheckLastWindow: seed with the previous solution if it is still
@@ -150,11 +284,13 @@ void StreamingAsap::Refresh() {
       state_.window = previous_window_;
       state_.roughness = score.roughness;
       state_.has_feasible = true;
-      const double corr = previous_window_ < acf.correlations.size()
-                              ? acf.correlations[previous_window_]
-                              : 0.0;
-      state_.lower_bound =
-          std::max(1.0, WindowLowerBound(previous_window_, corr, acf.max_acf));
+      if (acf != nullptr) {
+        const double corr = previous_window_ < acf->correlations.size()
+                                ? acf->correlations[previous_window_]
+                                : 0.0;
+        state_.lower_bound = std::max(
+            1.0, WindowLowerBound(previous_window_, corr, acf->max_acf));
+      }
       seeded = true;
     }
   }
@@ -162,7 +298,7 @@ void StreamingAsap::Refresh() {
   SearchResult result;
   switch (options_.strategy) {
     case SearchStrategy::kAsap:
-      result = AsapSearchWithAcf(&ctx, acf, options_.search, &state_);
+      result = AsapSearchWithAcf(&ctx, *acf, options_.search, &state_);
       break;
     case SearchStrategy::kExhaustive:
       result = ExhaustiveSearch(&ctx, options_.search);

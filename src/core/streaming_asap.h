@@ -6,11 +6,19 @@
 // search only every k committed panes, a configurable, human-
 // perceptible refresh interval (on-demand updates). Each refresh:
 //
-//   1. UpdateAcf      — recompute the ACF over the visible panes;
+//   1. UpdateAcf      — bring the ACF up to date with the visible
+//      panes (ASAP strategy only; the others never read it). An
+//      operator that refreshes often next to its FFT length keeps a
+//      SlidingAcf, updated on every pane commit, and reads the ACF off
+//      it in O(max lag); it recomputes it exactly with the FFT once per
+//      window turnover, whenever the window's geometry changed, and
+//      whenever the sums cannot give it accurately (a non-finite pane
+//      since the last rebuild, or a level far from the anchor). Any
+//      other operator runs the FFT at every refresh;
 //   2. CheckLastWindow — test whether the previous window is still
 //      feasible; if so, seed the new search with it (warm start that
 //      arms the roughness-estimate pruning immediately);
-//   3. FindWindow     — run the (seeded) ASAP search and re-render.
+//   3. FindWindow     — run the (seeded) search and re-render.
 //
 // The preaggregation/strategy/refresh knobs exist so the Fig. 11
 // factor analysis and lesion study can disable each optimization
@@ -18,22 +26,73 @@
 //
 // The evaluation scratch is per thread, not per operator: a refresh
 // rebuilds its thread's SeriesContext (prefix sums, ACF work buffers)
-// from the pane buffer, and nothing else reads it, so a fleet of
-// resident operators holds no evaluation scratch between refreshes.
+// from the pane buffer, and nothing else reads it. Between refreshes
+// an operator holds its panes, its frames and, if it slides, the
+// SlidingAcf's max_lag + 2 sums; no other evaluation state.
 
 #ifndef ASAP_CORE_STREAMING_ASAP_H_
 #define ASAP_CORE_STREAMING_ASAP_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/exec_policy.h"
 #include "common/result.h"
 #include "core/smooth.h"
+#include "fft/autocorrelation.h"
 #include "window/panes.h"
 
 namespace asap {
+
+/// The ACF of a window that slides one value at a time, kept up to
+/// date instead of recomputed (paper Algorithm 3's UpdateAcf). With
+/// y = x - anchor over the n values of the window, it holds the lagged
+/// sums S_k = sum_{i<n-k} y_i y_{i+k} for k = 0..max_lag and the total
+/// T = sum y. A slide updates them in O(max_lag); Correlations centres
+/// them on the window mean,
+///   c_k = S_k - d (2T - F_k - B_k) + (n - k) d^2,  d = T / n,
+/// with F_k and B_k the sums of the first and last k values of y, and
+/// divides by lag 0, also in O(max_lag). Rebuild recomputes the state
+/// with the FFT; the anchor is then that pass's mean, so the sums stay
+/// near the data's spread whatever its level. Centring cancels about
+/// log2(S_0 / c_0) bits, which grows as the window's level moves away
+/// from the anchor, so Correlations declines once that exceeds 20
+/// bits and the caller rebuilds.
+class SlidingAcf {
+ public:
+  /// Recomputes the state from the window `x` for lags 0..max_lag
+  /// (max_lag < x.size()) and writes its ACF to `acf`: bitwise
+  /// fft::AutocorrelationFft(x, max_lag).
+  void Rebuild(const std::vector<double>& x, size_t max_lag,
+               const ExecPolicy& policy, fft::AcfScratch* scratch,
+               std::vector<double>* acf);
+
+  /// The window slid by one value: `window` is the window after the
+  /// slide (its back() entered) and `evicted` is the value that left
+  /// its front. Requires valid() and an unchanged window size.
+  void Slide(const std::deque<double>& window, double evicted);
+
+  /// Writes the ACF of `window`, the current window, for the lags of
+  /// the last Rebuild to `acf` and returns true; returns false, with `acf`
+  /// unspecified, when the sums cannot give it to ~1e-10: they are not
+  /// finite (a non-finite value has been in the window since the last
+  /// Rebuild; it stays in S_0 after it leaves) or centring would
+  /// cancel more than 20 bits (S_0 > 2^20 c_0). Requires valid().
+  bool Correlations(const std::deque<double>& window,
+                    std::vector<double>* acf) const;
+
+  /// True from a Rebuild until Invalidate.
+  bool valid() const { return !sums_.empty(); }
+  void Invalidate() { sums_.clear(); }
+
+ private:
+  double anchor_ = 0.0;
+  double total_ = 0.0;
+  std::vector<double> sums_;
+};
 
 /// Configuration of the streaming operator.
 struct StreamingOptions {
@@ -116,6 +175,10 @@ class StreamingAsap {
     /// ScoreWindow kernel (all of them unless
     /// SearchOptions::use_naive_evaluator is set).
     uint64_t allocation_free_evals = 0;
+    /// Refreshes that computed the ACF with the FFT: every ASAP refresh
+    /// of an operator that does not slide its ACF, the rebuilds of one
+    /// that does (see acf_rebuild_period), none for other strategies.
+    uint64_t acf_rebuilds = 0;
   };
 
   /// Validates options; fails if visible_points < 8 or resolution
@@ -213,6 +276,22 @@ class StreamingAsap {
   /// Committed panes between refreshes in effect.
   size_t refresh_interval_panes() const { return refresh_interval_panes_; }
 
+  /// Committed panes between the scheduled exact rebuilds of a sliding
+  /// ACF: R = I * ceil(n / I) for a refresh interval of I panes and a
+  /// full window of n, one window turnover. 0 when the operator keeps
+  /// no sliding ACF.
+  ///
+  /// An ASAP operator slides iff I * (L + 1) < m, with L the ACF's max
+  /// lag at the full window and m = NextPowerOfTwo(n + L) its FFT
+  /// length: the upkeep of I panes, L + 1 sums each, must cost less
+  /// than the transform it replaces. It rebuilds at the first refresh
+  /// at or after each multiple of R committed panes (restored panes
+  /// count), at any refresh where the window's size changed since the
+  /// last one, and where SlidingAcf::Correlations declines. So its ACF
+  /// depends only on the panes and their count: live ingest and
+  /// cadenced restore of the same panes render the same bits.
+  size_t acf_rebuild_period() const { return acf_rebuild_period_; }
+
  private:
   explicit StreamingAsap(const StreamingOptions& options);
 
@@ -222,8 +301,8 @@ class StreamingAsap {
   /// runs. Returns the number of refreshes.
   size_t Ingest(const double* xs, const int64_t* ts, size_t n, bool render);
 
-  /// Counts one committed pane toward the refresh cadence; returns
-  /// true iff it refreshed.
+  /// Counts one committed pane toward the refresh cadence, sliding
+  /// the ACF past it first; returns true iff it refreshed.
   bool OnPaneCommitted(bool render);
 
   StreamingOptions options_;
@@ -232,6 +311,13 @@ class StreamingAsap {
   window::PaneBuffer panes_;
   uint64_t points_consumed_ = 0;
   size_t panes_since_refresh_ = 0;
+
+  /// Committed panes so far, restored ones included, and their count
+  /// at the latest refresh: the clock of the ACF rebuild schedule.
+  uint64_t panes_committed_ = 0;
+  uint64_t panes_at_refresh_ = 0;
+  size_t acf_rebuild_period_ = 0;
+  SlidingAcf sliding_acf_;
 
   AsapState state_;
   bool has_previous_window_ = false;

@@ -18,10 +18,9 @@ double Mean(const std::vector<double>& v) {
 }
 }  // namespace
 
-std::vector<double> AutocorrelationFft(const std::vector<double>& series,
-                                       size_t max_lag,
-                                       const ExecPolicy& policy,
-                                       AcfScratch* scratch) {
+double AutocovarianceFft(const std::vector<double>& series, size_t max_lag,
+                         const ExecPolicy& policy, AcfScratch* scratch,
+                         std::vector<double>* sums) {
   const size_t n = series.size();
   ASAP_CHECK_GE(n, 1u);
   ASAP_CHECK_LT(max_lag, n);
@@ -85,16 +84,35 @@ std::vector<double> AutocorrelationFft(const std::vector<double>& series,
   }
   TransformRadix2(&z, /*inverse=*/true, policy);
 
-  std::vector<double> acf(max_lag + 1, 0.0);
-  const double c0 = z[0].real();
+  sums->resize(max_lag + 1);
+  for (size_t k = 0; k <= max_lag; ++k) {
+    const Complex& point = z[k / 2];
+    (*sums)[k] = k % 2 == 0 ? point.real() : point.imag();
+  }
+  return mean;
+}
+
+void NormalizeAcf(std::vector<double>* sums) {
+  std::vector<double>& acf = *sums;
+  const double c0 = acf[0];
   acf[0] = 1.0;
   if (c0 <= 0.0 || !std::isfinite(c0)) {
-    return acf;  // constant or non-finite: no correlation structure
+    // Constant or non-finite: no correlation structure.
+    std::fill(acf.begin() + 1, acf.end(), 0.0);
+    return;
   }
-  for (size_t k = 1; k <= max_lag; ++k) {
-    const Complex& point = z[k / 2];
-    acf[k] = (k % 2 == 0 ? point.real() : point.imag()) / c0;
+  for (size_t k = 1; k < acf.size(); ++k) {
+    acf[k] /= c0;
   }
+}
+
+std::vector<double> AutocorrelationFft(const std::vector<double>& series,
+                                       size_t max_lag,
+                                       const ExecPolicy& policy,
+                                       AcfScratch* scratch) {
+  std::vector<double> acf;
+  AutocovarianceFft(series, max_lag, policy, scratch, &acf);
+  NormalizeAcf(&acf);
   return acf;
 }
 

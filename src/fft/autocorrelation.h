@@ -32,6 +32,22 @@ struct AcfScratch {
   std::vector<double> power;
 };
 
+/// The unnormalized pass of AutocorrelationFft: fills `sums` with the
+/// lagged sums
+///   sums[k] = sum_{i<n-k} (x_i - mean)(x_{i+k} - mean),  k = 0..max_lag,
+/// and returns the mean it centred on (a plain sum over n). Same
+/// padding, packing and policy rules as AutocorrelationFft, whose
+/// values are these sums after NormalizeAcf, bit for bit. A sliding
+/// ACF rebuilds its state from them.
+double AutocovarianceFft(const std::vector<double>& series, size_t max_lag,
+                         const ExecPolicy& policy, AcfScratch* scratch,
+                         std::vector<double>* sums);
+
+/// Divides lagged sums by their lag-0 sum in place, giving the ACF
+/// (acf[0] == 1); when the lag-0 sum is not positive and finite, every
+/// other lag becomes 0 (no correlation structure).
+void NormalizeAcf(std::vector<double>* sums);
+
 /// Sample ACF for lags 0..max_lag via FFT. Uses the biased estimator
 ///   acf[k] = sum_{i<n-k} (x_i - mean)(x_{i+k} - mean) / sum (x_i - mean)^2
 /// so acf[0] == 1. Returns max_lag + 1 values. If the series is constant

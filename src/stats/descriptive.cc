@@ -98,12 +98,16 @@ std::vector<double> FirstDifferences(const std::vector<double>& v) {
 }
 
 Moments ComputeMoments(const std::vector<double>& v) {
+  return ComputeMoments(v, Mean(v));
+}
+
+Moments ComputeMoments(const std::vector<double>& v, double mean) {
   Moments m;
   m.count = v.size();
   if (v.empty()) {
     return m;
   }
-  m.mean = Mean(v);
+  m.mean = mean;
   if (v.size() < 2) {
     return m;
   }

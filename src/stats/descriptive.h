@@ -59,6 +59,10 @@ struct Moments {
 /// Computes all moments in a single numerically careful pass.
 Moments ComputeMoments(const std::vector<double>& v);
 
+/// ComputeMoments for a caller that already has Mean(v): the same
+/// values, bit for bit, without computing the mean again.
+Moments ComputeMoments(const std::vector<double>& v, double mean);
+
 }  // namespace stats
 }  // namespace asap
 

@@ -228,11 +228,21 @@ FleetView::DeepHistory(std::string_view name, size_t max_frames) const {
   const uint64_t last = c0 + ((total - c0) / ipanes) * ipanes;
   const uint64_t span = (max_frames - 1) * ipanes;
   const uint64_t oldest = last > c0 + span ? last - span : c0;
-  const uint64_t window_panes =
-      std::max<uint64_t>(opts.visible_points / pane, 4);
-  const uint64_t keep_from = std::min(
-      oldest > window_panes ? oldest - window_panes : 0, oldest - c0);
-  const uint64_t skip = (keep_from / ipanes) * ipanes;
+  uint64_t skip = 0;
+  if (const uint64_t period = op->acf_rebuild_period(); period != 0) {
+    // A sliding ACF matches the live one from a scheduled rebuild
+    // that both saw over the same full window: start on a multiple of
+    // the rebuild period R (the schedule's phase), one period before
+    // the last scheduled rebuild at or before `oldest`. R is a
+    // multiple of I and at least the window.
+    skip = oldest / period >= 1 ? (oldest / period - 1) * period : 0;
+  } else {
+    const uint64_t window_panes =
+        std::max<uint64_t>(opts.visible_points / pane, 4);
+    const uint64_t keep_from = std::min(
+        oldest > window_panes ? oldest - window_panes : 0, oldest - c0);
+    skip = (keep_from / ipanes) * ipanes;
+  }
 
   std::vector<double> means;
   if (!store->ReadPanes(sid.ValueOrDie(), skip, total - skip, &means).ok()) {

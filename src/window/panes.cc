@@ -33,15 +33,22 @@ int64_t PaneBuffer::LastTickOfBucket(int64_t tick) const {
 }
 
 void PaneBuffer::Commit() {
+  const double mean = open_.Mean();
   if (sink_ != nullptr) {
     // Fire with the exact mean the query path will later read back —
     // recovery restores this double bitwise.
-    sink_(sink_ctx_, open_.Mean());
+    sink_(sink_ctx_, mean);
   }
-  panes_.push_back(open_);
+  Retain(mean);
   open_ = Pane{};
-  if (max_panes_ != 0 && panes_.size() > max_panes_) {
-    panes_.pop_front();
+}
+
+void PaneBuffer::Retain(double mean) {
+  means_.push_back(mean);
+  evicted_.reset();
+  if (max_panes_ != 0 && means_.size() > max_panes_) {
+    evicted_ = means_.front();
+    means_.pop_front();
   }
 }
 
@@ -50,25 +57,13 @@ void PaneBuffer::RestoreCompleted(const double* means, size_t n) {
   ASAP_CHECK_EQ(open_.count, 0u);  // restore precedes live ingest
   next_arrival_ += static_cast<int64_t>(n) * width_;
   for (size_t i = 0; i < n; ++i) {
-    // {sum: mean, count: 1} makes Mean() the recorded value bitwise.
-    panes_.push_back(Pane{means[i], 1});
-    if (max_panes_ != 0 && panes_.size() > max_panes_) {
-      panes_.pop_front();
-    }
+    Retain(means[i]);
   }
-}
-
-std::vector<double> PaneBuffer::PaneMeans() const {
-  std::vector<double> means;
-  means.reserve(panes_.size());
-  for (const Pane& p : panes_) {
-    means.push_back(p.Mean());
-  }
-  return means;
 }
 
 void PaneBuffer::Reset() {
-  panes_.clear();
+  means_.clear();
+  evicted_.reset();
   open_ = Pane{};
   open_last_ = kMaxTick;
   next_arrival_ = 0;

@@ -15,7 +15,6 @@
 #include <deque>
 #include <limits>
 #include <optional>
-#include <vector>
 
 namespace asap {
 namespace window {
@@ -87,19 +86,23 @@ class PaneBuffer {
   }
 
   /// Restores `n` previously completed panes (crash recovery): each
-  /// mean is appended as an already-complete pane and the arrival
-  /// clock advances by n * width. The sink is NOT fired — these panes
-  /// are already durable. Restored panes are stored as {sum: mean,
-  /// count: 1} so Mean() returns the recorded value bitwise exactly
-  /// (re-multiplying by the pane size and dividing back would round).
-  /// Requires no open pane.
+  /// mean is retained as recorded, bitwise, and the arrival clock
+  /// advances by n * width. The sink is NOT fired — these panes are
+  /// already durable. Requires no open pane.
   void RestoreCompleted(const double* means, size_t n);
 
-  /// Means of all retained (complete) panes, oldest first.
-  std::vector<double> PaneMeans() const;
+  /// Means of the retained (complete) panes, oldest first. A committed
+  /// pane is kept as its mean: nothing reads its sum or count again.
+  const std::deque<double>& means() const { return means_; }
+
+  /// Mean of the pane the latest commit (or the last pane of the
+  /// latest restore) pushed out of the window; nullopt if it evicted
+  /// none. A caller keeping window state up to date in its commit
+  /// callback reads the leaving pane here.
+  std::optional<double> evicted() const { return evicted_; }
 
   /// Number of retained complete panes.
-  size_t size() const { return panes_.size(); }
+  size_t size() const { return means_.size(); }
 
   void Reset();
 
@@ -117,17 +120,20 @@ class PaneBuffer {
   /// Last tick of the bucket holding `tick`, clamped to the largest
   /// tick (no later tick exists); exact for any int64 tick.
   int64_t LastTickOfBucket(int64_t tick) const;
-  /// Retains the open pane, evicting the oldest pane beyond
-  /// max_panes.
+  /// Retains the open pane (see Retain).
   void Commit();
+  /// Appends a committed pane's mean, evicting the oldest pane beyond
+  /// max_panes.
+  void Retain(double mean);
 
   static constexpr int64_t kMaxTick = std::numeric_limits<int64_t>::max();
 
   int64_t width_;
   int64_t epoch_phase_;  // epoch mod width, in [0, width)
   size_t max_panes_;
-  std::deque<Pane> panes_;  // complete panes only
-  Pane open_;               // the open pane; open iff open_.count > 0
+  std::deque<double> means_;       // complete panes only
+  std::optional<double> evicted_;  // see evicted()
+  Pane open_;  // the open pane; open iff open_.count > 0
   /// Last tick of the open pane, or of the last committed one while
   /// none is open (kMaxTick before any: no shortcut), so the next
   /// bucket opens without a division. Inclusive, so the bucket holding

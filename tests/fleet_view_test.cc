@@ -266,6 +266,67 @@ TEST(FleetViewTest, BoundedDeepHistoryMatchesTheLiveRing) {
   std::filesystem::remove_all(root, ec);
 }
 
+TEST(FleetViewTest, BoundedDeepHistoryOfASlidingOperatorMatchesTheLiveRing) {
+  // 400 panes of 20 points at one refresh per pane: the operator slides
+  // its ACF and rebuilds it every 100 panes. A bounded deep-history
+  // request replays from a multiple of 100 a full period before the
+  // last rebuild its oldest frame follows, so the replay rebuilds
+  // where the live operator did, its sums are the live ones, and its
+  // frames are the live ring's, bitwise, while a stored prefix is
+  // still skipped.
+  char tmpl[] = "/tmp/asap_fleet_view_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  {
+    storage::StoreOptions store_options;
+    store_options.sync = storage::SyncPolicy::kEveryBatch;
+    store_options.background_maintenance = false;
+    auto store = storage::DurableStore::Open(root + "/store", store_options);
+    ASSERT_TRUE(store.ok());
+    StreamingOptions options = FleetOptions();
+    options.refresh_every_points = 20;
+    options.snapshot_ring_frames = 3;
+    ShardedEngineOptions engine_options;
+    engine_options.shards = 2;
+    engine_options.storage = store->get();
+    ShardedEngine engine =
+        ShardedEngine::Create(options, engine_options).ValueOrDie();
+    ASSERT_EQ(StreamingAsap::Create(options).ValueOrDie().acf_rebuild_period(),
+              100u);
+    InterleavingMultiSource source(engine.catalog());
+    source.AddVector(HostName(0), FleetSeries(0, 8000));
+    engine.RunToCompletion(&source);
+
+    const FleetView view(&engine);
+    const auto ring = view.History(HostName(0));
+    ASSERT_EQ(ring.size(), 3u);
+    const auto deep = view.History(HostName(0), ring.size() + 1);
+    ASSERT_EQ(deep.size(), ring.size() + 1);
+    EXPECT_LT(deep.back()->refreshes, ring.back()->refreshes)
+        << "the replay should skip a stored prefix";
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const StreamingAsap::Frame& got = *deep[i + 1];
+      const StreamingAsap::Frame& want = *ring[i];
+      EXPECT_EQ(got.window, want.window) << "frame " << i;
+      ASSERT_EQ(got.series.size(), want.series.size()) << "frame " << i;
+      EXPECT_EQ(0, std::memcmp(got.series.data(), want.series.data(),
+                               want.series.size() * sizeof(double)))
+          << "frame " << i;
+    }
+    // The same refreshes rebuild: the newest, at pane 400, and not the
+    // one before it.
+    for (size_t i = 1; i < ring.size(); ++i) {
+      EXPECT_EQ(deep[i + 1]->acf_rebuilds - deep[i]->acf_rebuilds,
+                ring[i]->acf_rebuilds - ring[i - 1]->acf_rebuilds)
+          << "frame " << i;
+    }
+    EXPECT_EQ(ring[2]->acf_rebuilds - ring[1]->acf_rebuilds, 1u);
+    EXPECT_EQ(ring[1]->acf_rebuilds - ring[0]->acf_rebuilds, 0u);
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
+}
+
 TEST(FleetViewTest, HistoryServesTheSnapshotRingByName) {
   StreamingOptions options = FleetOptions();
   options.snapshot_ring_frames = 3;

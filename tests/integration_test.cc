@@ -1,12 +1,18 @@
 // Cross-module integration tests: the Table-2 pipeline on every
-// dataset, streaming-vs-batch consistency, CSV round trips through the
-// full operator, and the paper's qualitative anchors end to end.
+// dataset, batch and streaming, streaming-vs-batch consistency, CSV
+// round trips through the full operator, and the paper's qualitative
+// anchors end to end.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <deque>
 
+#include "core/acf_peaks.h"
 #include "core/metrics.h"
+#include "core/search.h"
+#include "core/series_context.h"
 #include "core/smooth.h"
 #include "core/streaming_asap.h"
 #include "datasets/datasets.h"
@@ -51,6 +57,85 @@ TEST_P(Table2PipelineTest, AsapTracksExhaustiveAt1200px) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDatasets, Table2PipelineTest,
+                         ::testing::Values("EEG", "Power", "traffic_data",
+                                           "machine_temp", "Twitter_AAPL",
+                                           "ramp_traffic", "sim_daily",
+                                           "Taxi", "Temp", "Sine"));
+
+// Streaming ASAP on every Table 2 dataset: a per-pane operator slides
+// its ACF, and at every refresh it must pick the window of the FFT
+// refresh it replaces (seed with the previous window if still
+// feasible, then AsapSearchWithAcf on ComputeAcfInfo of the visible
+// panes) after evaluating as many candidates, over a window filled
+// once and turned over three times.
+class Table2StreamingTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(Table2StreamingTest, SlidingRefreshesPickTheFftRefreshWindow) {
+  const datasets::Dataset ds = datasets::MakeByName(GetParam()).ValueOrDie();
+  const std::vector<double>& data = ds.series.values();
+  StreamingOptions options;
+  options.resolution = 300;
+  options.visible_points = data.size() / 4;
+  StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
+  const size_t pane = op.pane_size();
+  const size_t window_panes = options.visible_points / pane;
+  ASSERT_EQ(op.acf_rebuild_period(), window_panes) << GetParam();
+
+  std::deque<double> panes;
+  size_t previous = 0;
+  uint64_t candidates = 0;
+  size_t sliding_refreshes = 0;
+  for (size_t start = 0; start + pane <= data.size(); start += pane) {
+    // The pane mean as window::PaneBuffer computes it.
+    double sum = 0.0;
+    for (size_t i = 0; i < pane; ++i) {
+      sum += data[start + i];
+    }
+    panes.push_back(sum / static_cast<double>(pane));
+    if (panes.size() > window_panes) {
+      panes.pop_front();
+    }
+    const size_t refreshed = op.PushBatch(data.data() + start, pane);
+    ASSERT_EQ(refreshed, panes.size() >= 4 ? 1u : 0u) << GetParam();
+    if (refreshed == 0) {
+      continue;
+    }
+
+    const std::vector<double> x(panes.begin(), panes.end());
+    SeriesContext ctx(x);
+    const AcfInfo acf = ComputeAcfInfo(
+        x, options.search.ResolveMaxWindow(x.size()) + 1,
+        options.search.acf_threshold);
+    AsapState state;
+    if (previous >= 1 && previous <= x.size()) {
+      candidates += 1;
+      const CandidateScore score = ScoreWindow(ctx, previous);
+      if (score.kurtosis >= ctx.kurtosis()) {
+        state.window = previous;
+        state.roughness = score.roughness;
+        state.has_feasible = true;
+        const double corr = previous < acf.correlations.size()
+                                ? acf.correlations[previous]
+                                : 0.0;
+        state.lower_bound =
+            std::max(1.0, WindowLowerBound(previous, corr, acf.max_acf));
+      }
+    }
+    const SearchResult want =
+        AsapSearchWithAcf(&ctx, acf, options.search, &state);
+    candidates += want.diag.candidates_evaluated;
+    ASSERT_EQ(op.frame().window, want.window)
+        << GetParam() << " at pane " << start / pane;
+    // The ACF pruning saw the same peaks and bounds: same candidates.
+    ASSERT_EQ(op.frame().candidates_evaluated, candidates)
+        << GetParam() << " at pane " << start / pane;
+    previous = want.window;
+    sliding_refreshes += panes.size() == window_panes ? 1 : 0;
+  }
+  EXPECT_GE(sliding_refreshes, 2 * window_panes) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDatasets, Table2StreamingTest,
                          ::testing::Values("EEG", "Power", "traffic_data",
                                            "machine_temp", "Twitter_AAPL",
                                            "ramp_traffic", "sim_daily",

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -231,12 +233,19 @@ TEST(ScoreWindowTest, NearConstantSeriesStaysWithinTolerance) {
 
 // --- SeriesContext bookkeeping ------------------------------------------------
 
+// The bit pattern of a double, so a comparison is bitwise.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 TEST(SeriesContextTest, CachedMetricsMatchBatchMetrics) {
   const std::vector<double> x = MixedSeries(9, 400);
   SeriesContext ctx(x);
   EXPECT_EQ(ctx.size(), x.size());
   EXPECT_DOUBLE_EQ(ctx.roughness(), Roughness(x));
-  EXPECT_DOUBLE_EQ(ctx.kurtosis(), Kurtosis(x));
+  EXPECT_EQ(Bits(ctx.kurtosis()), Bits(Kurtosis(x)));
 }
 
 TEST(SeriesContextTest, SmaAtReconstructsBatchSma) {
@@ -255,7 +264,7 @@ TEST(SeriesContextTest, ResetRebindsToNewSeries) {
   const std::vector<double> x2 = MixedSeries(2, 450);
   ctx.Reset(x2);
   EXPECT_EQ(ctx.size(), x2.size());
-  EXPECT_DOUBLE_EQ(ctx.kurtosis(), Kurtosis(x2));
+  EXPECT_EQ(Bits(ctx.kurtosis()), Bits(Kurtosis(x2)));
   ExpectScoreParity(x2, 20, "after reset");
   const CandidateScore fused = ScoreWindow(ctx, 20);
   const CandidateScore naive = EvaluateWindow(x2, 20);

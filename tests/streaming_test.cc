@@ -1,18 +1,26 @@
 // Tests for src/core/streaming_asap: Algorithm 3's refresh mechanics,
-// warm starts, and consistency with the batch operator.
+// warm starts, consistency with the batch operator, and the sliding
+// ACF's rebuild schedule against the FFT refresh.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <thread>
 
 #include "common/random.h"
+#include "core/acf_peaks.h"
+#include "core/metrics.h"
+#include "core/search.h"
+#include "core/series_context.h"
 #include "core/smooth.h"
 #include "core/streaming_asap.h"
 #include "ts/generators.h"
+#include "window/sma.h"
 
 namespace asap {
 namespace {
@@ -433,6 +441,7 @@ TEST(StreamingAsapTest, SnapshotRingReadsStayCoherentUnderConcurrentPush) {
       if (history.empty()) {
         continue;
       }
+      rings_seen.fetch_add(1, std::memory_order_relaxed);
       ASSERT_LE(history.size(), 3u);
       for (size_t j = 1; j < history.size(); ++j) {
         EXPECT_EQ(history[j - 1]->refreshes + 1, history[j]->refreshes);
@@ -443,12 +452,21 @@ TEST(StreamingAsapTest, SnapshotRingReadsStayCoherentUnderConcurrentPush) {
       // A frame_snapshot taken right after must be at least as new as
       // the ring's back (the ring IS the publication point).
       EXPECT_GE(op.frame_snapshot()->refreshes, newest_seen);
-      rings_seen.fetch_add(1, std::memory_order_relaxed);
     }
   });
 
+  // Publish the first frame and let the reader see a ring before the
+  // rest races it: a fast writer could otherwise finish before the
+  // reader thread first runs.
   const std::vector<double> data = PeriodicStream(25, 30000);
-  op.PushBatch(data);
+  size_t pushed = 0;
+  while (op.frame().refreshes == 0) {
+    op.Push(data[pushed++]);
+  }
+  while (rings_seen.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  op.PushBatch(data.data() + pushed, data.size() - pushed);
   done.store(true, std::memory_order_release);
   reader.join();
 
@@ -548,6 +566,226 @@ TEST(StreamingAsapTest, PerThreadScratchCarriesNothingBetweenOperators) {
                              "thread a, operator " + std::to_string(i));
     ExpectBitwiseEqualFrames(second[2 - i], alone[i],
                              "thread b, operator " + std::to_string(i));
+  }
+}
+
+// --- The operator against the FFT refresh -----------------------------------------
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The mean of one arrival-input pane of `pane` points, computed as
+// window::PaneBuffer does.
+double PaneMean(const double* points, size_t pane) {
+  double sum = 0.0;
+  for (size_t i = 0; i < pane; ++i) {
+    sum += points[i];
+  }
+  return sum / static_cast<double>(pane);
+}
+
+// A refresh as the operator ran it before the sliding ACF: seed with
+// the previous window if it is still feasible, then AsapSearchWithAcf
+// on ComputeAcfInfo of the visible panes.
+struct FftRefresh {
+  SearchOptions options;
+  size_t previous = 0;  // 0 before the first refresh
+  uint64_t candidates = 0;
+
+  size_t Run(const std::vector<double>& x) {
+    SeriesContext ctx(x);
+    const AcfInfo acf = ComputeAcfInfo(
+        x, options.ResolveMaxWindow(x.size()) + 1, options.acf_threshold);
+    AsapState state;
+    if (previous >= 1 && previous <= x.size()) {
+      candidates += 1;
+      const CandidateScore score = ScoreWindow(ctx, previous);
+      if (score.kurtosis >= ctx.kurtosis()) {
+        state.window = previous;
+        state.roughness = score.roughness;
+        state.has_feasible = true;
+        const double corr = previous < acf.correlations.size()
+                                ? acf.correlations[previous]
+                                : 0.0;
+        state.lower_bound =
+            std::max(1.0, WindowLowerBound(previous, corr, acf.max_acf));
+      }
+    }
+    const SearchResult result = AsapSearchWithAcf(&ctx, acf, options, &state);
+    candidates += result.diag.candidates_evaluated;
+    previous = result.window;
+    return result.window;
+  }
+};
+
+TEST(StreamingAsapTest, SlidesOnlyWhereUpkeepBeatsTheFft) {
+  // I * (L + 1) < NextPowerOfTwo(n + L) at the full window.
+  struct Geometry {
+    size_t resolution;
+    size_t visible_points;
+    size_t refresh_every_points;
+    size_t period;
+  };
+  const Geometry geometries[] = {
+      {2000, 20000, 0, 2000},  // refresh_bound: 1 * 202 < 4096
+      {400, 4000, 4000, 0},    // firehose: 400 * 42 >= 512
+      {400, 4000, 250, 0},     // dashboard: 25 * 42 >= 512
+      {100, 2000, 250, 0},     // 13 * 12 >= 128
+      {100, 2000, 20, 100},    // 1 * 12 < 128
+      {200, 4000, 100, 200},   // 5 * 22 < 256: R = 5 * ceil(200 / 5)
+      {200, 4000, 220, 209},   // 11 * 22 < 256: R = 11 * ceil(200 / 11)
+  };
+  for (const Geometry& g : geometries) {
+    StreamingOptions options;
+    options.resolution = g.resolution;
+    options.visible_points = g.visible_points;
+    options.refresh_every_points = g.refresh_every_points;
+    EXPECT_EQ(StreamingAsap::Create(options).ValueOrDie().acf_rebuild_period(),
+              g.period)
+        << g.resolution << "/" << g.refresh_every_points;
+    // Only ASAP reads the ACF.
+    for (SearchStrategy strategy :
+         {SearchStrategy::kExhaustive, SearchStrategy::kGrid,
+          SearchStrategy::kBinary}) {
+      options.strategy = strategy;
+      EXPECT_EQ(
+          StreamingAsap::Create(options).ValueOrDie().acf_rebuild_period(), 0u);
+    }
+  }
+}
+
+TEST(StreamingAsapTest, RebuildingOperatorsRenderTheFftRefreshFrames) {
+  // The firehose and dashboard geometries recompute the ACF with the
+  // FFT at every refresh, so every frame is the FFT refresh's: same
+  // window, same series bits, same candidate count.
+  for (size_t refresh_every_points : {size_t{4000}, size_t{250}}) {
+    StreamingOptions options;
+    options.resolution = 400;
+    options.visible_points = 4000;
+    options.refresh_every_points = refresh_every_points;
+    StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
+    ASSERT_EQ(op.acf_rebuild_period(), 0u);
+    const size_t pane = op.pane_size();
+    const size_t interval = op.refresh_interval_panes();
+    const std::vector<double> data = PeriodicStream(61, 3 * 4000, 37.0);
+    std::deque<double> panes;
+    FftRefresh reference{options.search};
+    size_t refreshes = 0;
+    for (size_t start = 0; start + pane <= data.size(); start += pane) {
+      panes.push_back(PaneMean(data.data() + start, pane));
+      if (panes.size() > 400) {
+        panes.pop_front();
+      }
+      if (op.PushBatch(data.data() + start, pane) == 0) {
+        continue;
+      }
+      const std::vector<double> x(panes.begin(), panes.end());
+      const size_t window = reference.Run(x);
+      const StreamingAsap::Frame& frame = op.frame();
+      ASSERT_EQ(frame.window, window) << "refresh " << refreshes;
+      const std::vector<double> series = window::Sma(x, window);
+      ASSERT_TRUE(SameBits(frame.series, series)) << "refresh " << refreshes;
+      ASSERT_EQ(frame.candidates_evaluated, reference.candidates);
+      ++refreshes;
+      ASSERT_EQ(frame.acf_rebuilds, refreshes);
+    }
+    EXPECT_GE(refreshes, 3 * 400 / interval - 1);
+  }
+}
+
+TEST(StreamingAsapTest, SlidingAcfRebuildsOncePerWindowTurnover) {
+  // 200 one-point panes refreshing every I panes slide their ACF. A
+  // refresh rebuilds it with the FFT when the window grew since the
+  // last refresh, when a multiple of R = I * ceil(200 / I) committed
+  // panes passed since then, and while a NaN pane is or has been
+  // visible since the last rebuild; otherwise it slides. An exhaustive
+  // operator computes no ACF at all.
+  const std::vector<double> data = [] {
+    std::vector<double> v = PeriodicStream(81, 1400, 30.0);
+    v[700] = std::nan("");  // pane 701, visible at panes 701..900
+    return v;
+  }();
+  for (size_t interval : {size_t{1}, size_t{5}, size_t{11}}) {
+    StreamingOptions options;
+    options.resolution = 200;
+    options.visible_points = 200;
+    options.enable_preaggregation = false;
+    options.refresh_every_points = interval;
+    StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
+    const size_t period = op.acf_rebuild_period();
+    ASSERT_EQ(period, interval * ((200 + interval - 1) / interval));
+    uint64_t last = 0;  // committed panes at the previous refresh
+    uint64_t rebuilds = 0;
+    for (uint64_t p = 1; p <= data.size(); ++p) {
+      if (!op.Push(data[p - 1])) {
+        continue;
+      }
+      const bool grew =
+          std::min<uint64_t>(last, 200) != std::min<uint64_t>(p, 200);
+      const bool scheduled = p / period != last / period;
+      const bool nan = p >= 701 && last <= 900;
+      rebuilds += grew || scheduled || nan ? 1 : 0;
+      ASSERT_EQ(op.frame().acf_rebuilds, rebuilds)
+          << "interval " << interval << " at pane " << p;
+      last = p;
+    }
+    EXPECT_LT(rebuilds, op.frame().refreshes / 2) << "interval " << interval;
+
+    options.strategy = SearchStrategy::kExhaustive;
+    StreamingAsap exhaustive = StreamingAsap::Create(options).ValueOrDie();
+    exhaustive.PushBatch(data);
+    EXPECT_GT(exhaustive.frame().refreshes, 0u);
+    EXPECT_EQ(exhaustive.frame().acf_rebuilds, 0u);
+  }
+}
+
+// Every frame an operator published, oldest first (its ring must be
+// deep enough to hold them all).
+Frames Published(const StreamingAsap& op) {
+  Frames frames;
+  for (const auto& frame : op.FrameHistory()) {
+    frames.push_back(*frame);
+  }
+  return frames;
+}
+
+TEST(StreamingAsapTest, CadencedRestoreMatchesArrivalIngest) {
+  // One-point panes, so the restored means are the pushed points. At
+  // one refresh per pane the operator slides (R = 200 panes); at one
+  // per 20 it rebuilds at every refresh. Either way restore replays
+  // the same commits and refreshes, so the frames and the ring match
+  // bit for bit, lifetime counters included.
+  for (size_t refresh_every_points : {size_t{0}, size_t{20}}) {
+    StreamingOptions options;
+    options.resolution = 200;
+    options.visible_points = 200;
+    options.enable_preaggregation = false;
+    options.refresh_every_points = refresh_every_points;
+    options.snapshot_ring_frames = 1000;
+    const std::vector<double> data = PeriodicStream(71, 700, 30.0);
+
+    StreamingAsap live = StreamingAsap::Create(options).ValueOrDie();
+    EXPECT_EQ(live.acf_rebuild_period(), refresh_every_points == 0 ? 200u : 0u);
+    live.PushBatch(data);
+    StreamingAsap restored = StreamingAsap::Create(options).ValueOrDie();
+    restored.RestorePanes(data.data(), data.size(), /*cadenced=*/true);
+
+    const std::string what =
+        "refresh every " + std::to_string(refresh_every_points);
+    EXPECT_EQ(restored.points_consumed(), live.points_consumed()) << what;
+    const Frames want = Published(live);
+    ASSERT_GT(want.size(), 2 * 200 / live.refresh_interval_panes()) << what;
+    const Frames got = Published(restored);
+    ExpectBitwiseEqualFrames(got, want, what);
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].refreshes, want[r].refreshes) << what;
+      EXPECT_EQ(got[r].cold_searches, want[r].cold_searches) << what;
+      EXPECT_EQ(got[r].allocation_free_evals, want[r].allocation_free_evals)
+          << what;
+      EXPECT_EQ(got[r].acf_rebuilds, want[r].acf_rebuilds) << what;
+    }
   }
 }
 

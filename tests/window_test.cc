@@ -112,6 +112,11 @@ TEST(SmaTest, DriftStaysBelow1e9OnMillionPointSeries) {
 
 // --- Panes ----------------------------------------------------------------------
 
+// The retained pane means, oldest first.
+std::vector<double> Means(const PaneBuffer& buffer) {
+  return std::vector<double>(buffer.means().begin(), buffer.means().end());
+}
+
 // Feeds every point, returning the number of panes committed.
 size_t AddAll(PaneBuffer* buffer, const std::vector<double>& xs,
               const std::vector<int64_t>& ticks = {}) {
@@ -130,13 +135,13 @@ TEST(PaneBufferTest, CompletesPanesAtBoundary) {
   EXPECT_EQ(AddAll(&buffer, {3}), 1u);  // pane completed
   EXPECT_EQ(buffer.size(), 1u);
   EXPECT_FALSE(buffer.open_pane_last().has_value());
-  EXPECT_DOUBLE_EQ(buffer.PaneMeans()[0], 2.0);
+  EXPECT_DOUBLE_EQ(buffer.means()[0], 2.0);
   // A batch spanning boundaries reports each commit as it happens,
   // before the next point joins a pane.
   const std::vector<double> xs = {4, 5, 6, 7, 8, 9, 10};
   std::vector<std::vector<double>> at_commit;
   buffer.Add(xs.data(), nullptr, xs.size(),
-             [&] { at_commit.push_back(buffer.PaneMeans()); });
+             [&] { at_commit.push_back(Means(buffer)); });
   ASSERT_EQ(at_commit.size(), 2u);
   EXPECT_EQ(at_commit[0], (std::vector<double>{2, 5}));
   EXPECT_EQ(at_commit[1], (std::vector<double>{2, 5, 8}));
@@ -151,7 +156,7 @@ TEST(PaneBufferTest, TimedPaneCommitsWhenTheFrontierReachesItsEnd) {
   EXPECT_FALSE(buffer.AdvanceFrontier(14));
   // A point at the pane's end commits it before joining the next.
   EXPECT_EQ(AddAll(&buffer, {10}, {15}), 1u);
-  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{2}));
+  EXPECT_EQ(Means(buffer), (std::vector<double>{2}));
   // Skipped buckets leave no panes; a point older than the open pane
   // joins it.
   EXPECT_EQ(AddAll(&buffer, {20, 6}, {47, 12}), 1u);
@@ -160,7 +165,7 @@ TEST(PaneBufferTest, TimedPaneCommitsWhenTheFrontierReachesItsEnd) {
   EXPECT_FALSE(buffer.AdvanceFrontier(54));
   EXPECT_TRUE(buffer.AdvanceFrontier(55));
   EXPECT_FALSE(buffer.AdvanceFrontier(1000));
-  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{2, 10, 13}));
+  EXPECT_EQ(Means(buffer), (std::vector<double>{2, 10, 13}));
   // Pre-epoch ticks map to negative buckets.
   PaneBuffer early(/*width=*/10, /*epoch=*/5, /*max_panes=*/0);
   EXPECT_EQ(AddAll(&early, {1}, {-6}), 0u);
@@ -180,16 +185,27 @@ TEST(PaneBufferTest, ExtremeTicksLandInTheirBuckets) {
   EXPECT_EQ(AddAll(&buffer, {3, 5}, {hi, hi}), 1u);
   EXPECT_EQ(buffer.open_pane_last(), std::optional<int64_t>(hi));
   EXPECT_FALSE(buffer.AdvanceFrontier(hi));
-  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{1.5}));
+  EXPECT_EQ(Means(buffer), (std::vector<double>{1.5}));
 }
 
 TEST(PaneBufferTest, EvictsOldestBeyondCapacity) {
   PaneBuffer buffer(/*width=*/1, /*epoch=*/0, /*max_panes=*/3);
-  EXPECT_EQ(AddAll(&buffer, {1, 2, 3, 4, 5}), 5u);
-  EXPECT_EQ(buffer.size(), 3u);
-  std::vector<double> means = buffer.PaneMeans();
-  EXPECT_DOUBLE_EQ(means[0], 3.0);
-  EXPECT_DOUBLE_EQ(means[2], 5.0);
+  // Each commit callback sees the pane that commit pushed out, if any.
+  const std::vector<double> xs = {1, 2, 3, 4, 5};
+  std::vector<std::optional<double>> evicted;
+  buffer.Add(xs.data(), nullptr, xs.size(),
+             [&] { evicted.push_back(buffer.evicted()); });
+  EXPECT_EQ(evicted, (std::vector<std::optional<double>>{
+                         std::nullopt, std::nullopt, std::nullopt, 1.0, 2.0}));
+  EXPECT_EQ(Means(buffer), (std::vector<double>{3, 4, 5}));
+  // Restored panes evict the same way; evicted() names the last one's.
+  const double restored[] = {6, 7};
+  PaneBuffer restore(/*width=*/1, /*epoch=*/0, /*max_panes=*/3);
+  restore.RestoreCompleted(restored, 2);
+  EXPECT_EQ(restore.evicted(), std::nullopt);
+  restore.RestoreCompleted(xs.data(), 3);
+  EXPECT_EQ(restore.evicted(), std::optional<double>(7));
+  EXPECT_EQ(Means(restore), (std::vector<double>{1, 2, 3}));
 }
 
 TEST(PaneBufferTest, ResetClears) {
@@ -200,7 +216,7 @@ TEST(PaneBufferTest, ResetClears) {
   EXPECT_FALSE(buffer.open_pane_last().has_value());
   // The arrival clock restarts: the next pane is a whole one again.
   EXPECT_EQ(AddAll(&buffer, {5, 7}), 1u);
-  EXPECT_EQ(buffer.PaneMeans(), (std::vector<double>{6}));
+  EXPECT_EQ(Means(buffer), (std::vector<double>{6}));
 }
 
 // --- Preaggregation --------------------------------------------------------------
