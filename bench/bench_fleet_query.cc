@@ -243,8 +243,8 @@ int main(int argc, char** argv) {
   // gated at >= 4x the throughput of the sort-based baseline it
   // replaced, single-threaded, on the same sample. Both produce
   // bitwise-identical bands (exec_parity_test), so the ratio isolates
-  // the kernel work. Sequential scalar execution keeps the gate
-  // deterministic across CI core counts.
+  // the kernel work. Sequential execution keeps the gate deterministic
+  // across CI core counts.
   const FleetSample rollup_sample = view.Sample(SeriesSelector::All());
   asap::ExecPolicy sequential;
   sequential.threads = 1;
@@ -265,10 +265,7 @@ int main(int argc, char** argv) {
       asap::gen::WhiteNoise(&smooth_rng, kSmoothN, 0.4));
   asap::SeriesContext smooth_ctx(smooth_x);
   const double smooth_seconds = asap::bench::TimeBest(
-      [&] {
-        (void)asap::ScoreWindow(smooth_ctx, kSmoothN / 2000, sequential);
-      },
-      3);
+      [&] { (void)asap::ScoreWindow(smooth_ctx, kSmoothN / 2000); }, 3);
 
   std::printf("\n");
   Row({"Kernel floor", "Time", "Floor", "Status"}, 18);

@@ -11,7 +11,6 @@
 #include "baselines/m4.h"
 #include "baselines/paa.h"
 #include "baselines/visvalingam.h"
-#include "common/exec_policy.h"
 #include "common/random.h"
 #include "core/kernels.h"
 #include "core/search.h"
@@ -191,45 +190,52 @@ BENCHMARK(BM_VisvalingamSimplify);
 // --- Scalar vs SIMD kernel table ---------------------------------------------
 //
 // Side-by-side pairs for each dispatched kernel: the same work through
-// kern::ScalarKernels() and through the runtime-selected SIMD table
-// (identical results by contract — see core/kernels.h — so the pair
-// isolates the vectorization win). On a host without AVX2/NEON, or in
-// a -DASAP_DISABLE_SIMD=ON build, the Simd variants measure scalar
-// again.
-// Run with --benchmark_filter='ScalarVsSimd' for just these.
+// kern::ScalarKernels() and through kern::ActiveKernels(), the widest
+// table the build and CPU support (identical results by contract — see
+// core/kernels.h — so the pair isolates the vectorization win). On a
+// host without AVX2/NEON, or in a -DASAP_DISABLE_SIMD=ON build, the
+// Simd variants measure scalar again.
+// Run with --benchmark_filter='ScoreWindow(Scalar|Simd)|AbsDelta' for
+// just these.
 
-asap::ExecPolicy SimdOnlyPolicy(asap::SimdMode mode) {
-  asap::ExecPolicy policy;
-  policy.threads = 1;
-  policy.simd = mode;
-  return policy;
-}
-
-void BM_ScalarVsSimd_ScoreWindow(benchmark::State& state, asap::SimdMode mode) {
+// The moment pass of ScoreWindow(ctx, n / 20) as one score_segment
+// call over smoothed positions [1, m), the range ScoreWindow splits
+// into chunks (position 0 seeds the sums outside the kernel).
+void BM_ScalarVsSimd_ScoreWindow(benchmark::State& state,
+                                 const asap::kern::KernelTable& kt) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<double> x = MakeSignal(n);
   asap::SeriesContext ctx(x);
-  const asap::ExecPolicy policy = SimdOnlyPolicy(mode);
+  const size_t w = n / 20;
+  const size_t m = n - w + 1;
+  const double* prefix = ctx.prefix();
+  const double* prefix2 = ctx.prefix2();
+  const double inv_w = 1.0 / static_cast<double>(w);
+  const double mean_u = (prefix2[n + 1] - prefix2[w] - prefix2[m]) * inv_w /
+                        static_cast<double>(m);
+  const double mean_d = ((prefix[n] - prefix[m - 1]) - prefix[w]) * inv_w /
+                        static_cast<double>(m - 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(asap::ScoreWindow(ctx, n / 20, policy));
+    benchmark::DoNotOptimize(
+        kt.score_segment(prefix, w, inv_w, mean_u, mean_d, 1, m));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 void BM_ScoreWindowScalar(benchmark::State& state) {
-  BM_ScalarVsSimd_ScoreWindow(state, asap::SimdMode::kScalar);
+  BM_ScalarVsSimd_ScoreWindow(state, asap::kern::ScalarKernels());
 }
 void BM_ScoreWindowSimd(benchmark::State& state) {
-  BM_ScalarVsSimd_ScoreWindow(state, asap::SimdMode::kAuto);
+  BM_ScalarVsSimd_ScoreWindow(state, asap::kern::ActiveKernels());
 }
 BENCHMARK(BM_ScoreWindowScalar)->Arg(100000)->Arg(1000000)->Arg(10000000);
 BENCHMARK(BM_ScoreWindowSimd)->Arg(100000)->Arg(1000000)->Arg(10000000);
 
-void BM_ScalarVsSimd_AbsDelta(benchmark::State& state, asap::SimdMode mode) {
+void BM_ScalarVsSimd_AbsDelta(benchmark::State& state,
+                              const asap::kern::KernelTable& kt) {
   const size_t n = static_cast<size_t>(state.range(0));
   const std::vector<double> newer = MakeSignal(n);
   const std::vector<double> older = MakeSignal(n + 1);
   std::vector<double> delta(n);
-  const asap::kern::KernelTable& kt = asap::kern::ActiveKernels(mode);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         kt.abs_delta(newer.data(), older.data(), n, delta.data()));
@@ -237,10 +243,10 @@ void BM_ScalarVsSimd_AbsDelta(benchmark::State& state, asap::SimdMode mode) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 void BM_AbsDeltaScalar(benchmark::State& state) {
-  BM_ScalarVsSimd_AbsDelta(state, asap::SimdMode::kScalar);
+  BM_ScalarVsSimd_AbsDelta(state, asap::kern::ScalarKernels());
 }
 void BM_AbsDeltaSimd(benchmark::State& state) {
-  BM_ScalarVsSimd_AbsDelta(state, asap::SimdMode::kAuto);
+  BM_ScalarVsSimd_AbsDelta(state, asap::kern::ActiveKernels());
 }
 BENCHMARK(BM_AbsDeltaScalar)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_AbsDeltaSimd)->Arg(1 << 16)->Arg(1 << 20);

@@ -1,12 +1,12 @@
-// Execution policy: the per-call knob that pins how a kernel runs —
-// how many threads participate and whether the SIMD code paths may be
-// used. The *result* of every kernel that accepts an ExecPolicy is
-// bitwise-identical across all policies: kernels commit to one
-// canonical floating-point reduction shape (see core/kernels.h), and
-// threads/SIMD only change how fast that shape is executed, never
-// which operations it performs. That is what lets callers flip these
-// knobs freely (and lets the parity tests pin scalar-vs-SIMD and
-// 1-vs-T-thread outputs with memcmp).
+// Execution policy of FleetView's cross-series rollups: how many
+// threads a rollup may fan out to. Rollup results are bitwise-identical
+// at every thread count: each rollup splits its work into chunks whose
+// layout depends only on the problem size (never on the thread count)
+// and merges the chunk results in chunk order on the calling thread
+// (see common/task_pool.h), which is what lets the parity tests pin
+// 1-vs-T-thread outputs with memcmp. One series' search, ACF and
+// candidate scores always run on the calling thread; the sharded
+// engine parallelizes across series instead.
 
 #ifndef ASAP_COMMON_EXEC_POLICY_H_
 #define ASAP_COMMON_EXEC_POLICY_H_
@@ -16,25 +16,13 @@
 
 namespace asap {
 
-/// Which instruction-set paths a kernel may dispatch to.
-enum class SimdMode {
-  /// Use the widest path compiled in and supported by this CPU
-  /// (AVX2 on x86-64, NEON on aarch64), falling back to scalar.
-  kAuto,
-  /// Force the scalar reference path.
-  kScalar,
-};
-
-/// Per-call execution configuration, threaded through SearchOptions
-/// (and therefore SmoothOptions / StreamingOptions) and FleetView.
+/// Per-view execution configuration of FleetView (see
+/// stream/fleet_view.h).
 struct ExecPolicy {
-  /// Worker threads a kernel may fan out to. 1 (the default) runs
+  /// Worker threads a rollup may fan out to. 1 (the default) runs
   /// fully inline on the calling thread; 0 means "all hardware
-  /// threads". The sharded fleet engine already parallelizes across
-  /// series, so intra-series fan-out is opt-in.
+  /// threads".
   size_t threads = 1;
-  /// SIMD dispatch mode (see SimdMode).
-  SimdMode simd = SimdMode::kAuto;
 
   /// `threads` with 0 resolved to the hardware concurrency (>= 1).
   size_t ResolveThreads() const {

@@ -1,9 +1,10 @@
 // A small reusable task pool for intra-query parallelism.
 //
-// The sharded fleet engine (stream/sharded_engine.*) already spreads
-// *series* across threads; this pool is the complementary axis — it
-// splits the work of a single query (a ScoreWindow candidate sweep, an
-// FFT stage, a percentile-band rollup) across cores. Design points:
+// The sharded fleet engine (stream/sharded_engine.*) spreads *series*
+// across threads, and each series' search runs on its shard's thread.
+// This pool splits the work of one FleetView rollup (percentile bands,
+// anomaly counts, rankings, history diffs) across cores, under the
+// view's ExecPolicy. Design points:
 //
 //   * One process-wide pool (Global()), lazily started with
 //     hardware_concurrency - 1 workers (minimum one). Queries borrow

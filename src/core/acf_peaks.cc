@@ -25,12 +25,11 @@ std::vector<size_t> FindAcfPeaks(const std::vector<double>& acf,
 }
 
 AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
-                       double peak_threshold, const ExecPolicy& policy,
-                       fft::AcfScratch* scratch) {
+                       double peak_threshold, fft::AcfScratch* scratch) {
   ASAP_CHECK_GE(series.size(), 2u);
   max_lag = std::min(max_lag, series.size() - 1);
   AcfInfo info;
-  info.correlations = fft::AutocorrelationFft(series, max_lag, policy, scratch);
+  info.correlations = fft::AutocorrelationFft(series, max_lag, scratch);
   SetAcfPeaks(peak_threshold, &info);
   return info;
 }

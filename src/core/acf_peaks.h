@@ -8,8 +8,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/exec_policy.h"
-
 namespace asap {
 
 namespace fft {
@@ -30,13 +28,10 @@ struct AcfInfo {
 /// local maxima with correlation > threshold. The paper's public
 /// implementations use threshold = 0.2; below it, periodicity is too
 /// weak for the Eq. 5/6 pruning rules to be trustworthy and ASAP falls
-/// back to binary search.
-/// The policy threads the FFT passes; the computed values are
-/// bitwise-identical under every policy. `scratch` (optional) is the
-/// FFT's reusable work buffers (see fft::AutocorrelationFft).
+/// back to binary search. `scratch` (optional) is the FFT's reusable
+/// work buffers (see fft::AutocorrelationFft).
 AcfInfo ComputeAcfInfo(const std::vector<double>& series, size_t max_lag,
                        double peak_threshold = 0.2,
-                       const ExecPolicy& policy = {},
                        fft::AcfScratch* scratch = nullptr);
 
 /// Peak detection over an existing ACF vector (lags 1..size-1).

@@ -161,17 +161,12 @@ const KernelTable* PickSimdTable() {
 
 const KernelTable& ScalarKernels() { return kScalarTable; }
 
-const KernelTable& ActiveKernels(SimdMode mode) {
+const KernelTable& ActiveKernels() {
   static const KernelTable* simd = PickSimdTable();
-  if (mode == SimdMode::kScalar || simd == nullptr) {
-    return kScalarTable;
-  }
-  return *simd;
+  return simd != nullptr ? *simd : kScalarTable;
 }
 
-bool SimdAvailable() {
-  return &ActiveKernels(SimdMode::kAuto) != &kScalarTable;
-}
+bool SimdAvailable() { return &ActiveKernels() != &kScalarTable; }
 
 }  // namespace kern
 }  // namespace asap

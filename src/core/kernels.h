@@ -1,8 +1,10 @@
 // Runtime-dispatched SIMD kernel table for the analytics hot loops.
 //
 // Every kernel here exists in (at least) two implementations — a
-// scalar reference and an AVX2/NEON path — selected at runtime via
-// ActiveKernels(). The contract that makes that safe to do silently:
+// scalar reference and an AVX2/NEON path. The instruction set is a
+// property of the build and the CPU, not of the call: ActiveKernels()
+// is the widest table both support, picked once per process. The
+// contract that makes that safe to do silently:
 // all implementations of a kernel produce **bitwise-identical**
 // results. There is no "fast but slightly different" mode.
 //
@@ -25,19 +27,20 @@
 //     with -ffp-contract=off so the scalar path cannot contract
 //     either.
 //
-// Thread-level parallelism layers on top the same way: callers split a
-// range into chunks whose layout is a pure function of the *element
-// count* (ScoreChunks/ChunkBound below — never of the thread count),
-// compute per-chunk partials with these kernels, and merge the
-// partials sequentially in chunk order. The result is one fixed FP
-// expression DAG per input, regardless of ISA or thread count.
+// Long reductions are chunked the same way: callers split a range into
+// chunks whose layout is a pure function of the *element count*
+// (ChunksFor/ChunkBound below — never of the thread count), compute
+// per-chunk partials with these kernels, and merge the partials in
+// chunk order on the calling thread. FleetView's rollups may compute
+// the chunks on several threads (common/task_pool.h); the result is
+// one fixed FP expression DAG per input, regardless of ISA or thread
+// count. tests/exec_parity_test.cc compares every entry of
+// ActiveKernels() with ScalarKernels() bit for bit.
 
 #ifndef ASAP_CORE_KERNELS_H_
 #define ASAP_CORE_KERNELS_H_
 
 #include <cstddef>
-
-#include "common/exec_policy.h"
 
 namespace asap {
 namespace kern {
@@ -106,10 +109,10 @@ struct KernelTable {
 /// The scalar reference table (always available; the parity baseline).
 const KernelTable& ScalarKernels();
 
-/// The table to use under `mode`: the widest implementation compiled
-/// in and supported by this CPU, unless mode forces scalar or the
-/// build was configured with ASAP_DISABLE_SIMD.
-const KernelTable& ActiveKernels(SimdMode mode);
+/// The table every kernel caller uses: the widest implementation
+/// compiled in and supported by this CPU, or the scalar table when
+/// there is none or the build was configured with ASAP_DISABLE_SIMD.
+const KernelTable& ActiveKernels();
 
 /// True iff a non-scalar table is compiled in and usable on this CPU.
 bool SimdAvailable();

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "common/task_pool.h"
-#include "core/kernels.h"
 #include "core/metrics.h"
 #include "window/sma.h"
 
@@ -14,6 +12,13 @@ namespace asap {
 size_t SearchOptions::ResolveMaxWindow(size_t n) const {
   const size_t mw = std::min(max_window == 0 ? n / 10 : max_window, n);
   return std::max<size_t>(mw, 1);
+}
+
+Status ValidateSearchOptions(const SearchOptions& options) {
+  if (options.grid_step < 1) {
+    return Status::InvalidArgument("grid_step must be >= 1 (got 0)");
+  }
+  return Status::OK();
 }
 
 CandidateScore EvaluateWindow(const std::vector<double>& x, size_t w) {
@@ -34,7 +39,7 @@ CandidateScore Score(const SeriesContext& ctx, size_t w,
     return EvaluateWindow(ctx.x(), w);
   }
   diag->allocation_free_evals += 1;
-  return ScoreWindow(ctx, w, options.exec);
+  return ScoreWindow(ctx, w);
 }
 
 // Shared feasibility + bookkeeping: updates `result` if candidate w is
@@ -86,54 +91,6 @@ void BinarySearchRange(const SeriesContext& ctx, size_t head, size_t tail,
   }
 }
 
-// Task-split candidate sweep over windows {first + i * step}, i in
-// [0, count): candidates are scored into per-candidate slots across
-// threads, then the incumbent walk replays sequentially in candidate
-// order. Because ScoreWindow is bitwise-deterministic under every
-// policy, the walk sees the exact scores the sequential sweep would
-// have, so the chosen window, its score, and the diagnostics are all
-// identical at any thread count.
-void SweepCandidates(SeriesContext* ctx, size_t first, size_t step,
-                     size_t count, const SearchOptions& options,
-                     SearchResult* result) {
-  const size_t threads = options.exec.ResolveThreads();
-  if (threads <= 1 || count < 2) {
-    for (size_t i = 0; i < count; ++i) {
-      ConsiderCandidate(*ctx, first + i * step, options, result);
-    }
-    return;
-  }
-  std::vector<CandidateScore> scores(count);
-  // Parallelism is across candidates here; the inner kernel runs
-  // sequentially (its result does not depend on the choice).
-  ExecPolicy inner = options.exec;
-  inner.threads = 1;
-  const size_t chunks =
-      std::min(count, std::min<size_t>(threads * 4, kern::kMaxChunks));
-  ParallelChunks(options.exec, chunks, [&](size_t c) {
-    const size_t i0 = kern::ChunkBound(count, chunks, c);
-    const size_t i1 = kern::ChunkBound(count, chunks, c + 1);
-    for (size_t i = i0; i < i1; ++i) {
-      const size_t w = first + i * step;
-      scores[i] = options.use_naive_evaluator ? EvaluateWindow(ctx->x(), w)
-                                              : ScoreWindow(*ctx, w, inner);
-    }
-  });
-  for (size_t i = 0; i < count; ++i) {
-    result->diag.candidates_evaluated += 1;
-    if (!options.use_naive_evaluator) {
-      result->diag.allocation_free_evals += 1;
-    }
-    const CandidateScore& score = scores[i];
-    if (score.kurtosis >= ctx->kurtosis() &&
-        score.roughness < result->roughness) {
-      result->window = first + i * step;
-      result->roughness = score.roughness;
-      result->kurtosis = score.kurtosis;
-    }
-  }
-}
-
 }  // namespace
 
 SearchResult ExhaustiveSearch(SeriesContext* ctx,
@@ -141,8 +98,8 @@ SearchResult ExhaustiveSearch(SeriesContext* ctx,
   ASAP_CHECK_GE(ctx->size(), 2u);
   const size_t max_window = options.ResolveMaxWindow(ctx->size());
   SearchResult result = InitWithIdentity(*ctx);
-  if (max_window >= 2) {
-    SweepCandidates(ctx, 2, 1, max_window - 1, options, &result);
+  for (size_t w = 2; w <= max_window; ++w) {
+    ConsiderCandidate(*ctx, w, options, &result);
   }
   return result;
 }
@@ -158,10 +115,11 @@ SearchResult GridSearch(SeriesContext* ctx, const SearchOptions& options) {
   ASAP_CHECK_GE(options.grid_step, 1u);
   const size_t max_window = options.ResolveMaxWindow(ctx->size());
   SearchResult result = InitWithIdentity(*ctx);
-  const size_t first = 1 + options.grid_step;
-  if (first <= max_window) {
-    const size_t count = (max_window - first) / options.grid_step + 1;
-    SweepCandidates(ctx, first, options.grid_step, count, options, &result);
+  // w = 1 + k * grid_step for k = 1, 2, ... while w <= max_window,
+  // tested so that a huge step cannot wrap around.
+  for (size_t w = 1; options.grid_step <= max_window - w;) {
+    w += options.grid_step;
+    ConsiderCandidate(*ctx, w, options, &result);
   }
   return result;
 }
@@ -277,7 +235,7 @@ SearchResult AsapSearch(SeriesContext* ctx, const SearchOptions& options,
   // One extra lag so a period that lands exactly on max_window is still
   // detectable as a local maximum.
   const AcfInfo& acf = ctx->EnsureAcf(/*max_lag=*/max_window + 1,
-                                      options.acf_threshold, options.exec);
+                                      options.acf_threshold);
   return AsapSearchWithAcf(ctx, acf, options, seed);
 }
 

@@ -14,7 +14,9 @@
 //                   (Algorithms 1 & 2).
 //
 // Searches run on the (already preaggregated) series; the public API
-// in core/smooth.h composes preaggregation with a strategy.
+// in core/smooth.h composes preaggregation with a strategy. A search
+// runs on the calling thread: the fleet engine parallelizes across
+// series, never within one.
 
 #ifndef ASAP_CORE_SEARCH_H_
 #define ASAP_CORE_SEARCH_H_
@@ -23,7 +25,7 @@
 #include <limits>
 #include <vector>
 
-#include "common/exec_policy.h"
+#include "common/status.h"
 #include "core/acf_peaks.h"
 #include "core/series_context.h"
 
@@ -65,7 +67,7 @@ struct SearchOptions {
   size_t max_window = 0;
   /// ACF peak detection threshold (ASAP only).
   double acf_threshold = 0.2;
-  /// Step for grid search.
+  /// Step for grid search (>= 1; see ValidateSearchOptions).
   size_t grid_step = 1;
 
   /// Ablation switches (bench_ablation_pruning): disable the Eq. 6
@@ -80,16 +82,14 @@ struct SearchOptions {
   /// to compare the two evaluators through identical search logic.
   bool use_naive_evaluator = false;
 
-  /// Intra-search execution: threads and SIMD mode for the candidate
-  /// sweep (exhaustive/grid fan candidates out across threads; binary
-  /// and ASAP fan out inside the scoring kernel), the fused
-  /// ScoreWindow kernel, and the ACF's FFT passes. Search results are
-  /// bitwise-identical under every policy (see common/exec_policy.h).
-  ExecPolicy exec;
-
   /// Resolved maximum window for a series of length n (>= 1, <= n).
   size_t ResolveMaxWindow(size_t n) const;
 };
+
+/// InvalidArgument if the options cannot drive a search (grid_step is
+/// 0); OK otherwise. Smooth and StreamingAsap::Create call it, so a bad
+/// option fails at the API boundary instead of aborting mid-search.
+Status ValidateSearchOptions(const SearchOptions& options);
 
 /// Evaluation of a single candidate window.
 struct CandidateScore {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/macros.h"
-#include "common/task_pool.h"
 #include "core/kernels.h"
 #include "core/metrics.h"
 #include "core/search.h"
@@ -66,16 +65,15 @@ double SeriesContext::SmaAt(size_t w, size_t i) const {
   return mean_ + (prefix_[i + w] - prefix_[i]) / static_cast<double>(w);
 }
 
-const AcfInfo& SeriesContext::EnsureAcf(size_t max_lag, double peak_threshold,
-                                        const ExecPolicy& policy) {
+const AcfInfo& SeriesContext::EnsureAcf(size_t max_lag,
+                                        double peak_threshold) {
   // Exact-parameter caching only: reusing a *broader* cached ACF for a
   // smaller max_lag would change max_acf (and the Eq. 6 pruning) the
   // moment a context is shared across searches with different window
-  // ranges, making results depend on call history. The policy is not
-  // part of the key: it never changes the computed values.
+  // ranges, making results depend on call history.
   if (!acf_valid_ || acf_max_lag_ != max_lag ||
       acf_threshold_ != peak_threshold) {
-    acf_ = ComputeAcfInfo(x_, max_lag, peak_threshold, policy, &acf_scratch_);
+    acf_ = ComputeAcfInfo(x_, max_lag, peak_threshold, &acf_scratch_);
     acf_valid_ = true;
     acf_max_lag_ = max_lag;
     acf_threshold_ = peak_threshold;
@@ -192,11 +190,6 @@ CandidateScore ReplayNaiveScore(const std::vector<double>& x, size_t w) {
 }  // namespace
 
 CandidateScore ScoreWindow(const SeriesContext& ctx, size_t w) {
-  return ScoreWindow(ctx, w, ExecPolicy{});
-}
-
-CandidateScore ScoreWindow(const SeriesContext& ctx, size_t w,
-                           const ExecPolicy& policy) {
   ASAP_CHECK_GE(w, 1u);
   ASAP_CHECK_LE(w, ctx.size());
   if (w == 1) {
@@ -243,27 +236,23 @@ CandidateScore ScoreWindow(const SeriesContext& ctx, size_t w,
   }
   // Elements i in [1, m) run through the canonical chunked reduction
   // (core/kernels.h): the chunk layout depends only on the element
-  // count and partials merge in chunk order, so every ExecPolicy —
-  // scalar or SIMD, one thread or many — produces bitwise-identical
-  // moments. The loop is data-parallel because u_{i-1} is recomputed
-  // from the prefix array with the exact FP expression the sequential
-  // loop's carried prev_u held.
+  // count and partials merge in chunk order. The layout is part of the
+  // result, since it fixes the order of the additions; the scalar and
+  // SIMD tables compute each chunk bit for bit alike. Each chunk is
+  // data-parallel because u_{i-1} is recomputed from the prefix array
+  // with the exact FP expression the sequential loop's carried prev_u
+  // held.
   const size_t total = m - 1;
-  if (total > 0) {
-    const kern::KernelTable& kt = kern::ActiveKernels(policy.simd);
-    const size_t chunks = kern::ChunksFor(total);
-    kern::MomentPartials parts[kern::kMaxChunks];
-    ParallelChunks(policy, chunks, [&](size_t c) {
-      parts[c] = kt.score_segment(
-          prefix, w, inv_w, mean_u, mean_d,
-          1 + kern::ChunkBound(total, chunks, c),
-          1 + kern::ChunkBound(total, chunks, c + 1));
-    });
-    for (size_t c = 0; c < chunks; ++c) {
-      s2 += parts[c].s2;
-      s4 += parts[c].s4;
-      sd2 += parts[c].sd2;
-    }
+  const kern::KernelTable& kt = kern::ActiveKernels();
+  const size_t chunks = kern::ChunksFor(total);
+  for (size_t c = 0; c < chunks; ++c) {
+    const kern::MomentPartials part = kt.score_segment(
+        prefix, w, inv_w, mean_u, mean_d,
+        1 + kern::ChunkBound(total, chunks, c),
+        1 + kern::ChunkBound(total, chunks, c + 1));
+    s2 += part.s2;
+    s4 += part.s4;
+    sd2 += part.sd2;
   }
 
   // Degenerate-input conventions match the naive metrics exactly:

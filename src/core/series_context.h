@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/exec_policy.h"
 #include "core/acf_peaks.h"
 #include "fft/autocorrelation.h"
 
@@ -77,11 +76,8 @@ class SeriesContext {
 
   /// FFT autocorrelation summary up to max_lag, computed on first
   /// request and cached per exact (max_lag, threshold) pair, so search
-  /// results never depend on what an earlier caller requested. The
-  /// policy affects only how fast the ACF is computed, never its
-  /// values, so it is deliberately not part of the cache key.
-  const AcfInfo& EnsureAcf(size_t max_lag, double peak_threshold,
-                           const ExecPolicy& policy = {});
+  /// results never depend on what an earlier caller requested.
+  const AcfInfo& EnsureAcf(size_t max_lag, double peak_threshold);
 
   /// Centered prefix sums: prefix()[i] = sum_{j<i} (x[j] - mean()),
   /// size() + 1 entries. Exposed for fused kernels.
@@ -116,16 +112,14 @@ class SeriesContext {
 };
 
 /// Fused scoring kernel: roughness and kurtosis of SMA(x, w) in one
-/// allocation-free pass over the context's prefix sums. Matches the
-/// naive EvaluateWindow within ~1e-9 (exactly, for w == 1).
+/// allocation-free pass over the context's prefix sums, on the calling
+/// thread. Matches the naive EvaluateWindow within ~1e-9 (exactly, for
+/// w == 1).
 ///
 /// The pass runs through the canonical chunked reduction of
-/// core/kernels.h, so its result is bitwise-identical for every
-/// ExecPolicy — scalar, SIMD, one thread or many. The two-argument
-/// form (sequential, auto SIMD) performs zero heap allocations.
+/// core/kernels.h, so its result is bitwise the same whichever kernel
+/// table (scalar, AVX2, NEON) the build and CPU dispatch to.
 CandidateScore ScoreWindow(const SeriesContext& ctx, size_t w);
-CandidateScore ScoreWindow(const SeriesContext& ctx, size_t w,
-                           const ExecPolicy& policy);
 
 }  // namespace asap
 

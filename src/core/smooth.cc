@@ -31,6 +31,7 @@ double SmoothingResult::RoughnessRatio() const {
 
 Result<SmoothingResult> Smooth(const std::vector<double>& values,
                                const SmoothOptions& options) {
+  ASAP_RETURN_NOT_OK(ValidateSearchOptions(options.search));
   if (values.size() < 4) {
     return Status::InvalidArgument(
         "need at least 4 points to smooth, got " +
@@ -82,8 +83,7 @@ Result<SmoothingResult> Smooth(const std::vector<double>& values,
   result.series = window::Sma(x, search.window);
   // After-metrics through the same fused evaluator the search used, so
   // the reported scores are exactly the ones the decision was made on.
-  const CandidateScore after = ScoreWindow(ctx, search.window,
-                                           options.search.exec);
+  const CandidateScore after = ScoreWindow(ctx, search.window);
   result.roughness_after = after.roughness;
   result.kurtosis_after = after.kurtosis;
   result.diag = search.diag;

@@ -13,9 +13,8 @@
 namespace asap {
 
 void SlidingAcf::Rebuild(const std::vector<double>& x, size_t max_lag,
-                         const ExecPolicy& policy, fft::AcfScratch* scratch,
-                         std::vector<double>* acf) {
-  anchor_ = fft::AutocovarianceFft(x, max_lag, policy, scratch, &sums_);
+                         fft::AcfScratch* scratch, std::vector<double>* acf) {
+  anchor_ = fft::AutocovarianceFft(x, max_lag, scratch, &sums_);
   total_ = 0.0;
   for (double v : x) {
     total_ += v - anchor_;
@@ -127,6 +126,7 @@ Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
   if (options.pane_width_ticks < 0) {
     return Status::InvalidArgument("pane_width_ticks must be >= 0");
   }
+  ASAP_RETURN_NOT_OK(ValidateSearchOptions(options.search));
   return StreamingAsap(options);
 }
 
@@ -229,8 +229,8 @@ void StreamingAsap::Refresh() {
   // then every candidate evaluation below is an allocation-free fused
   // pass. Reset reuses the context's buffers, so steady-state
   // refreshes on a thread stay allocation-stable whichever operator
-  // they belong to. A pool running the search under
-  // ExecPolicy::threads > 1 reads this context while this thread waits.
+  // they belong to. The whole refresh runs on this thread, so no other
+  // thread ever reads this scratch.
   thread_local RefreshScratch scratch;
   std::vector<double>& x = scratch.x;
   x.assign(panes.begin(), panes.end());
@@ -243,8 +243,7 @@ void StreamingAsap::Refresh() {
   const AcfInfo* acf = nullptr;
   if (options_.strategy == SearchStrategy::kAsap) {
     if (acf_rebuild_period_ == 0) {
-      acf = &ctx.EnsureAcf(max_window + 1, options_.search.acf_threshold,
-                           options_.search.exec);
+      acf = &ctx.EnsureAcf(max_window + 1, options_.search.acf_threshold);
       frame_.acf_rebuilds += 1;
     } else {
       // The sums are valid only while the window has kept its size
@@ -255,8 +254,7 @@ void StreamingAsap::Refresh() {
       if (scheduled || !sliding_acf_.valid() ||
           !sliding_acf_.Correlations(panes, &scratch.acf.correlations)) {
         sliding_acf_.Rebuild(x, std::min(max_window + 1, x.size() - 1),
-                             options_.search.exec, &scratch.fft,
-                             &scratch.acf.correlations);
+                             &scratch.fft, &scratch.acf.correlations);
         frame_.acf_rebuilds += 1;
       }
       SetAcfPeaks(options_.search.acf_threshold, &scratch.acf);
@@ -276,7 +274,7 @@ void StreamingAsap::Refresh() {
     if (options_.search.use_naive_evaluator) {
       score = EvaluateWindow(x, previous_window_);
     } else {
-      score = ScoreWindow(ctx, previous_window_, options_.search.exec);
+      score = ScoreWindow(ctx, previous_window_);
       frame_.allocation_free_evals += 1;
     }
     frame_.candidates_evaluated += 1;

@@ -39,7 +39,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/exec_policy.h"
 #include "common/result.h"
 #include "core/smooth.h"
 #include "fft/autocorrelation.h"
@@ -67,8 +66,7 @@ class SlidingAcf {
   /// (max_lag < x.size()) and writes its ACF to `acf`: bitwise
   /// fft::AutocorrelationFft(x, max_lag).
   void Rebuild(const std::vector<double>& x, size_t max_lag,
-               const ExecPolicy& policy, fft::AcfScratch* scratch,
-               std::vector<double>* acf);
+               fft::AcfScratch* scratch, std::vector<double>* acf);
 
   /// The window slid by one value: `window` is the window after the
   /// slide (its back() entered) and `evicted` is the value that left

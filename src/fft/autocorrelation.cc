@@ -19,8 +19,7 @@ double Mean(const std::vector<double>& v) {
 }  // namespace
 
 double AutocovarianceFft(const std::vector<double>& series, size_t max_lag,
-                         const ExecPolicy& policy, AcfScratch* scratch,
-                         std::vector<double>* sums) {
+                         AcfScratch* scratch, std::vector<double>* sums) {
   const size_t n = series.size();
   ASAP_CHECK_GE(n, 1u);
   ASAP_CHECK_LT(max_lag, n);
@@ -44,7 +43,7 @@ double AutocovarianceFft(const std::vector<double>& series, size_t max_lag,
     const double odd = 2 * j + 1 < n ? series[2 * j + 1] - mean : 0.0;
     z[j] = Complex(series[2 * j] - mean, odd);
   }
-  TransformRadix2(&z, /*inverse=*/false, policy);
+  TransformRadix2(&z, /*inverse=*/false);
 
   // Split Z into the m-point spectrum of the series,
   //   X_k = E_k + W^k O_k,  E_k = (Z_k + conj Z_{h-k}) / 2,
@@ -82,7 +81,7 @@ double AutocovarianceFft(const std::vector<double>& series, size_t max_lag,
     const double diff = 0.5 * (p[k] - p[h - k]);
     z[k] = Complex(sum + diff * w[k].imag(), diff * w[k].real());
   }
-  TransformRadix2(&z, /*inverse=*/true, policy);
+  TransformRadix2(&z, /*inverse=*/true);
 
   sums->resize(max_lag + 1);
   for (size_t k = 0; k <= max_lag; ++k) {
@@ -107,11 +106,9 @@ void NormalizeAcf(std::vector<double>* sums) {
 }
 
 std::vector<double> AutocorrelationFft(const std::vector<double>& series,
-                                       size_t max_lag,
-                                       const ExecPolicy& policy,
-                                       AcfScratch* scratch) {
+                                       size_t max_lag, AcfScratch* scratch) {
   std::vector<double> acf;
-  AutocovarianceFft(series, max_lag, policy, scratch, &acf);
+  AutocovarianceFft(series, max_lag, scratch, &acf);
   NormalizeAcf(&acf);
   return acf;
 }

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/exec_policy.h"
 #include "fft/fft.h"
 
 namespace asap {
@@ -36,12 +35,11 @@ struct AcfScratch {
 /// lagged sums
 ///   sums[k] = sum_{i<n-k} (x_i - mean)(x_{i+k} - mean),  k = 0..max_lag,
 /// and returns the mean it centred on (a plain sum over n). Same
-/// padding, packing and policy rules as AutocorrelationFft, whose
-/// values are these sums after NormalizeAcf, bit for bit. A sliding
-/// ACF rebuilds its state from them.
+/// padding and packing as AutocorrelationFft, whose values are these
+/// sums after NormalizeAcf, bit for bit. A sliding ACF rebuilds its
+/// state from them.
 double AutocovarianceFft(const std::vector<double>& series, size_t max_lag,
-                         const ExecPolicy& policy, AcfScratch* scratch,
-                         std::vector<double>* sums);
+                         AcfScratch* scratch, std::vector<double>* sums);
 
 /// Divides lagged sums by their lag-0 sum in place, giving the ACF
 /// (acf[0] == 1); when the lag-0 sum is not positive and finite, every
@@ -57,12 +55,10 @@ void NormalizeAcf(std::vector<double>* sums);
 /// The series is zero-padded to m = NextPowerOfTwo(n + max_lag), the
 /// smallest power of two whose circular correlation does not wrap at
 /// any lag <= max_lag, and transformed as m/2 complex points (even
-/// samples real, odd samples imaginary). The policy threads the FFT
-/// stages; the returned values are bitwise-identical under every
-/// policy. `scratch` (optional) supplies reusable work buffers.
+/// samples real, odd samples imaginary). `scratch` (optional)
+/// supplies reusable work buffers.
 std::vector<double> AutocorrelationFft(const std::vector<double>& series,
                                        size_t max_lag,
-                                       const ExecPolicy& policy = {},
                                        AcfScratch* scratch = nullptr);
 
 /// Quadratic-time reference estimator (identical definition).

@@ -5,8 +5,6 @@
 #include <mutex>
 
 #include "common/macros.h"
-#include "common/task_pool.h"
-#include "core/kernels.h"
 
 namespace asap {
 namespace fft {
@@ -40,12 +38,6 @@ void BitReversePermute(std::vector<Complex>* data) {
   }
 }
 
-// Minimum transform size before a stage's blocks are worth fanning
-// out (a pure function of n, so the decision never depends on the
-// environment — though even if it did, the per-block arithmetic is
-// identical either way).
-constexpr size_t kMinParallelFftSize = 1u << 14;
-
 // One table per power-of-two size: index log2(n).
 constexpr size_t kMaxLog2Size = 64;
 
@@ -57,14 +49,13 @@ size_t Log2(size_t n) {
   return log2n;
 }
 
-// Butterflies of blocks [b0, b1) of the stage of length `len`: block b
-// covers data[b * len, (b + 1) * len), and twiddle k is tw[k]
+// Butterflies of the stage of length `len` over all n / len blocks:
+// block b covers data[b * len, (b + 1) * len), and twiddle k is tw[k]
 // (conjugated for the inverse).
 template <bool kInverse>
-void StageBlocks(Complex* data, size_t len, const Complex* tw, size_t b0,
-                 size_t b1) {
+void Stage(Complex* data, size_t n, size_t len, const Complex* tw) {
   const size_t half = len / 2;
-  for (size_t block = b0; block < b1; ++block) {
+  for (size_t block = 0; block < n / len; ++block) {
     Complex* a = data + block * len;
     Complex* b = a + half;
     for (size_t k = 0; k < half; ++k) {
@@ -100,8 +91,7 @@ const Complex* Twiddles(size_t n) {
   return tables[log2n].data();
 }
 
-void TransformRadix2(std::vector<Complex>* data, bool inverse,
-                     const ExecPolicy& policy) {
+void TransformRadix2(std::vector<Complex>* data, bool inverse) {
   const size_t n = data->size();
   ASAP_CHECK(IsPowerOfTwo(n));
   if (n == 1) {
@@ -109,28 +99,11 @@ void TransformRadix2(std::vector<Complex>* data, bool inverse,
   }
   BitReversePermute(data);
 
-  const size_t threads = policy.ResolveThreads();
   for (size_t len = 2; len <= n; len <<= 1) {
-    const Complex* tw = Twiddles(len);
-    // Blocks of a stage touch disjoint elements and read the shared
-    // table, so they can run in any order — or concurrently — without
-    // changing a single operation.
-    const auto run_blocks = [&](size_t b0, size_t b1) {
-      if (inverse) {
-        StageBlocks<true>(data->data(), len, tw, b0, b1);
-      } else {
-        StageBlocks<false>(data->data(), len, tw, b0, b1);
-      }
-    };
-    const size_t blocks = n / len;
-    if (threads > 1 && blocks > 1 && n >= kMinParallelFftSize) {
-      const size_t chunks = std::min(blocks, kern::kMaxChunks);
-      ParallelChunks(policy, chunks, [&](size_t c) {
-        run_blocks(kern::ChunkBound(blocks, chunks, c),
-                   kern::ChunkBound(blocks, chunks, c + 1));
-      });
+    if (inverse) {
+      Stage<true>(data->data(), n, len, Twiddles(len));
     } else {
-      run_blocks(0, blocks);
+      Stage<false>(data->data(), n, len, Twiddles(len));
     }
   }
 

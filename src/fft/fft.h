@@ -19,8 +19,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/exec_policy.h"
-
 namespace asap {
 namespace fft {
 
@@ -40,12 +38,8 @@ const Complex* Twiddles(size_t n);
 
 /// In-place FFT; data.size() must be a power of two. The stage of
 /// length `len` reads its twiddles from Twiddles(len) (conjugated for
-/// the inverse). The policy may split each butterfly stage's
-/// independent blocks across threads; the per-block arithmetic is
-/// untouched, so the output is bitwise-identical to the sequential
-/// transform at any thread count.
-void TransformRadix2(std::vector<Complex>* data, bool inverse,
-                     const ExecPolicy& policy = {});
+/// the inverse).
+void TransformRadix2(std::vector<Complex>* data, bool inverse);
 
 /// Forward DFT of arbitrary length via Bluestein's algorithm (in place).
 void TransformBluestein(std::vector<Complex>* data, bool inverse);

@@ -413,7 +413,7 @@ FleetPercentileBands FleetView::BandsOf(const FleetSample& sample,
     bases[s] = series.data() + (series.size() - positions);
   }
 
-  const kern::KernelTable& kt = kern::ActiveKernels(policy.simd);
+  const kern::KernelTable& kt = kern::ActiveKernels();
   // Positions are processed in blocks of 4 so the gather is a tiled
   // 4x4 transpose (one vector load per series row covers 4 columns).
   // Blocks write disjoint output positions, so they fan out freely.
@@ -511,7 +511,7 @@ HistoryDiff FleetView::DiffRing(
   }
   const double* newer_p = newer.series.data() + (newer.series.size() - len);
   const double* older_p = older.series.data() + (older.series.size() - len);
-  const kern::KernelTable& kt = kern::ActiveKernels(policy.simd);
+  const kern::KernelTable& kt = kern::ActiveKernels();
   const size_t chunks = kern::ChunksFor(len);
   kern::AbsDeltaPartials parts[kern::kMaxChunks];
   ParallelChunks(policy, chunks, [&](size_t c) {
@@ -567,15 +567,14 @@ ChangeRanking FleetView::TopKByChange(size_t k, size_t frames_back,
     }
   }
   std::vector<HistoryDiff> diffs(ids.size());
-  ExecPolicy inner = policy_;
-  inner.threads = 1;  // parallelism is across series here
   const size_t chunks = std::min(ids.size(), kern::kMaxChunks);
   ParallelChunks(policy_, chunks, [&](size_t c) {
     const size_t i0 = kern::ChunkBound(ids.size(), chunks, c);
     const size_t i1 = kern::ChunkBound(ids.size(), chunks, c + 1);
     for (size_t i = i0; i < i1; ++i) {
+      // Parallelism is across series here: each diff runs inline.
       diffs[i] = DiffRing(engine_->FrameHistoryById(ids[i]), frames_back,
-                          inner);
+                          ExecPolicy{});
     }
   });
   for (size_t i = 0; i < ids.size(); ++i) {

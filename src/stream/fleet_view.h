@@ -188,11 +188,11 @@ struct ChangeRanking {
 /// exec_policy() to run them under this view's policy.
 class FleetView {
  public:
-  /// `engine` is borrowed and must outlive this view. `policy`
-  /// (threads + SIMD; see common/exec_policy.h) is the execution
-  /// policy of this view's own queries and the one callers hand to the
-  /// *Of rollups. It changes speed only — every result is
-  /// bitwise-identical to the default sequential scalar execution.
+  /// `engine` is borrowed and must outlive this view. `policy` (the
+  /// thread count; see common/exec_policy.h) is the execution policy
+  /// of this view's own queries and the one callers hand to the *Of
+  /// rollups. It changes speed only — every result is
+  /// bitwise-identical to the default sequential execution.
   explicit FleetView(const ShardedEngine* engine,
                      const ExecPolicy& policy = {});
 

@@ -183,7 +183,7 @@ TEST(SlidingAcfTest, MatchesBruteForceAtEverySlide) {
       const bool rebuild =
           slide % period == 0 || !sliding.Correlations(window, &acf);
       if (rebuild) {
-        sliding.Rebuild(visible, c.max_lag, {}, &scratch, &acf);
+        sliding.Rebuild(visible, c.max_lag, &scratch, &acf);
         ++rebuilds;
       }
       const std::string where = "n=" + std::to_string(c.n) +

@@ -1,14 +1,17 @@
-// Execution-policy parity tier: scalar vs SIMD and 1 vs T threads must
-// produce *bitwise-identical* results for every kernel the ExecPolicy
-// touches — ScoreWindow, Smooth() frames, FFT/ACF, the fleet rollups
-// (BandsOf, DiffHistory, rankings), and the search strategies.
-// Comparisons use bit patterns (not ==) so NaN-carrying outputs are
-// pinned too. The TSan CI job runs this binary: the task-split sweeps
-// here are the concurrency coverage for common/task_pool.
+// Execution parity tier: the dispatched SIMD kernel table vs the scalar
+// reference, and 1 vs T threads for FleetView's rollups, must produce
+// *bitwise-identical* results. The kernel tests compare every entry
+// of kern::ActiveKernels() with kern::ScalarKernels() directly, with
+// NaN, +/-inf, -0.0 and a denormal in every vector lane; the rollup
+// tests compare thread counts (BandsOf, DiffHistory, rankings) and
+// the sort-based band reference. Comparisons use bit patterns (not
+// ==) so NaN-carrying outputs are pinned too. The TSan CI job runs
+// this binary: the threaded rollups here are the concurrency coverage
+// for common/task_pool.
 //
-// Build note: -DASAP_DISABLE_SIMD=ON turns kern::ActiveKernels(kAuto)
-// into the scalar table; the parity assertions then compare scalar
-// against scalar and still must hold.
+// Build note: -DASAP_DISABLE_SIMD=ON (and a CPU without AVX2/NEON)
+// makes kern::ActiveKernels() the scalar table; the kernel tests then
+// compare scalar against scalar and still must hold.
 
 #include <gtest/gtest.h>
 
@@ -30,11 +33,7 @@
 #include "common/random.h"
 #include "common/task_pool.h"
 #include "core/kernels.h"
-#include "core/search.h"
 #include "core/series_context.h"
-#include "core/smooth.h"
-#include "fft/autocorrelation.h"
-#include "fft/fft.h"
 #include "stream/fleet_view.h"
 #include "stream/sharded_engine.h"
 #include "stream/source.h"
@@ -77,138 +76,168 @@ std::vector<double> NoisySeasonal(size_t n, uint64_t seed) {
   return gen::Add(gen::Sine(n, 48.0, 2.0), gen::WhiteNoise(&rng, n, 0.5));
 }
 
-ExecPolicy Threads(size_t t, SimdMode simd = SimdMode::kAuto) {
+ExecPolicy Threads(size_t t) {
   ExecPolicy policy;
   policy.threads = t;
-  policy.simd = simd;
   return policy;
 }
 
-// --- ScoreWindow ------------------------------------------------------------
+// --- Kernel tables: the active table against the scalar reference ----------
 
-TEST(ScoreWindowParityTest, ScalarSimdAndThreadCountsAgreeBitwise) {
-  // 100k elements spans many kern::ChunksFor chunks; 300 elements is a
-  // single chunk; both must agree across every policy.
-  for (size_t n : {size_t{300}, size_t{100000}}) {
-    const std::vector<double> x = NoisySeasonal(n, 7);
-    SeriesContext ctx(x);
+const double kInf = std::numeric_limits<double>::infinity();
+
+// The values every vector lane must handle like the scalar path does.
+// NaN comes last so the first four alone give a NaN-free mix.
+const double kSpecials[] = {kInf, -kInf, -0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::quiet_NaN()};
+
+// `len` values in [-3, 3). With `specials` > 0, every third value is
+// one of the first `specials` entries of kSpecials, each used for four
+// consecutive slots (i = 3k, special k / 4), so special j sits in
+// lanes 0..3 (3k mod 4) at i in [12j, 12j + 12): all of them land in
+// every lane once len >= 12 * specials.
+std::vector<double> LaneData(size_t len, uint64_t seed, size_t specials) {
+  Pcg32 rng(seed);
+  std::vector<double> v(len);
+  for (size_t i = 0; i < len; ++i) {
+    v[i] = 6.0 * rng.NextDouble() - 3.0;
+    if (specials > 0 && i % 3 == 0) {
+      v[i] = kSpecials[(i / 3 / 4) % specials];
+    }
+  }
+  return v;
+}
+
+// score_segment of both tables over [begin, end) for begin = 1..5 and
+// every end within 5 of begin or of m = n - w + 1 (n = prefix.size()
+// - 1). The means are fixed small constants: the kernels take them as
+// inputs, and the centred values they are subtracted from sit near 0.
+void ExpectScoreSegmentParity(const std::vector<double>& prefix, size_t w,
+                              const std::string& label) {
+  const kern::KernelTable& simd = kern::ActiveKernels();
+  const kern::KernelTable& scalar = kern::ScalarKernels();
+  const size_t n = prefix.size() - 1;
+  const size_t m = n - w + 1;
+  const double inv_w = 1.0 / static_cast<double>(w);
+  const double mean_u = 1e-3;
+  const double mean_d = -1e-4;
+  for (size_t begin = 1; begin <= 5 && begin <= m; ++begin) {
+    for (size_t end = begin; end <= m; ++end) {
+      if (end > begin + 5 && end + 5 < m) {
+        end = m - 5;  // skip to the ends near m
+      }
+      const kern::MomentPartials a = scalar.score_segment(
+          prefix.data(), w, inv_w, mean_u, mean_d, begin, end);
+      const kern::MomentPartials b = simd.score_segment(
+          prefix.data(), w, inv_w, mean_u, mean_d, begin, end);
+      EXPECT_TRUE(BitEq(a.s2, b.s2) && BitEq(a.s4, b.s4) &&
+                  BitEq(a.sd2, b.sd2))
+          << label << " w=" << w << " [" << begin << ", " << end << "): "
+          << a.s2 << "/" << a.s4 << "/" << a.sd2 << " vs " << b.s2 << "/"
+          << b.s4 << "/" << b.sd2;
+    }
+  }
+}
+
+TEST(KernelParityTest, ScoreSegmentMatchesScalarBitwise) {
+  // n = 100000 and 300 are the series and windows ScoreWindow runs on
+  // in the chunked and single-chunk regimes; 8-11 and 67 put every
+  // begin/end lane phase next to both boundaries.
+  for (size_t n : {size_t{8}, size_t{9}, size_t{10}, size_t{11}, size_t{67},
+                   size_t{300}, size_t{100000}}) {
+    SeriesContext ctx(NoisySeasonal(n, 7));
+    const std::vector<double> prefix(ctx.prefix(), ctx.prefix() + n + 1);
     for (size_t w : {size_t{1}, size_t{2}, size_t{7}, size_t{96}, n / 3}) {
-      const CandidateScore base = ScoreWindow(ctx, w);
-      for (const ExecPolicy& policy :
-           {Threads(1, SimdMode::kScalar), Threads(1, SimdMode::kAuto),
-            Threads(4, SimdMode::kScalar), Threads(4, SimdMode::kAuto),
-            Threads(16, SimdMode::kAuto)}) {
-        const CandidateScore got = ScoreWindow(ctx, w, policy);
-        EXPECT_TRUE(BitEq(base.roughness, got.roughness))
-            << "n=" << n << " w=" << w << " threads=" << policy.threads;
-        EXPECT_TRUE(BitEq(base.kurtosis, got.kurtosis))
-            << "n=" << n << " w=" << w << " threads=" << policy.threads;
+      if (w >= 1 && w <= n) {
+        ExpectScoreSegmentParity(prefix, w, "n=" + std::to_string(n));
+      }
+    }
+  }
+  // Specials in the prefix array itself: with begins 1..5 each one
+  // reaches every lane as u_i and as u_{i-1}.
+  std::vector<double> prefix = NoisySeasonal(68, 8);
+  for (size_t k = 0; k < 5; ++k) {
+    prefix[11 + 12 * k] = kSpecials[(k + 4) % 5];  // NaN first
+  }
+  for (size_t w : {size_t{1}, size_t{2}, size_t{7}, size_t{22}}) {
+    ExpectScoreSegmentParity(prefix, w, "specials");
+  }
+}
+
+TEST(KernelParityTest, AbsDeltaMatchesScalarBitwise) {
+  const kern::KernelTable& simd = kern::ActiveKernels();
+  const kern::KernelTable& scalar = kern::ScalarKernels();
+  for (size_t specials : {size_t{0}, size_t{4}, size_t{5}}) {
+    for (size_t len = 0; len <= 67; ++len) {
+      const std::vector<double> newer = LaneData(len, 100 + len, specials);
+      // The older side carries its specials one slot later.
+      std::vector<double> older = LaneData(len + 1, 200 + len, specials);
+      older.erase(older.begin());
+      std::vector<double> da(len), db(len);
+      const kern::AbsDeltaPartials a =
+          scalar.abs_delta(newer.data(), older.data(), len, da.data());
+      const kern::AbsDeltaPartials b =
+          simd.abs_delta(newer.data(), older.data(), len, db.data());
+      EXPECT_TRUE(BitEq(a.sum_abs, b.sum_abs))
+          << "len=" << len << " specials=" << specials;
+      EXPECT_TRUE(BitEq(a.max_abs, b.max_abs))
+          << "len=" << len << " specials=" << specials;
+      EXPECT_TRUE(BitEqVec(da, db))
+          << "len=" << len << " specials=" << specials;
+    }
+  }
+}
+
+TEST(KernelParityTest, ColumnMinMaxAndBucketizeMatchScalarBitwise) {
+  const kern::KernelTable& simd = kern::ActiveKernels();
+  const kern::KernelTable& scalar = kern::ScalarKernels();
+  for (size_t specials : {size_t{0}, size_t{4}, size_t{5}}) {
+    for (size_t len = 0; len <= 67; ++len) {
+      const std::vector<double> col = LaneData(len, 300 + len, specials);
+      const kern::ColumnMinMax a = scalar.column_minmax(col.data(), len);
+      const kern::ColumnMinMax b = simd.column_minmax(col.data(), len);
+      EXPECT_TRUE(BitEq(a.min_v, b.min_v) && BitEq(a.max_v, b.max_v))
+          << "len=" << len << " specials=" << specials;
+      EXPECT_EQ(a.has_nan, b.has_nan)
+          << "len=" << len << " specials=" << specials;
+      EXPECT_EQ(a.has_nan, specials == 5 && len > 48);
+
+      // BandsOf's scale for the [-3, 3) range, and the infinite scale
+      // of a denormal-range column.
+      for (const double scale : {255.0 / 6.0, kInf}) {
+        std::vector<unsigned char> ba(len), bb(len);
+        std::vector<unsigned int> ha(256, 0), hb(256, 0);
+        scalar.bucketize(col.data(), len, -3.0, scale, ba.data(), ha.data());
+        simd.bucketize(col.data(), len, -3.0, scale, bb.data(), hb.data());
+        EXPECT_EQ(ba, bb) << "len=" << len << " scale=" << scale;
+        EXPECT_EQ(ha, hb) << "len=" << len << " scale=" << scale;
       }
     }
   }
 }
 
-TEST(ScoreWindowParityTest, NaNInputStaysBitwiseIdenticalAcrossPolicies) {
-  // ScoreWindow is only specified for finite input (Smooth validates),
-  // but the kernels must still be deterministic if garbage reaches
-  // them: a NaN anywhere must corrupt every policy identically.
-  std::vector<double> x = NoisySeasonal(50000, 11);
-  x[123] = std::numeric_limits<double>::quiet_NaN();
-  x[40000] = -std::numeric_limits<double>::infinity();
-  SeriesContext ctx(x);
-  const CandidateScore scalar = ScoreWindow(ctx, 33, Threads(1, SimdMode::kScalar));
-  const CandidateScore simd = ScoreWindow(ctx, 33, Threads(8, SimdMode::kAuto));
-  EXPECT_TRUE(BitEq(scalar.roughness, simd.roughness));
-  EXPECT_TRUE(BitEq(scalar.kurtosis, simd.kurtosis));
-}
-
-// --- Smooth -----------------------------------------------------------------
-
-TEST(SmoothParityTest, FramesIdenticalAcrossPoliciesAndStrategies) {
-  const std::vector<double> values = NoisySeasonal(20000, 21);
-  for (SearchStrategy strategy :
-       {SearchStrategy::kAsap, SearchStrategy::kExhaustive,
-        SearchStrategy::kGrid, SearchStrategy::kBinary}) {
-    SmoothOptions base_options;
-    base_options.strategy = strategy;
-    const SmoothingResult base = Smooth(values, base_options).ValueOrDie();
-    for (const ExecPolicy& policy :
-         {Threads(1, SimdMode::kScalar), Threads(4, SimdMode::kAuto),
-          Threads(4, SimdMode::kScalar)}) {
-      SmoothOptions options = base_options;
-      options.search.exec = policy;
-      const SmoothingResult got = Smooth(values, options).ValueOrDie();
-      EXPECT_EQ(base.window, got.window) << SearchStrategyName(strategy);
-      EXPECT_TRUE(BitEqVec(base.series, got.series))
-          << SearchStrategyName(strategy);
-      EXPECT_TRUE(BitEq(base.roughness_after, got.roughness_after));
-      EXPECT_TRUE(BitEq(base.kurtosis_after, got.kurtosis_after));
+TEST(KernelParityTest, Gather4MatchesScalarBitwise) {
+  const kern::KernelTable& simd = kern::ActiveKernels();
+  const kern::KernelTable& scalar = kern::ScalarKernels();
+  std::vector<std::vector<double>> rows;
+  for (size_t r = 0; r < 67; ++r) {
+    rows.push_back(LaneData(9, 400 + r, 5));
+    rows.back()[r % 9] = kSpecials[r % 5];
+  }
+  std::vector<const double*> bases;
+  for (const std::vector<double>& row : rows) {
+    bases.push_back(row.data());
+  }
+  for (size_t count = 0; count <= 67; ++count) {
+    for (size_t offset = 0; offset <= 5; ++offset) {
+      std::vector<double> a(4 * count), b(4 * count);
+      scalar.gather4(bases.data(), offset, count, a.data(), a.data() + count,
+                     a.data() + 2 * count, a.data() + 3 * count);
+      simd.gather4(bases.data(), offset, count, b.data(), b.data() + count,
+                   b.data() + 2 * count, b.data() + 3 * count);
+      EXPECT_TRUE(BitEqVec(a, b)) << "count=" << count << " offset=" << offset;
     }
-  }
-}
-
-// --- Search strategies ------------------------------------------------------
-
-TEST(SearchParityTest, AllStrategiesReportIdenticalResultsAndDiagnostics) {
-  const std::vector<double> x = NoisySeasonal(4000, 33);
-  SeriesContext ctx(x);
-  for (int strategy = 0; strategy < 4; ++strategy) {
-    SearchOptions seq;
-    seq.exec = Threads(1);
-    SearchOptions par;
-    par.exec = Threads(4);
-    const auto run = [&](const SearchOptions& options) {
-      switch (strategy) {
-        case 0:
-          return ExhaustiveSearch(&ctx, options);
-        case 1:
-          return GridSearch(&ctx, options);
-        case 2:
-          return BinarySearch(&ctx, options);
-        default:
-          return AsapSearch(&ctx, options);
-      }
-    };
-    const SearchResult a = run(seq);
-    const SearchResult b = run(par);
-    EXPECT_EQ(a.window, b.window) << "strategy " << strategy;
-    EXPECT_TRUE(BitEq(a.roughness, b.roughness)) << "strategy " << strategy;
-    EXPECT_TRUE(BitEq(a.kurtosis, b.kurtosis)) << "strategy " << strategy;
-    // The task-split sweep must not change what the diagnostics count.
-    EXPECT_EQ(a.diag.candidates_evaluated, b.diag.candidates_evaluated);
-    EXPECT_EQ(a.diag.allocation_free_evals, b.diag.allocation_free_evals);
-    EXPECT_EQ(a.diag.pruned_lower_bound, b.diag.pruned_lower_bound);
-    EXPECT_EQ(a.diag.pruned_roughness, b.diag.pruned_roughness);
-  }
-}
-
-// --- FFT / ACF --------------------------------------------------------------
-
-TEST(FftParityTest, Radix2TransformIdenticalAcrossThreadCounts) {
-  Pcg32 rng(55);
-  const size_t n = 1u << 15;  // above kMinParallelFftSize
-  std::vector<fft::Complex> base(n);
-  for (size_t i = 0; i < n; ++i) {
-    base[i] = fft::Complex(rng.NextDouble() - 0.5, rng.NextDouble() - 0.5);
-  }
-  std::vector<fft::Complex> seq = base;
-  fft::TransformRadix2(&seq, /*inverse=*/false, Threads(1));
-  std::vector<fft::Complex> par = base;
-  fft::TransformRadix2(&par, /*inverse=*/false, Threads(8));
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(BitEq(seq[i].real(), par[i].real())) << i;
-    EXPECT_TRUE(BitEq(seq[i].imag(), par[i].imag())) << i;
-  }
-}
-
-TEST(FftParityTest, AutocorrelationIdenticalAcrossPolicies) {
-  const std::vector<double> x = NoisySeasonal(30000, 77);
-  const std::vector<double> base = fft::AutocorrelationFft(x, 3000);
-  for (const ExecPolicy& policy :
-       {Threads(1, SimdMode::kScalar), Threads(4, SimdMode::kAuto),
-        Threads(4, SimdMode::kScalar)}) {
-    EXPECT_TRUE(BitEqVec(base, fft::AutocorrelationFft(x, 3000, policy)));
   }
 }
 
@@ -327,11 +356,8 @@ TEST(BandsParityTest, PoliciesAgreeBitwiseIncludingEdgeColumns) {
   poisoned[63] = std::numeric_limits<double>::quiet_NaN();
   sample.series.push_back(Member("nan", std::move(poisoned)));
 
-  const FleetPercentileBands base =
-      FleetView::BandsOf(sample, Threads(1, SimdMode::kScalar));
-  for (const ExecPolicy& policy :
-       {Threads(1, SimdMode::kAuto), Threads(4, SimdMode::kScalar),
-        Threads(4, SimdMode::kAuto), Threads(16, SimdMode::kAuto)}) {
+  const FleetPercentileBands base = FleetView::BandsOf(sample, Threads(1));
+  for (const ExecPolicy& policy : {Threads(4), Threads(16)}) {
     ExpectBandsBitEq(base, FleetView::BandsOf(sample, policy));
   }
   // NaN-free positions must still match the sort-based reference.
@@ -404,7 +430,7 @@ TEST(EngineParityTest, PolicyViewMatchesDefaultViewOnSettledEngine) {
   engine.RunToCompletion(&source);
 
   const FleetView plain(&engine);
-  const FleetView threaded(&engine, Threads(4, SimdMode::kAuto));
+  const FleetView threaded(&engine, Threads(4));
 
   const stream::SeriesSelector all = stream::SeriesSelector::All();
   ExpectBandsBitEq(
@@ -563,12 +589,10 @@ TEST(TaskPoolTest, ZeroAndOneCountsAndPolicyResolution) {
 TEST(KernelTableTest, DispatchIsConsistentWithBuildConfiguration) {
   const kern::KernelTable& scalar = kern::ScalarKernels();
   EXPECT_STREQ(scalar.name, "scalar");
-  const kern::KernelTable& active = kern::ActiveKernels(SimdMode::kAuto);
+  const kern::KernelTable& active = kern::ActiveKernels();
   if (!kern::SimdAvailable()) {
     EXPECT_STREQ(active.name, scalar.name);
   }
-  // Forcing scalar always returns the reference table.
-  EXPECT_STREQ(kern::ActiveKernels(SimdMode::kScalar).name, "scalar");
   // Chunk layout is a pure function of the element count.
   EXPECT_EQ(kern::ChunksFor(0), 0u);
   EXPECT_EQ(kern::ChunksFor(100), 1u);

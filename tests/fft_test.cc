@@ -249,8 +249,7 @@ TEST(AcfTest, ScratchCarriesNothingBetweenCalls) {
                    size_t{401}}) {
     const std::vector<double> x = GaussianVector(&rng, n, 0.0, 1.0);
     const size_t max_lag = n / 10;
-    const std::vector<double> reused =
-        AutocorrelationFft(x, max_lag, {}, &scratch);
+    const std::vector<double> reused = AutocorrelationFft(x, max_lag, &scratch);
     const std::vector<double> fresh = AutocorrelationFft(x, max_lag);
     ASSERT_EQ(reused.size(), fresh.size());
     EXPECT_EQ(0, std::memcmp(reused.data(), fresh.data(),

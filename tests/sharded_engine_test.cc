@@ -146,6 +146,10 @@ TEST(ShardedEngineTest, CreateValidatesOptions) {
   StreamingOptions bad_series;
   bad_series.visible_points = 4;  // StreamingAsap::Create rejects < 8
   EXPECT_FALSE(ShardedEngine::Create(bad_series).ok());
+  StreamingOptions bad_search = FleetOptions();
+  bad_search.strategy = SearchStrategy::kGrid;
+  bad_search.search.grid_step = 0;  // was accepted, then aborted a shard
+  EXPECT_FALSE(ShardedEngine::Create(bad_search).ok());
 
   ShardedEngineOptions bad_engine;
   bad_engine.shards = 0;

@@ -22,6 +22,16 @@ TEST(SmoothTest, RejectsTinyInputs) {
   EXPECT_FALSE(Smooth(std::vector<double>{1, 2, 3}, options).ok());
 }
 
+TEST(SmoothTest, RejectsZeroGridStep) {
+  SmoothOptions options;
+  options.strategy = SearchStrategy::kGrid;
+  options.search.grid_step = 0;
+  const Result<SmoothingResult> r = Smooth(PeriodicSeries(1), options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("grid_step"), std::string::npos);
+}
+
 TEST(SmoothTest, PreaggregatesToResolution) {
   SmoothOptions options;
   options.resolution = 1000;

@@ -46,6 +46,9 @@ TEST(StreamingAsapTest, CreateValidatesOptions) {
   EXPECT_FALSE(StreamingAsap::Create(options).ok());
   options.visible_points = 4000;
   EXPECT_TRUE(StreamingAsap::Create(options).ok());
+  options.strategy = SearchStrategy::kGrid;
+  options.search.grid_step = 0;
+  EXPECT_FALSE(StreamingAsap::Create(options).ok());
 }
 
 TEST(StreamingAsapTest, PaneSizeIsPointToPixelRatio) {
