@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "common/macros.h"
 #include "core/metrics.h"
@@ -186,6 +187,34 @@ void StreamingAsap::RestorePanes(const double* means, size_t n,
   }
 }
 
+namespace {
+
+FrameSummary Summarize(const std::vector<double>& series) {
+  FrameSummary summary;
+  summary.roughness = Roughness(series);
+  if (series.size() < FrameSummary::kMinBaselinePoints) {
+    return summary;
+  }
+  summary.baseline = stats::MedianMad(series);
+  if (summary.baseline.scale > 0.0) {
+    for (const double x : series) {
+      const double abs_z = std::fabs(stats::RobustZ(x, summary.baseline));
+      if (abs_z > summary.max_abs_z) {  // false for NaN
+        summary.max_abs_z = abs_z;
+      }
+    }
+  }
+  return summary;
+}
+
+}  // namespace
+
+const FrameSummary& StreamingAsap::Frame::summary() const {
+  std::call_once(*summary_.once,
+                 [this] { summary_.value = Summarize(series); });
+  return summary_.value;
+}
+
 std::shared_ptr<const StreamingAsap::Frame> StreamingAsap::frame_snapshot()
     const {
   const std::shared_ptr<const FrameRing> ring =
@@ -310,6 +339,7 @@ void StreamingAsap::Refresh() {
   }
 
   frame_.series = window::Sma(x, result.window);
+  frame_.summary_.Reset();  // a summary read off the old series is stale
   frame_.window = result.window;
   frame_.refreshes += 1;
   frame_.candidates_evaluated += result.diag.candidates_evaluated;

@@ -36,12 +36,14 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "common/result.h"
 #include "core/smooth.h"
 #include "fft/autocorrelation.h"
+#include "stats/descriptive.h"
 #include "window/panes.h"
 
 namespace asap {
@@ -150,10 +152,40 @@ struct StreamingOptions {
   SearchOptions search;
 };
 
+/// What the fleet rollups read of a published frame at every
+/// dashboard tick (stream/fleet_view), computed once per frame by
+/// StreamingAsap::Frame::summary().
+struct FrameSummary {
+  /// Fewest points the deviation detector (stream/alerts) scans. A
+  /// shorter frame has no baseline: baseline and max_abs_z stay 0.
+  static constexpr size_t kMinBaselinePoints = 8;
+
+  /// Roughness(series), what TopKByRoughnessOf ranks by.
+  double roughness = 0.0;
+  /// The detector's baseline, stats::MedianMad(series).
+  stats::RobustBaseline baseline;
+  /// The largest |stats::RobustZ(x, baseline)| over the series; 0 when
+  /// baseline.scale <= 0 (or is NaN). A NaN z-score is skipped, as the
+  /// detector's scan never counts one. No point reaches a threshold
+  /// above this value, so AnomalyCountsOf skips the scan of any frame
+  /// whose max_abs_z is below threshold_sigmas: exactly, whatever the
+  /// AlertOptions.
+  double max_abs_z = 0.0;
+};
+
 /// The streaming ASAP operator.
 class StreamingAsap {
  public:
   /// The most recent rendered frame plus lifetime counters.
+  ///
+  /// A published frame is immutable and read many times: a series
+  /// refreshes every few seconds, a dashboard reads its frame every
+  /// tick. summary() computes what the rollups read of `series` once,
+  /// on the first call, and keeps it in the frame. A copied or assigned
+  /// frame starts with no summary, so each published frame (a copy of
+  /// the operator's working frame) summarizes its own series, and a
+  /// refresh drops the working frame's summary along with its old
+  /// series.
   struct Frame {
     /// Smoothed visible series (empty until the first refresh).
     std::vector<double> series;
@@ -177,6 +209,37 @@ class StreamingAsap {
     /// of an operator that does not slide its ACF, the rebuilds of one
     /// that does (see acf_rebuild_period), none for other strategies.
     uint64_t acf_rebuilds = 0;
+
+    /// The summary of `series`, computed on the first call and cached
+    /// in this frame. Safe to call from many threads at once: one
+    /// computes it, the others wait for it, and all read the same
+    /// bits. Its values are bitwise those of Roughness(series) and
+    /// stats::MedianMad(series), so a rollup that reads them returns
+    /// what one that recomputes them would. `series` must not change
+    /// after the first call (a published frame never does).
+    const FrameSummary& summary() const;
+
+   private:
+    friend class StreamingAsap;
+
+    /// The summary and the once-flag that guards it. A copy or an
+    /// assignment starts uncomputed: a std::once_flag can be neither
+    /// copied nor reset, so it sits in an optional that Reset re-arms.
+    struct SummaryCache {
+      SummaryCache() = default;
+      SummaryCache(const SummaryCache&) {}
+      SummaryCache& operator=(const SummaryCache&) {
+        Reset();
+        return *this;
+      }
+      void Reset() {
+        once.reset();
+        once.emplace();
+      }
+      std::optional<std::once_flag> once{std::in_place};
+      FrameSummary value;
+    };
+    mutable SummaryCache summary_;
   };
 
   /// Validates options; fails if visible_points < 8 or resolution

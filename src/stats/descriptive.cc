@@ -86,6 +86,17 @@ double Median(std::vector<double> v) {
   return 0.5 * (v[mid - 1] + hi);
 }
 
+RobustBaseline MedianMad(const std::vector<double>& v) {
+  RobustBaseline baseline;
+  baseline.center = Median(v);
+  std::vector<double> abs_dev(v.size());
+  for (size_t i = 0; i < v.size(); ++i) {
+    abs_dev[i] = std::fabs(v[i] - baseline.center);
+  }
+  baseline.scale = 1.4826 * Median(std::move(abs_dev));
+  return baseline;
+}
+
 std::vector<double> FirstDifferences(const std::vector<double>& v) {
   if (v.size() < 2) {
     return {};

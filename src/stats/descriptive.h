@@ -43,6 +43,25 @@ double Max(const std::vector<double>& v);
 /// aborts on empty input.
 double Median(std::vector<double> v);
 
+/// Robust location and spread: the median, and the median absolute
+/// deviation from it scaled by 1.4826 (the normal-consistent sigma).
+/// The deviation detector's baseline (stream/alerts), which the
+/// deviations themselves barely move.
+struct RobustBaseline {
+  double center = 0.0;
+  double scale = 0.0;
+};
+
+/// Median and scaled MAD of `v`; aborts on empty input.
+RobustBaseline MedianMad(const std::vector<double>& v);
+
+/// The robust z-score of `x`: (x - center) / scale. The one expression
+/// the deviation detector scans with and a frame summary takes its
+/// largest |z| from, so the two agree bit for bit.
+inline double RobustZ(double x, const RobustBaseline& baseline) {
+  return (x - baseline.center) / baseline.scale;
+}
+
 /// First difference series {x_2 - x_1, ..., x_N - x_{N-1}};
 /// empty for N < 2.
 std::vector<double> FirstDifferences(const std::vector<double>& v);

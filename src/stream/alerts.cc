@@ -8,33 +8,23 @@
 namespace asap {
 namespace stream {
 
-namespace {
-
-// Median absolute deviation scaled to the normal-consistent sigma.
-double Mad(const std::vector<double>& v, double median) {
-  std::vector<double> abs_dev(v.size());
-  for (size_t i = 0; i < v.size(); ++i) {
-    abs_dev[i] = std::fabs(v[i] - median);
-  }
-  return 1.4826 * stats::Median(std::move(abs_dev));
-}
-
-}  // namespace
-
 Result<std::vector<Alert>> FindDeviations(const std::vector<double>& series,
                                           const AlertOptions& options) {
-  if (series.size() < 8) {
+  if (series.size() < FrameSummary::kMinBaselinePoints) {
     return Status::InvalidArgument(
         "need at least 8 points to detect deviations");
   }
   if (options.threshold_sigmas <= 0.0) {
     return Status::InvalidArgument("threshold_sigmas must be positive");
   }
+  return ScanDeviations(series, stats::MedianMad(series), options);
+}
 
-  const double center = stats::Median(series);
-  const double scale = Mad(series, center);
+std::vector<Alert> ScanDeviations(const std::vector<double>& series,
+                                  const stats::RobustBaseline& baseline,
+                                  const AlertOptions& options) {
   std::vector<Alert> alerts;
-  if (scale <= 0.0) {
+  if (baseline.scale <= 0.0) {
     return alerts;  // perfectly flat series: nothing can deviate
   }
 
@@ -46,7 +36,7 @@ Result<std::vector<Alert>> FindDeviations(const std::vector<double>& series,
     double z = 0.0;
     bool beyond = false;
     if (i < series.size()) {
-      z = (series[i] - center) / scale;
+      z = stats::RobustZ(series[i], baseline);
       beyond = std::fabs(z) >= options.threshold_sigmas;
     }
     if (beyond && !in_run) {
@@ -91,7 +81,7 @@ bool SmoothedAlertMonitor::Push(double x) {
     return false;
   }
   const std::vector<double>& frame = asap_.frame().series;
-  if (frame.size() < 8) {
+  if (frame.size() < FrameSummary::kMinBaselinePoints) {
     alerts_.clear();
     return false;
   }

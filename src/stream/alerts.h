@@ -8,6 +8,11 @@
 // removed small-scale variance while preserving large deviations,
 // z-score thresholds on the smoothed series fire on systematic shifts
 // at a fraction of the threshold raw-value alarms would need.
+//
+// The detector is two steps: a baseline (stats::MedianMad, the
+// series' median and scaled MAD) and a scan against it. A published
+// frame computes its baseline once (StreamingAsap::Frame::summary()),
+// so FleetView's anomaly rollup scans cached baselines every tick.
 
 #ifndef ASAP_STREAM_ALERTS_H_
 #define ASAP_STREAM_ALERTS_H_
@@ -17,6 +22,7 @@
 
 #include "common/result.h"
 #include "core/streaming_asap.h"
+#include "stats/descriptive.h"
 
 namespace asap {
 namespace stream {
@@ -45,10 +51,22 @@ struct Alert {
 
 /// Scans a (smoothed) series for sustained deviations beyond the
 /// threshold, in z-scores against the series' median and MAD (a
-/// baseline the deviations themselves barely move). Fails on series
-/// shorter than 8 points.
+/// baseline the deviations themselves barely move):
+/// ScanDeviations(series, stats::MedianMad(series), options). Fails on
+/// series shorter than FrameSummary::kMinBaselinePoints (8) and on a
+/// threshold_sigmas that is not positive.
 Result<std::vector<Alert>> FindDeviations(const std::vector<double>& series,
                                           const AlertOptions& options = {});
+
+/// The detector's scan over a baseline computed elsewhere (by
+/// FindDeviations, or once per published frame by Frame::summary()):
+/// runs of points whose |stats::RobustZ| reaches threshold_sigmas for
+/// at least min_duration points. A NaN z-score never reaches the
+/// threshold, and a scale <= 0 (a flat series) yields no alerts. The
+/// options are not validated.
+std::vector<Alert> ScanDeviations(const std::vector<double>& series,
+                                  const stats::RobustBaseline& baseline,
+                                  const AlertOptions& options);
 
 /// Streaming wrapper: feeds raw points to StreamingAsap and evaluates
 /// the detector against each refreshed frame.

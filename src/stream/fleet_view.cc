@@ -8,7 +8,6 @@
 #include "common/macros.h"
 #include "common/task_pool.h"
 #include "core/kernels.h"
-#include "core/metrics.h"
 #include "storage/store.h"
 
 namespace asap {
@@ -27,6 +26,20 @@ uint64_t TotalOrderKey(double v) {
 
 bool TotalOrderLess(double a, double b) {
   return TotalOrderKey(a) < TotalOrderKey(b);
+}
+
+// Descending rank of a ranking key, NaN after every number: < 0 if a
+// ranks first, > 0 if b does, 0 on a tie (two NaNs tie). Unlike
+// `a > b`, this orders NaN keys weakly, so one NaN member cannot
+// scramble the finite members' order; ties fall to the caller's
+// next key.
+int CompareDescendingNanLast(double a, double b) {
+  const bool a_nan = std::isnan(a);
+  const bool b_nan = std::isnan(b);
+  if (a_nan || b_nan) {
+    return static_cast<int>(a_nan) - static_cast<int>(b_nan);
+  }
+  return a > b ? -1 : (b > a ? 1 : 0);
 }
 
 // The band percentile ranks over a column of n values: the lo/hi
@@ -274,29 +287,37 @@ FleetSample FleetView::Sample(const SeriesSelector& selector) const {
 
 FleetSample FleetView::SampleGlob(std::string_view pattern) const {
   telemetry::ScopedTimer timer(query_nanos_[kQSampleGlob].get());
-  std::lock_guard<std::mutex> lock(glob_cache_mu_);
-  if (!glob_cache_selector_.has_value() ||
-      pattern != glob_cache_pattern_) {
-    glob_cache_pattern_.assign(pattern);
-    glob_cache_selector_ = SeriesSelector::Glob(pattern);
-    glob_cache_ids_.clear();
-    glob_cache_covered_ = 0;
-  }
   const SeriesCatalog* catalog = this->catalog();
-  const size_t n = catalog->size();
-  // The catalog interns append-only, so ids below glob_cache_covered_
-  // were matched on an earlier call and their names cannot change;
-  // only the newly interned tail needs glob matching.
-  for (SeriesId id = static_cast<SeriesId>(glob_cache_covered_);
-       static_cast<size_t>(id) < n; ++id) {
-    if (glob_cache_selector_->Matches(catalog->NameOf(id))) {
-      glob_cache_ids_.push_back(id);
+  std::vector<SeriesId> ids;
+  {
+    // Only the cache is locked: the members are sampled below, outside
+    // the lock, so concurrent dashboards do not take turns at the
+    // shards' registry locks.
+    std::lock_guard<std::mutex> lock(glob_cache_mu_);
+    if (!glob_cache_selector_.has_value() ||
+        pattern != glob_cache_pattern_) {
+      glob_cache_pattern_.assign(pattern);
+      glob_cache_selector_ = SeriesSelector::Glob(pattern);
+      glob_cache_ids_.clear();
+      glob_cache_covered_ = 0;
     }
+    const size_t n = catalog->size();
+    // The catalog interns append-only, so ids below glob_cache_covered_
+    // were matched on an earlier call and their names cannot change;
+    // only the newly interned tail needs glob matching.
+    for (SeriesId id = static_cast<SeriesId>(glob_cache_covered_);
+         static_cast<size_t>(id) < n; ++id) {
+      if (glob_cache_selector_->Matches(catalog->NameOf(id))) {
+        glob_cache_ids_.push_back(id);
+      }
+    }
+    glob_cache_covered_ = n;
+    ids = glob_cache_ids_;
   }
-  glob_cache_covered_ = n;
 
   FleetSample sample;
-  for (const SeriesId id : glob_cache_ids_) {
+  sample.series.reserve(ids.size());
+  for (const SeriesId id : ids) {
     auto frame = engine_->SnapshotById(id);
     if (frame == nullptr || frame->refreshes == 0) {
       sample.skipped_unpublished += 1;
@@ -314,16 +335,17 @@ RoughnessRanking FleetView::TopKByRoughnessOf(const FleetSample& sample,
   RoughnessRanking ranking;
   ranking.skipped_unpublished = sample.skipped_unpublished;
   const size_t n = sample.series.size();
-  // Member roughnesses are independent; compute them into per-member
-  // slots across threads, then assemble rows in sample order — the
-  // ranking is identical at any parallelism.
+  // Each member's roughness is its frame's cached summary; reading it
+  // computes it on a frame's first read. Reads are independent, so
+  // they fill per-member slots across threads, then rows are assembled
+  // in sample order: the ranking is identical at any parallelism.
   std::vector<double> roughness(n);
   const size_t chunks = std::min(n, kern::kMaxChunks);
   ParallelChunks(policy, chunks, [&](size_t c) {
     const size_t i0 = kern::ChunkBound(n, chunks, c);
     const size_t i1 = kern::ChunkBound(n, chunks, c + 1);
     for (size_t i = i0; i < i1; ++i) {
-      roughness[i] = Roughness(sample.series[i].frame->series);
+      roughness[i] = sample.series[i].frame->summary().roughness;
     }
   });
   ranking.ranks.reserve(n);
@@ -336,15 +358,13 @@ RoughnessRanking FleetView::TopKByRoughnessOf(const FleetSample& sample,
     rank.refreshes = member.frame->refreshes;
     ranking.ranks.push_back(std::move(rank));
   }
-  // Descending roughness, ties by name: identical frames always
-  // produce identical rankings (the wire-vs-in-process parity tests
-  // lean on this determinism).
+  // Descending roughness (NaN last), ties by name: identical frames
+  // always produce identical rankings (the wire-vs-in-process parity
+  // tests lean on this determinism).
   std::sort(ranking.ranks.begin(), ranking.ranks.end(),
             [](const SeriesRank& a, const SeriesRank& b) {
-              if (a.roughness != b.roughness) {
-                return a.roughness > b.roughness;
-              }
-              return a.name < b.name;
+              const int c = CompareDescendingNanLast(a.roughness, b.roughness);
+              return c != 0 ? c < 0 : a.name < b.name;
             });
   if (ranking.ranks.size() > k) {
     ranking.ranks.resize(k);
@@ -456,24 +476,37 @@ FleetAnomalyCounts FleetView::AnomalyCountsOf(const FleetSample& sample,
   FleetAnomalyCounts counts;
   counts.skipped_unpublished = sample.skipped_unpublished;
   const size_t n = sample.series.size();
+  if (options.threshold_sigmas <= 0.0) {
+    // The detector rejects the options for every frame.
+    counts.skipped_short = n;
+    return counts;
+  }
   // Per-member detector runs are independent; SIZE_MAX marks a member
-  // whose frame the detector rejected as too short.
+  // whose frame is too short for the detector. Each runs over its
+  // frame's cached baseline, and only if some point can reach the
+  // threshold: a frame whose max_abs_z is below it has no alerts.
   std::vector<size_t> alerts_per(n, 0);
   const size_t chunks = std::min(n, kern::kMaxChunks);
   ParallelChunks(policy, chunks, [&](size_t c) {
     const size_t i0 = kern::ChunkBound(n, chunks, c);
     const size_t i1 = kern::ChunkBound(n, chunks, c + 1);
     for (size_t i = i0; i < i1; ++i) {
-      const Result<std::vector<Alert>> alerts =
-          FindDeviations(sample.series[i].frame->series, options);
+      const StreamingAsap::Frame& frame = *sample.series[i].frame;
+      if (frame.series.size() < FrameSummary::kMinBaselinePoints) {
+        alerts_per[i] = static_cast<size_t>(-1);
+        continue;
+      }
+      const FrameSummary& summary = frame.summary();
+      if (summary.max_abs_z < options.threshold_sigmas) {
+        continue;  // no point reaches the threshold: no alerts
+      }
       alerts_per[i] =
-          alerts.ok() ? alerts.ValueOrDie().size() : static_cast<size_t>(-1);
+          ScanDeviations(frame.series, summary.baseline, options).size();
     }
   });
   for (size_t i = 0; i < n; ++i) {
     if (alerts_per[i] == static_cast<size_t>(-1)) {
-      // The detector rejects only too-short series; a member that has
-      // refreshed but not yet filled enough panes lands here.
+      // A member that has refreshed but not yet filled enough panes.
       counts.skipped_short += 1;
       continue;
     }
@@ -592,13 +625,13 @@ ChangeRanking FleetView::TopKByChange(size_t k, size_t frames_back,
   }
   std::sort(ranking.ranks.begin(), ranking.ranks.end(),
             [](const SeriesChange& a, const SeriesChange& b) {
-              if (a.mean_abs_delta != b.mean_abs_delta) {
-                return a.mean_abs_delta > b.mean_abs_delta;
+              int c = CompareDescendingNanLast(a.mean_abs_delta,
+                                               b.mean_abs_delta);
+              if (c == 0) {
+                c = CompareDescendingNanLast(a.max_abs_delta,
+                                             b.max_abs_delta);
               }
-              if (a.max_abs_delta != b.max_abs_delta) {
-                return a.max_abs_delta > b.max_abs_delta;
-              }
-              return a.name < b.name;
+              return c != 0 ? c < 0 : a.name < b.name;
             });
   if (ranking.ranks.size() > k) {
     ranking.ranks.resize(k);

@@ -23,6 +23,14 @@
 // sample, so recomputing over an already-taken sample is bitwise
 // reproducible even while ingestion keeps running.
 //
+// Frames are read far more often than they change (a series refreshes
+// every few seconds, a dashboard ticks many times a second), so what
+// TopKByRoughnessOf and AnomalyCountsOf read of a frame (its roughness
+// and the detector's median/MAD baseline) is computed once per
+// published frame, on its first read, and cached in the frame
+// (StreamingAsap::Frame::summary()). The cached values are bitwise the
+// recomputed ones, so caching changes no result.
+//
 // Warming-up accounting: a series whose first frame is not yet
 // published contributes to no rollup; every cross-series result
 // carries a skipped_unpublished count so callers can tell a quiet
@@ -133,7 +141,10 @@ struct FleetAnomalyCounts {
   size_t series_alerting = 0;
   /// Total alerts across all scanned members.
   size_t alerts = 0;
-  /// Members whose smoothed frame is still too short for the detector.
+  /// Members whose smoothed frame is still too short for the detector
+  /// (fewer than FrameSummary::kMinBaselinePoints points). Under
+  /// AlertOptions the detector rejects (threshold_sigmas <= 0), every
+  /// member lands here.
   size_t skipped_short = 0;
   size_t skipped_unpublished = 0;
 };
@@ -261,13 +272,16 @@ class FleetView {
   /// so growth can only add candidates — cached matches stay valid).
   /// Switching patterns recompiles and rescans. Results are identical
   /// to Sample(SeriesSelector::Glob(pattern)), call for call.
-  /// Thread-safe, like every other query on the view (the cache is
-  /// internally locked).
+  /// Thread-safe, like every other query on the view: the cache is
+  /// internally locked, and the matched members are sampled after the
+  /// lock is released, so concurrent callers sample in parallel.
   FleetSample SampleGlob(std::string_view pattern) const;
 
   /// The k sampled series whose latest smoothed frames are roughest,
   /// in descending roughness (ties broken by name, so rankings are
-  /// deterministic). Fewer than k rows if fewer series are sampled.
+  /// deterministic). A NaN roughness ranks after every number. Fewer
+  /// than k rows if fewer series are sampled. Reads each frame's
+  /// cached summary (computing it on the frame's first read).
   static RoughnessRanking TopKByRoughnessOf(const FleetSample& sample,
                                             size_t k,
                                             const ExecPolicy& policy = {});
@@ -283,7 +297,13 @@ class FleetView {
                                       const ExecPolicy& policy = {});
 
   /// Runs the stream/alerts deviation detector over each sampled
-  /// series' latest smoothed frame and rolls the counts up.
+  /// series' latest smoothed frame and rolls the counts up. Each frame
+  /// is scanned against its cached median/MAD baseline, and only when
+  /// its cached max_abs_z reaches threshold_sigmas: no point of a
+  /// frame below that can, so its count is 0 without a scan. Counts
+  /// equal FindDeviations run per frame, under any AlertOptions. The
+  /// options are checked once: if threshold_sigmas <= 0, which the
+  /// detector rejects, every member counts as skipped_short.
   static FleetAnomalyCounts AnomalyCountsOf(
       const FleetSample& sample, const AlertOptions& options = {},
       const ExecPolicy& policy = {});
@@ -301,8 +321,8 @@ class FleetView {
   /// The k selected series whose rendered views changed most over the
   /// last `frames_back` ring entries (per series, clamped to its ring
   /// depth), in descending mean absolute delta; ties broken by max
-  /// absolute delta, then name. Reads each series' snapshot ring, not
-  /// a FleetSample.
+  /// absolute delta, then name. A NaN delta ranks after every number.
+  /// Reads each series' snapshot ring, not a FleetSample.
   ChangeRanking TopKByChange(
       size_t k, size_t frames_back,
       const SeriesSelector& selector = SeriesSelector::All()) const;

@@ -410,6 +410,154 @@ TEST(RollupParityTest, RankingsAggregatesAndAnomalyCountsAgree) {
   EXPECT_EQ(base_counts.skipped_short, par_counts.skipped_short);
 }
 
+// The same members over fresh copies of their frames, so the next
+// rollup computes every frame summary again.
+FleetSample FreshCopies(const FleetSample& sample) {
+  FleetSample copy = sample;
+  for (SampledSeries& member : copy.series) {
+    member.frame = std::make_shared<const StreamingAsap::Frame>(*member.frame);
+  }
+  return copy;
+}
+
+TEST(RollupParityTest, FreshFrameSummariesAgreeAcrossThreadCounts) {
+  // Each thread count computes the frame summaries itself, on its own
+  // fresh copies (the case above reads summaries its first call left).
+  FleetSample sample = SyntheticFleet(23, 400, 9100);
+  std::vector<double> spiky = NoisySeasonal(400, 9200);
+  for (size_t i = 350; i < 360; ++i) {
+    spiky[i] += 20.0;
+  }
+  sample.series.push_back(Member("spiky", std::move(spiky)));
+  std::vector<double> poisoned = NoisySeasonal(400, 9300);
+  poisoned[17] = std::numeric_limits<double>::quiet_NaN();
+  sample.series.push_back(Member("nan", std::move(poisoned)));
+  sample.series.push_back(Member("flat", std::vector<double>(400, 1.0)));
+  sample.series.push_back(Member("short", NoisySeasonal(5, 9400)));
+
+  const stream::AlertOptions option_sets[] = {{3.0, 3}, {2.0, 1}, {0.5, 5}};
+  const FleetSample base_copy = FreshCopies(sample);
+  const auto base_rank = FleetView::TopKByRoughnessOf(base_copy, 100);
+  for (const ExecPolicy& policy : {Threads(4), Threads(16)}) {
+    const FleetSample copy = FreshCopies(sample);
+    const auto rank = FleetView::TopKByRoughnessOf(copy, 100, policy);
+    ASSERT_EQ(rank.ranks.size(), base_rank.ranks.size());
+    for (size_t i = 0; i < rank.ranks.size(); ++i) {
+      EXPECT_EQ(rank.ranks[i].name, base_rank.ranks[i].name);
+      EXPECT_TRUE(
+          BitEq(rank.ranks[i].roughness, base_rank.ranks[i].roughness));
+    }
+    for (const stream::AlertOptions& options : option_sets) {
+      const FleetSample cold = FreshCopies(sample);
+      const auto want = FleetView::AnomalyCountsOf(base_copy, options);
+      const auto got = FleetView::AnomalyCountsOf(cold, options, policy);
+      EXPECT_EQ(got.series, want.series);
+      EXPECT_EQ(got.series_alerting, want.series_alerting);
+      EXPECT_EQ(got.alerts, want.alerts);
+      EXPECT_EQ(got.skipped_short, want.skipped_short);
+    }
+  }
+}
+
+// --- Rankings with NaN keys -------------------------------------------------
+
+// Ranks are finite keys in descending order, then NaN keys in name
+// order.
+template <typename Row, typename Key>
+void ExpectNanLastRanking(const std::vector<Row>& ranks, Key key,
+                          const std::string& what) {
+  size_t first_nan = ranks.size();
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    if (std::isnan(key(ranks[i]))) {
+      first_nan = std::min(first_nan, i);
+    } else {
+      EXPECT_EQ(first_nan, ranks.size()) << what << ": a number after NaN";
+    }
+    if (i > 0 && i < first_nan) {
+      EXPECT_GT(key(ranks[i - 1]), key(ranks[i])) << what << " rank " << i;
+    }
+    if (i > first_nan) {
+      EXPECT_LT(ranks[i - 1].name, ranks[i].name) << what << " rank " << i;
+    }
+  }
+}
+
+TEST(RankingOrderTest, NanRoughnessRanksLastAtEveryThreadCount) {
+  // Each sample hides NaN frames among 40 members; with operator> as
+  // the sort key they used to scramble the finite members' order.
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Pcg32 rng(700 + seed);
+    FleetSample sample;
+    const size_t nan_at = rng.NextBounded(40);
+    const size_t nan_too = rng.NextBounded(40);
+    for (size_t s = 0; s < 40; ++s) {
+      // Names out of sample order, so name ties cannot hide a misorder.
+      std::vector<double> series = NoisySeasonal(100, 7000 + 40 * seed + s);
+      if (s == nan_at || s == nan_too) {
+        series[rng.NextBounded(100)] = std::numeric_limits<double>::quiet_NaN();
+      }
+      sample.series.push_back(
+          Member("m-" + std::to_string((s * 17) % 40), std::move(series)));
+    }
+    const std::string what = "seed " + std::to_string(seed);
+    const auto base = FleetView::TopKByRoughnessOf(sample, 40, Threads(1));
+    ASSERT_EQ(base.ranks.size(), 40u);
+    ExpectNanLastRanking(
+        base.ranks, [](const stream::SeriesRank& r) { return r.roughness; },
+        what);
+    EXPECT_TRUE(std::isnan(base.ranks.back().roughness)) << what;
+    for (const ExecPolicy& policy : {Threads(4), Threads(16)}) {
+      const auto other = FleetView::TopKByRoughnessOf(FreshCopies(sample), 40,
+                                                      policy);
+      ASSERT_EQ(other.ranks.size(), base.ranks.size()) << what;
+      for (size_t i = 0; i < base.ranks.size(); ++i) {
+        EXPECT_EQ(other.ranks[i].name, base.ranks[i].name) << what;
+      }
+    }
+  }
+}
+
+TEST(RankingOrderTest, NanChangeRanksLastAtEveryThreadCount) {
+  // Series whose newest frames hold a NaN diff to NaN (mean |delta|);
+  // they share their input, so their max |delta| ties and they order
+  // by name.
+  StreamingOptions options;
+  options.resolution = 100;
+  options.visible_points = 2000;
+  options.refresh_every_points = 250;
+  options.snapshot_ring_frames = 4;
+  stream::ShardedEngineOptions engine_options;
+  engine_options.shards = 2;
+  stream::ShardedEngine engine =
+      stream::ShardedEngine::Create(options, engine_options).ValueOrDie();
+  stream::InterleavingMultiSource source(engine.catalog());
+  std::vector<double> poisoned = NoisySeasonal(3000, 8100);
+  poisoned[2000] = std::numeric_limits<double>::quiet_NaN();
+  for (size_t i = 0; i < 16; ++i) {
+    const std::string name = "host-" + std::to_string((i * 7) % 16);
+    source.AddVector(name,
+                     i % 5 == 2 ? poisoned : NoisySeasonal(3000, 8000 + i));
+  }
+  engine.RunToCompletion(&source);
+
+  const FleetView plain(&engine, Threads(1));
+  const auto base = plain.TopKByChange(16, 2);
+  ASSERT_EQ(base.ranks.size(), 16u);
+  ExpectNanLastRanking(
+      base.ranks,
+      [](const stream::SeriesChange& r) { return r.mean_abs_delta; },
+      "TopKByChange");
+  EXPECT_TRUE(std::isnan(base.ranks.back().mean_abs_delta));
+  for (const ExecPolicy& policy : {Threads(4), Threads(16)}) {
+    const FleetView threaded(&engine, policy);
+    const auto other = threaded.TopKByChange(16, 2);
+    ASSERT_EQ(other.ranks.size(), base.ranks.size());
+    for (size_t i = 0; i < base.ranks.size(); ++i) {
+      EXPECT_EQ(other.ranks[i].name, base.ranks[i].name) << i;
+    }
+  }
+}
+
 // --- Rollups through a live engine ------------------------------------------
 
 TEST(EngineParityTest, PolicyViewMatchesDefaultViewOnSettledEngine) {

@@ -10,8 +10,10 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -276,6 +278,138 @@ TEST(FleetQueryTest, AnomalyCountsMatchPerSeriesDetector) {
   EXPECT_EQ(scoped.series_alerting, 1u);
 }
 
+// A sample member whose frame holds `series` (the anomaly rollup reads
+// only frame->series). The name outlives the test, as a catalog name
+// would.
+SampledSeries SyntheticMember(const std::string& name,
+                              std::vector<double> series) {
+  static std::vector<std::unique_ptr<std::string>>* names =
+      new std::vector<std::unique_ptr<std::string>>();
+  names->push_back(std::make_unique<std::string>(name));
+  auto frame = std::make_shared<StreamingAsap::Frame>();
+  frame->series = std::move(series);
+  frame->refreshes = 1;
+  return SampledSeries{*names->back(),
+                       static_cast<SeriesId>(names->size() - 1),
+                       std::move(frame)};
+}
+
+// The same members over fresh copies of their frames: every summary is
+// computed again on first read.
+FleetSample FreshCopies(const FleetSample& sample) {
+  FleetSample copy = sample;
+  for (SampledSeries& member : copy.series) {
+    member.frame = std::make_shared<const StreamingAsap::Frame>(*member.frame);
+  }
+  return copy;
+}
+
+// The rollup recomputed by hand: FindDeviations on every frame, a
+// rejected frame counted as skipped_short.
+FleetAnomalyCounts PerFrameCounts(const FleetSample& sample,
+                                  const AlertOptions& options) {
+  FleetAnomalyCounts counts;
+  counts.skipped_unpublished = sample.skipped_unpublished;
+  for (const SampledSeries& member : sample.series) {
+    const auto alerts = FindDeviations(member.frame->series, options);
+    if (!alerts.ok()) {
+      counts.skipped_short += 1;
+      continue;
+    }
+    counts.series += 1;
+    counts.alerts += alerts.ValueOrDie().size();
+    counts.series_alerting += alerts.ValueOrDie().empty() ? 0 : 1;
+  }
+  return counts;
+}
+
+void ExpectCountsEqual(const FleetAnomalyCounts& got,
+                       const FleetAnomalyCounts& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.series, want.series) << what;
+  EXPECT_EQ(got.series_alerting, want.series_alerting) << what;
+  EXPECT_EQ(got.alerts, want.alerts) << what;
+  EXPECT_EQ(got.skipped_short, want.skipped_short) << what;
+  EXPECT_EQ(got.skipped_unpublished, want.skipped_unpublished) << what;
+}
+
+// 90 calm points around 0 and then `run` points at `level`.
+std::vector<double> Plateau(size_t run, double level) {
+  std::vector<double> xs = FleetSeries(50, 90);
+  xs.insert(xs.end(), run, level);
+  return xs;
+}
+
+TEST(FleetQueryTest, AnomalyCountsFromCachedSummariesMatchFindDeviations) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  FleetSample sample;
+  sample.skipped_unpublished = 2;
+  for (size_t i = 0; i < 8; ++i) {
+    std::vector<double> xs = FleetSeries(i, 373);
+    if (i % 3 == 0) {
+      gen::InjectLevelShift(&xs, 300, 330, 3.0 + static_cast<double>(i));
+    }
+    sample.series.push_back(SyntheticMember("calm-" + std::to_string(i), xs));
+  }
+  std::vector<double> with_nan = FleetSeries(20, 120);
+  with_nan[7] = nan;
+  with_nan[70] = nan;
+  sample.series.push_back(SyntheticMember("nan", with_nan));
+  std::vector<double> with_inf = FleetSeries(21, 120);
+  with_inf[40] = inf;
+  with_inf[41] = inf;
+  with_inf[42] = inf;
+  with_inf[90] = -inf;
+  sample.series.push_back(SyntheticMember("inf", with_inf));
+  sample.series.push_back(
+      SyntheticMember("flat", std::vector<double>(64, 1.5)));
+  sample.series.push_back(SyntheticMember("short", FleetSeries(22, 7)));
+  sample.series.push_back(SyntheticMember("eight", FleetSeries(23, 8)));
+  sample.series.push_back(SyntheticMember("plateau", Plateau(5, 40.0)));
+
+  const AlertOptions option_sets[] = {
+      {3.0, 3}, {2.0, 1}, {0.5, 5}, {nan, 3}, {0.0, 3}, {-1.0, 2}};
+  for (const AlertOptions& options : option_sets) {
+    const std::string what = "threshold " +
+                             std::to_string(options.threshold_sigmas) +
+                             " min " + std::to_string(options.min_duration);
+    const FleetAnomalyCounts want = PerFrameCounts(sample, options);
+    // Cold (every summary computed by this call) and warm (read back).
+    const FleetSample fresh = FreshCopies(sample);
+    ExpectCountsEqual(FleetView::AnomalyCountsOf(fresh, options), want,
+                      what + " cold");
+    ExpectCountsEqual(FleetView::AnomalyCountsOf(fresh, options), want,
+                      what + " warm");
+  }
+  // A non-positive threshold rejects every member as the detector does.
+  const FleetAnomalyCounts rejected =
+      FleetView::AnomalyCountsOf(sample, {0.0, 3});
+  EXPECT_EQ(rejected.series, 0u);
+  EXPECT_EQ(rejected.skipped_short, sample.series.size());
+  // The default options find alerts here, so the parity above is not
+  // all zeros.
+  EXPECT_GT(PerFrameCounts(sample, {}).series_alerting, 0u);
+
+  // A threshold exactly at a frame's max_abs_z must still scan: the
+  // plateau's five equal points reach it and make one alert. One ulp
+  // above it, no point can, and the count is 0 without a scan.
+  FleetSample plateau;
+  plateau.series.push_back(sample.series.back());
+  const double peak = plateau.series[0].frame->summary().max_abs_z;
+  ASSERT_GT(peak, 3.0);
+  const AlertOptions at_peak{peak, 3};
+  const FleetAnomalyCounts exact = FleetView::AnomalyCountsOf(plateau, at_peak);
+  ExpectCountsEqual(exact, PerFrameCounts(plateau, at_peak), "at max_abs_z");
+  EXPECT_EQ(exact.alerts, 1u);
+  const AlertOptions above_peak{std::nextafter(peak, inf), 3};
+  const FleetAnomalyCounts above =
+      FleetView::AnomalyCountsOf(plateau, above_peak);
+  ExpectCountsEqual(above, PerFrameCounts(plateau, above_peak),
+                    "above max_abs_z");
+  EXPECT_EQ(above.alerts, 0u);
+}
+
 // --- History diffs ----------------------------------------------------------
 
 TEST(FleetQueryTest, DiffHistoryZeroIsIdenticallyZero) {
@@ -404,6 +538,30 @@ TEST(FleetQueryTest, SampleGlobMatchesUncachedSelectorExactly) {
   ExpectSamplesEqual(view.SampleGlob("dc2/*"),
                      view.Sample(SeriesSelector::Glob("dc2/*")),
                      "after growth, other dc");
+}
+
+TEST(FleetQueryTest, SampleGlobFromConcurrentDashboardsMatchesUncached) {
+  // Four dashboards share one view and alternate two patterns, so the
+  // cache keeps switching under them while members are sampled
+  // outside its lock (the TSan CI job runs this binary).
+  ShardedEngine engine = RunFleet(FleetOptions(), 12, 4000);
+  const FleetView view(&engine);
+  const char* patterns[] = {"dc1/*", "dc2/*"};
+  const FleetSample want[] = {view.Sample(SeriesSelector::Glob(patterns[0])),
+                              view.Sample(SeriesSelector::Glob(patterns[1]))};
+  std::vector<std::thread> dashboards;
+  for (size_t t = 0; t < 4; ++t) {
+    dashboards.emplace_back([&, t] {
+      for (size_t call = 0; call < 200; ++call) {
+        const size_t which = (t + call) % 2;
+        ExpectSamplesEqual(view.SampleGlob(patterns[which]), want[which],
+                           patterns[which]);
+      }
+    });
+  }
+  for (std::thread& dashboard : dashboards) {
+    dashboard.join();
+  }
 }
 
 // --- Concurrency: the query tier racing live ingestion ----------------------

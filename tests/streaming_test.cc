@@ -9,8 +9,12 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/acf_peaks.h"
@@ -19,6 +23,7 @@
 #include "core/series_context.h"
 #include "core/smooth.h"
 #include "core/streaming_asap.h"
+#include "stats/descriptive.h"
 #include "ts/generators.h"
 #include "window/sma.h"
 
@@ -788,6 +793,177 @@ TEST(StreamingAsapTest, CadencedRestoreMatchesArrivalIngest) {
       EXPECT_EQ(got[r].allocation_free_evals, want[r].allocation_free_evals)
           << what;
       EXPECT_EQ(got[r].acf_rebuilds, want[r].acf_rebuilds) << what;
+    }
+  }
+}
+
+// --- Frame summaries --------------------------------------------------------
+
+bool BitEq(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSummaryBitEq(const FrameSummary& got, const FrameSummary& want,
+                        const std::string& what) {
+  EXPECT_TRUE(BitEq(got.roughness, want.roughness)) << what;
+  EXPECT_TRUE(BitEq(got.baseline.center, want.baseline.center)) << what;
+  EXPECT_TRUE(BitEq(got.baseline.scale, want.baseline.scale)) << what;
+  EXPECT_TRUE(BitEq(got.max_abs_z, want.max_abs_z)) << what;
+}
+
+// The summary recomputed the way the rollups computed it before frames
+// cached it: Roughness, then the detector's median and 1.4826 x MAD,
+// then the largest |(x - center) / scale| that is not NaN.
+FrameSummary ReferenceSummary(const std::vector<double>& series) {
+  FrameSummary want;
+  want.roughness = Roughness(series);
+  if (series.size() < 8) {
+    return want;
+  }
+  want.baseline.center = stats::Median(series);
+  std::vector<double> abs_dev(series.size());
+  for (size_t i = 0; i < series.size(); ++i) {
+    abs_dev[i] = std::fabs(series[i] - want.baseline.center);
+  }
+  want.baseline.scale = 1.4826 * stats::Median(abs_dev);
+  if (want.baseline.scale > 0.0) {
+    for (const double x : series) {
+      const double z =
+          std::fabs((x - want.baseline.center) / want.baseline.scale);
+      if (!std::isnan(z)) {
+        want.max_abs_z = std::max(want.max_abs_z, z);
+      }
+    }
+  }
+  return want;
+}
+
+// Frames the summary must cover: a smoothed periodic series, one with
+// a sustained shift, NaN, +inf and -inf points, a flat one, and frames
+// shorter than the detector's 8 points.
+std::vector<std::pair<std::string, std::vector<double>>> SummaryCases() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, std::vector<double>>> cases;
+  cases.emplace_back("periodic", PeriodicStream(81, 373));
+  std::vector<double> shifted = PeriodicStream(82, 373);
+  for (size_t i = 300; i < 340; ++i) {
+    shifted[i] += 9.0;
+  }
+  cases.emplace_back("shifted", shifted);
+  std::vector<double> with_nan = PeriodicStream(83, 64);
+  with_nan[10] = nan;
+  cases.emplace_back("nan", with_nan);
+  std::vector<double> with_inf = PeriodicStream(84, 64);
+  with_inf[20] = inf;
+  with_inf[21] = -inf;
+  cases.emplace_back("inf", with_inf);
+  cases.emplace_back("flat", std::vector<double>(50, 2.5));
+  cases.emplace_back("eight", PeriodicStream(85, 8));
+  cases.emplace_back("seven", PeriodicStream(86, 7));
+  cases.emplace_back("two", std::vector<double>{1.0, 3.0});
+  cases.emplace_back("empty", std::vector<double>{});
+  return cases;
+}
+
+TEST(FrameSummaryTest, MatchesRoughnessAndTheDetectorBaselineBitwise) {
+  for (const auto& [what, series] : SummaryCases()) {
+    StreamingAsap::Frame frame;
+    frame.series = series;
+    const FrameSummary& summary = frame.summary();
+    ExpectSummaryBitEq(summary, ReferenceSummary(series), what);
+    EXPECT_TRUE(BitEq(summary.roughness, Roughness(series))) << what;
+    if (series.size() >= FrameSummary::kMinBaselinePoints) {
+      const stats::RobustBaseline baseline = stats::MedianMad(series);
+      EXPECT_TRUE(BitEq(summary.baseline.center, baseline.center)) << what;
+      EXPECT_TRUE(BitEq(summary.baseline.scale, baseline.scale)) << what;
+    }
+    // A second read returns the cached value itself.
+    EXPECT_EQ(&frame.summary(), &summary) << what;
+  }
+}
+
+TEST(FrameSummaryTest, ACopiedOrAssignedFrameRecomputesItsSummary) {
+  const std::vector<double> first = PeriodicStream(91, 200);
+  const std::vector<double> second = PeriodicStream(92, 300, 30.0);
+  StreamingAsap::Frame original;
+  original.series = first;
+  const FrameSummary first_summary = original.summary();
+
+  // A copy starts uncomputed, so it summarizes the series it holds
+  // when first read, not the one its source had summarized.
+  StreamingAsap::Frame copy = original;
+  copy.series = second;
+  ExpectSummaryBitEq(copy.summary(), ReferenceSummary(second), "copy");
+  ExpectSummaryBitEq(original.summary(), first_summary, "original");
+
+  // So does an assigned frame, whatever it had cached before.
+  StreamingAsap::Frame assigned;
+  assigned.series = second;
+  (void)assigned.summary();
+  assigned = original;
+  ExpectSummaryBitEq(assigned.summary(), first_summary, "assigned");
+}
+
+TEST(FrameSummaryTest, WorkingFrameSummaryFollowsRefreshes) {
+  // The operator's own frame is refreshed in place: a summary read
+  // before a refresh must not survive it.
+  StreamingOptions options = BasicOptions();
+  options.refresh_every_points = 200;
+  StreamingAsap op = StreamingAsap::Create(options).ValueOrDie();
+  const std::vector<double> data = PeriodicStream(93, 8000);
+  size_t pushed = 0;
+  while (op.frame().refreshes == 0) {
+    op.Push(data[pushed++]);
+  }
+  const FrameSummary before = op.frame().summary();
+  ExpectSummaryBitEq(before, ReferenceSummary(op.frame().series), "before");
+  const std::vector<double> old_series = op.frame().series;
+  const uint64_t refreshes = op.frame().refreshes;
+  while (op.frame().refreshes == refreshes) {
+    op.Push(data[pushed++]);
+  }
+  ASSERT_NE(op.frame().series, old_series);
+  const FrameSummary after = op.frame().summary();
+  ExpectSummaryBitEq(after, ReferenceSummary(op.frame().series), "after");
+  EXPECT_FALSE(BitEq(after.roughness, before.roughness));
+  // The published copy of the same refresh agrees.
+  ExpectSummaryBitEq(op.frame_snapshot()->summary(), after, "published");
+}
+
+TEST(FrameSummaryTest, ConcurrentFirstReadsSeeTheSameBits) {
+  // Eight threads, released together, make the first read of one
+  // fresh frame's summary: exactly one computes it, every reader sees
+  // the same bits (the TSan CI job runs this case by name).
+  constexpr size_t kThreads = 8;
+  for (uint64_t round = 0; round < 16; ++round) {
+    auto frame = std::make_shared<StreamingAsap::Frame>();
+    frame->series = PeriodicStream(100 + round, 373);
+    const std::shared_ptr<const StreamingAsap::Frame> published = frame;
+    const FrameSummary want = ReferenceSummary(published->series);
+
+    std::atomic<size_t> waiting{0};
+    std::vector<FrameSummary> seen(kThreads);
+    std::vector<const FrameSummary*> where(kThreads, nullptr);
+    std::vector<std::thread> readers;
+    for (size_t t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        waiting.fetch_add(1, std::memory_order_acq_rel);
+        while (waiting.load(std::memory_order_acquire) < kThreads) {
+          std::this_thread::yield();
+        }
+        where[t] = &published->summary();
+        seen[t] = *where[t];
+      });
+    }
+    for (std::thread& reader : readers) {
+      reader.join();
+    }
+    for (size_t t = 0; t < kThreads; ++t) {
+      const std::string what =
+          "round " + std::to_string(round) + " thread " + std::to_string(t);
+      EXPECT_EQ(where[t], where[0]) << what;
+      ExpectSummaryBitEq(seen[t], want, what);
     }
   }
 }
