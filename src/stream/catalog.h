@@ -5,7 +5,7 @@
 // names are appended to fixed-size blocks and never move, so a
 // returned string_view is stable for the catalog's lifetime) and hands
 // back a dense internal SeriesId. Ids stay uint32_t inside the engine
-// (hash sharding, registry keys, binary wire frames) but are an
+// (hash sharding, series-table slots, binary wire frames) but are an
 // implementation detail of the catalog — public APIs speak names.
 //
 // Thread model: many threads intern and resolve concurrently (the

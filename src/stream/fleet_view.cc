@@ -291,8 +291,7 @@ FleetSample FleetView::SampleGlob(std::string_view pattern) const {
   std::vector<SeriesId> ids;
   {
     // Only the cache is locked: the members are sampled below, outside
-    // the lock, so concurrent dashboards do not take turns at the
-    // shards' registry locks.
+    // the lock, so concurrent dashboards sample in parallel.
     std::lock_guard<std::mutex> lock(glob_cache_mu_);
     if (!glob_cache_selector_.has_value() ||
         pattern != glob_cache_pattern_) {

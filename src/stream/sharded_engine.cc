@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/macros.h"
@@ -18,20 +17,127 @@
 namespace asap {
 namespace stream {
 
-// One worker shard: a slice of the fleet's series table plus the
-// bounded batch queue that feeds it. Queue state is guarded by `mu`;
-// `registry_mu` serializes the worker's batch consumption against
-// concurrent SnapshotById lookups (the frame read itself is lock-free —
-// the map lookup is what needs the lock). Worker-side counters are
-// written by the worker thread only and read after join.
+namespace {
+
+// One series' state: its operator and its durable-store id.
+struct SeriesState {
+  StreamingAsap op;
+  /// The store's id for the series, registered by name on the first
+  /// pane it completes. Touched by its shard's worker only.
+  std::optional<uint32_t> store_sid;
+};
+
+}  // namespace
+
+// The fleet's series table, indexed by the catalog's dense SeriesId.
+// Ids are never reused, so the table only grows: a fixed array of
+// chunks, chunk k holding the 64 * 2^k ids from 64 * (2^k - 1), each
+// allocated on first use and installed by compare-exchange (27 chunks
+// cover every uint32 id). A slot is filled once, by compare-exchange
+// from null, by the owning shard's worker or by RestoreSeries between
+// runs, and freed only with the engine. Writers publish with release
+// and readers load with acquire, so a reader finds a series in two
+// loads without taking a lock.
+class ShardedEngine::SeriesTable {
+ public:
+  explicit SeriesTable(const StreamingOptions& options) : options_(options) {}
+  SeriesTable(const SeriesTable&) = delete;
+  SeriesTable& operator=(const SeriesTable&) = delete;
+
+  ~SeriesTable() {
+    ForEach([](SeriesId, const SeriesState& state) { delete &state; });
+    for (std::atomic<Slot*>& chunk : chunks_) {
+      delete[] chunk.load(std::memory_order_relaxed);
+    }
+  }
+
+  /// The series' state, or nullptr if no record or restore reached it.
+  const SeriesState* Find(SeriesId id) const {
+    size_t slot = 0;
+    const Slot* chunk =
+        chunks_[Locate(id, &slot)].load(std::memory_order_acquire);
+    return chunk == nullptr ? nullptr
+                            : chunk[slot].load(std::memory_order_acquire);
+  }
+
+  /// The series' state, built from the shared options on first use.
+  /// Two shards may install one chunk at once; the loser frees its copy.
+  SeriesState& GetOrCreate(SeriesId id) {
+    size_t slot = 0;
+    const size_t k = Locate(id, &slot);
+    Slot* chunk = chunks_[k].load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      std::unique_ptr<Slot[]> fresh(new Slot[ChunkSlots(k)]());
+      if (chunks_[k].compare_exchange_strong(chunk, fresh.get(),
+                                             std::memory_order_acq_rel)) {
+        chunk = fresh.release();
+      }
+    }
+    SeriesState* state = chunk[slot].load(std::memory_order_acquire);
+    if (state == nullptr) {
+      std::unique_ptr<SeriesState> fresh(new SeriesState{
+          StreamingAsap::Create(options_).ValueOrDie(), std::nullopt});
+      if (chunk[slot].compare_exchange_strong(state, fresh.get(),
+                                              std::memory_order_acq_rel)) {
+        state = fresh.release();
+      }
+    }
+    return *state;
+  }
+
+  /// Calls fn(id, state) for every filled slot, ids ascending.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t k = 0; k < kChunks; ++k) {
+      const Slot* chunk = chunks_[k].load(std::memory_order_acquire);
+      for (size_t s = 0; chunk != nullptr && s < ChunkSlots(k); ++s) {
+        const SeriesState* state = chunk[s].load(std::memory_order_acquire);
+        if (state != nullptr) {
+          fn(static_cast<SeriesId>(ChunkSlots(k) - ChunkSlots(0) + s), *state);
+        }
+      }
+    }
+  }
+
+ private:
+  using Slot = std::atomic<SeriesState*>;
+  static constexpr unsigned kFirstChunkLog2 = 6;
+  static constexpr size_t kChunks = 27;
+  static_assert((uint64_t{1} << (kFirstChunkLog2 + kChunks)) -
+                        (uint64_t{1} << kFirstChunkLog2) >
+                    UINT32_MAX,
+                "the chunks must cover every SeriesId");
+
+  static size_t ChunkSlots(size_t k) {
+    return size_t{1} << (kFirstChunkLog2 + k);
+  }
+
+  /// Chunk index of `id`; its slot in that chunk goes to *slot. id + 64
+  /// has its top bit at 6 + k, and the bits below it are the slot.
+  static size_t Locate(SeriesId id, size_t* slot) {
+    const uint64_t biased = uint64_t{id} + ChunkSlots(0);
+    const unsigned top = 63u - static_cast<unsigned>(__builtin_clzll(biased));
+    *slot = static_cast<size_t>(biased - (uint64_t{1} << top));
+    return top - kFirstChunkLog2;
+  }
+
+  StreamingOptions options_;
+  std::atomic<Slot*> chunks_[kChunks] = {};
+};
+
+// One worker shard: the bounded batch queue that feeds it and its
+// sequencer. The series it owns (ShardOf) live in the engine's
+// SeriesTable. Queue state is guarded by `mu`; worker-side counters
+// are written by the worker thread only and read after join.
 struct ShardedEngine::Shard {
-  Shard(const StreamingOptions& series_options, size_t index,
+  Shard(SeriesTable* table, size_t index,
         telemetry::MetricsRegistry* metrics, SeriesCatalog* catalog,
-        storage::DurableStore* storage, int64_t sequencer_horizon)
-      : registry(series_options),
+        storage::DurableStore* storage, bool timed,
+        int64_t sequencer_horizon)
+      : table(table),
         catalog(catalog),
         storage(storage),
-        timed(series_options.pane_width_ticks > 0),
+        timed(timed),
         sequencer(sequencer_horizon > 0
                       ? std::make_unique<Sequencer>(sequencer_horizon)
                       : nullptr) {
@@ -65,7 +171,7 @@ struct ShardedEngine::Shard {
          labels});
   }
 
-  SeriesRegistry registry;
+  SeriesTable* table = nullptr;              // the engine's, fleet-wide
   SeriesCatalog* catalog = nullptr;          // for name-keyed registration
   storage::DurableStore* storage = nullptr;  // null = memory-only
 
@@ -86,7 +192,7 @@ struct ShardedEngine::Shard {
   struct OpenPane {
     int64_t last;
     SeriesId id;
-    StreamingAsap* op;
+    SeriesState* state;
   };
   std::deque<OpenPane> open_panes;
 
@@ -94,7 +200,6 @@ struct ShardedEngine::Shard {
   // drained batch accumulates completed-pane means per series run in
   // `flat_panes` (one flat buffer, no per-run allocation) and flushes
   // them in a single AppendPanes call.
-  std::unordered_map<SeriesId, uint32_t> storage_sids;  // engine -> store id
   std::vector<double> run_values;    // per-run value scratch
   std::vector<int64_t> run_ts;       // per-run timestamp scratch (timed)
   std::vector<double> pane_scratch;  // sink target while one run pushes
@@ -121,7 +226,6 @@ struct ShardedEngine::Shard {
   std::shared_ptr<telemetry::Counter> seq_emitted_total;
   std::shared_ptr<telemetry::Counter> seq_late_total;
   std::shared_ptr<telemetry::Gauge> seq_buffered;
-  mutable std::mutex registry_mu;
 
   std::mutex mu;
   std::condition_variable not_empty;
@@ -175,12 +279,6 @@ struct ShardedEngine::Shard {
   /// operators then advance to its floor: no record below it can
   /// arrive any more, so every open pane ending at or before it
   /// commits, the last pane of a series that went quiet included.
-  /// registry_mu is held only around the map lookup/insert — never
-  /// across an operator push — so a concurrent SnapshotById waits for
-  /// a pointer chase, not a window search. The operator pointer stays
-  /// valid outside the lock: unordered_map never invalidates
-  /// references on insert, and this worker is the shard's only
-  /// mutator.
   void ProcessRecords(const RecordBatch& batch) {
     const bool frontier = timed && sequencer != nullptr;
     flat_panes.clear();
@@ -204,20 +302,17 @@ struct ShardedEngine::Shard {
           run_ts.push_back(batch[k].ts);
         }
       }
-      StreamingAsap* op = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(registry_mu);
-        op = &registry.GetOrCreate(id);
-      }
+      SeriesState* state = &table->GetOrCreate(id);
+      StreamingAsap* op = &state->op;
       const std::optional<int64_t> open_before =
           frontier ? op->open_pane_last() : std::nullopt;
-      CapturePanes(id, op, [&] { PushRun(op); });
+      CapturePanes(id, state, [&] { PushRun(op); });
       if (frontier) {
         const std::optional<int64_t> open_after = op->open_pane_last();
         if (open_after.has_value() && open_after != open_before) {
           ASAP_DCHECK(open_panes.empty() ||
                       open_panes.back().last <= *open_after);
-          open_panes.push_back(OpenPane{*open_after, id, op});
+          open_panes.push_back(OpenPane{*open_after, id, state});
         }
       }
       i = j;
@@ -227,8 +322,8 @@ struct ShardedEngine::Shard {
       while (!open_panes.empty() && open_panes.front().last < floor) {
         const OpenPane pane = open_panes.front();
         open_panes.pop_front();
-        CapturePanes(pane.id, pane.op,
-                     [&] { pane.op->AdvanceFrontier(floor); });
+        CapturePanes(pane.id, pane.state,
+                     [&] { pane.state->op.AdvanceFrontier(floor); });
       }
     }
     if (!run_meta.empty() && storage_ok) {
@@ -251,25 +346,25 @@ struct ShardedEngine::Shard {
     }
   }
 
-  /// Runs `feed` on `op`, catching the panes it completes into this
-  /// batch's durable append (flushed once per batch in
-  /// ProcessRecords). Setting the sink per call is two pointer stores
-  /// — cheap, and it also covers operators created by recovery's
-  /// RestoreSeries.
+  /// Runs `feed` on the series' operator, catching the panes it
+  /// completes into this batch's durable append (flushed once per
+  /// batch in ProcessRecords). Setting the sink per call is two pointer
+  /// stores — cheap, and it also covers operators created by
+  /// recovery's RestoreSeries.
   template <typename Feed>
-  void CapturePanes(SeriesId id, StreamingAsap* op, Feed&& feed) {
+  void CapturePanes(SeriesId id, SeriesState* state, Feed&& feed) {
     if (storage == nullptr || !storage_ok) {
       feed();
       return;
     }
     pane_scratch.clear();
-    op->set_pane_sink(&PaneSinkThunk, &pane_scratch);
+    state->op.set_pane_sink(&PaneSinkThunk, &pane_scratch);
     feed();
-    op->set_pane_sink(nullptr, nullptr);
+    state->op.set_pane_sink(nullptr, nullptr);
     if (pane_scratch.empty()) {
       return;
     }
-    const uint32_t sid = StoreSidFor(id);
+    const uint32_t sid = StoreSidFor(id, state);
     if (storage_ok) {
       run_meta.push_back(
           PaneRunMeta{sid, flat_panes.size(), pane_scratch.size()});
@@ -342,21 +437,16 @@ struct ShardedEngine::Shard {
     seq_buffered->Set(static_cast<double>(sequencer->buffered()));
   }
 
-  /// Store id for an engine series id, registering by name on first
-  /// sight. Worker-thread only (the map is unsynchronized).
-  uint32_t StoreSidFor(SeriesId id) {
-    auto it = storage_sids.find(id);
-    if (it != storage_sids.end()) {
-      return it->second;
+  /// Store id for a series, registering it by name on first use.
+  uint32_t StoreSidFor(SeriesId id, SeriesState* state) {
+    if (!state->store_sid.has_value()) {
+      auto sid = storage->RegisterSeries(catalog->NameOf(id));
+      if (!sid.ok()) {
+        storage_ok = false;
+      }
+      state->store_sid = sid.ok() ? sid.ValueOrDie() : 0;
     }
-    auto sid = storage->RegisterSeries(catalog->NameOf(id));
-    if (!sid.ok()) {
-      storage_ok = false;
-      storage_sids.emplace(id, 0);
-      return 0;
-    }
-    storage_sids.emplace(id, sid.ValueOrDie());
-    return sid.ValueOrDie();
+    return *state->store_sid;
   }
 
   void ResetRunCounters() {
@@ -400,6 +490,7 @@ ShardedEngine::ShardedEngine(const StreamingOptions& series_options,
     : series_options_(series_options),
       options_(engine_options),
       catalog_(std::make_shared<SeriesCatalog>()),
+      table_(std::make_unique<SeriesTable>(series_options)),
       run_in_flight_(std::make_shared<std::atomic<bool>>(false)) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
@@ -410,7 +501,8 @@ ShardedEngine::ShardedEngine(const StreamingOptions& series_options,
   shards_.reserve(options_.shards);
   for (size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        series_options_, i, metrics_, catalog_.get(), options_.storage,
+        table_.get(), i, metrics_, catalog_.get(), options_.storage,
+        series_options_.pane_width_ticks > 0,
         options_.sequencer_horizon_ticks));
   }
 }
@@ -436,20 +528,16 @@ size_t ShardedEngine::ShardOf(SeriesId id, size_t shard_count) {
 
 std::shared_ptr<const StreamingAsap::Frame> ShardedEngine::SnapshotById(
     SeriesId id) const {
-  const Shard& shard = *shards_[ShardOf(id, shards_.size())];
-  std::lock_guard<std::mutex> lock(shard.registry_mu);
-  const StreamingAsap* op = shard.registry.Find(id);
-  return op == nullptr ? nullptr : op->frame_snapshot();
+  const SeriesState* state = table_->Find(id);
+  return state == nullptr ? nullptr : state->op.frame_snapshot();
 }
 
 std::vector<std::shared_ptr<const StreamingAsap::Frame>>
 ShardedEngine::FrameHistoryById(SeriesId id) const {
-  const Shard& shard = *shards_[ShardOf(id, shards_.size())];
-  std::lock_guard<std::mutex> lock(shard.registry_mu);
-  const StreamingAsap* op = shard.registry.Find(id);
-  return op == nullptr
+  const SeriesState* state = table_->Find(id);
+  return state == nullptr
              ? std::vector<std::shared_ptr<const StreamingAsap::Frame>>{}
-             : op->FrameHistory();
+             : state->op.FrameHistory();
 }
 
 Status ShardedEngine::RestoreSeries(std::string_view name,
@@ -461,19 +549,13 @@ Status ShardedEngine::RestoreSeries(std::string_view name,
   if (run_in_flight_->load(std::memory_order_acquire)) {
     return Status::Internal("RestoreSeries: run in flight");
   }
-  const SeriesId id = catalog_->Intern(name);
-  Shard& shard = *shards_[ShardOf(id, shards_.size())];
-  StreamingAsap* op = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(shard.registry_mu);
-    op = &shard.registry.GetOrCreate(id);
-  }
-  if (op->points_consumed() != 0) {
+  StreamingAsap& op = table_->GetOrCreate(catalog_->Intern(name)).op;
+  if (op.points_consumed() != 0) {
     return Status::AlreadyExists("RestoreSeries: series already has points");
   }
   // No sink: these panes are already durable (restore must never echo
   // them back into the store).
-  op->RestorePanes(pane_means, n, cadenced);
+  op.RestorePanes(pane_means, n, cadenced);
   return Status::OK();
 }
 
@@ -555,39 +637,39 @@ FleetReport ShardedEngine::Run(MultiSource* source, double budget_seconds) {
           ? static_cast<double>(report.points) / report.seconds
           : 0.0;
 
+  report.shards.resize(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     const Shard& shard = *shards_[i];
-    ShardReport sr;
+    ShardReport& sr = report.shards[i];
     sr.shard = i;
     sr.points = shard.points;
     sr.batches = shard.batches;
-    sr.series = shard.registry.size();
     sr.peak_queue_depth = shard.peak_queue_depth;
     sr.late = shard.late;
     sr.busy_seconds = shard.busy_seconds;
-    shard.registry.ForEach([&sr](SeriesId, const StreamingAsap& op) {
-      sr.refreshes += op.frame().refreshes;
-    });
-    report.refreshes += sr.refreshes;
-    report.series += sr.series;
     report.late += sr.late;
-    report.shards.push_back(sr);
-
-    for (SeriesId id : shard.registry.Ids()) {
-      const StreamingAsap& op = *shard.registry.Find(id);
-      SeriesReport series_report;
-      series_report.name = std::string(catalog_->NameOf(id));
-      series_report.points = op.points_consumed();
-      series_report.refreshes = op.frame().refreshes;
-      series_report.window = op.frame().window;
-      if (shard.sequencer != nullptr) {
-        const auto& late_map = shard.sequencer->late_by_series();
-        const auto it = late_map.find(id);
-        series_report.late = it != late_map.end() ? it->second : 0;
-      }
-      report.per_series.push_back(std::move(series_report));
-    }
   }
+  // One walk of the table credits each series to the shard that owns it.
+  table_->ForEach([&](SeriesId id, const SeriesState& state) {
+    const size_t i = ShardOf(id, num_shards);
+    const StreamingAsap::Frame& frame = state.op.frame();
+    report.shards[i].series += 1;
+    report.shards[i].refreshes += frame.refreshes;
+    report.series += 1;
+    report.refreshes += frame.refreshes;
+    SeriesReport series_report;
+    series_report.name = std::string(catalog_->NameOf(id));
+    series_report.points = state.op.points_consumed();
+    series_report.refreshes = frame.refreshes;
+    series_report.window = frame.window;
+    const Sequencer* sequencer = shards_[i]->sequencer.get();
+    if (sequencer != nullptr) {
+      const auto& late_map = sequencer->late_by_series();
+      const auto it = late_map.find(id);
+      series_report.late = it != late_map.end() ? it->second : 0;
+    }
+    report.per_series.push_back(std::move(series_report));
+  });
   std::sort(report.per_series.begin(), report.per_series.end(),
             [](const SeriesReport& a, const SeriesReport& b) {
               return a.name < b.name;

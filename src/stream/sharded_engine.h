@@ -1,13 +1,15 @@
 // The multi-series, multi-threaded fleet engine.
 //
 // A fleet stream of tagged records is hash-partitioned by series id
-// across T worker shards. Each shard owns a SeriesRegistry (its slice
-// of the fleet's StreamingAsap operators), fed through a bounded FIFO
-// batch queue by the producer (the caller's thread, which pulls the
-// MultiSource). Because one series always lands on one shard and each
-// shard's queue is FIFO, every series sees its points in stream order
-// no matter how many shards run — fleet results are refresh-for-
-// refresh identical to running each series alone (determinism parity).
+// across T worker shards, each fed through a bounded FIFO batch queue
+// by the producer (the caller's thread, which pulls the MultiSource).
+// Every series' StreamingAsap operator lives in one fleet-wide table
+// indexed by catalog id; a shard's worker creates and feeds the
+// operators of the series it owns. Because one series always lands on
+// one shard and each shard's queue is FIFO, every series sees its
+// points in stream order no matter how many shards run — fleet results
+// are refresh-for-refresh identical to running each series alone
+// (determinism parity).
 //
 // Topology per run:
 //
@@ -17,8 +19,10 @@
 //
 // Bounded queues give natural backpressure: a producer outrunning the
 // shards blocks instead of buffering without limit. Live dashboards
-// read per-series frames through StreamingAsap's lock-free snapshots
-// (FleetView, over SnapshotById) while the run is in flight.
+// read per-series frames while the run is in flight (FleetView, over
+// SnapshotById): a table slot is filled once and never freed before
+// the engine, so a reader finds a series with two acquire loads and no
+// engine lock, then takes StreamingAsap's snapshot of its frame.
 
 #ifndef ASAP_STREAM_SHARDED_ENGINE_H_
 #define ASAP_STREAM_SHARDED_ENGINE_H_
@@ -34,7 +38,6 @@
 #include "core/streaming_asap.h"
 #include "stream/catalog.h"
 #include "stream/record.h"
-#include "stream/registry.h"
 #include "stream/source.h"
 #include "telemetry/metrics.h"
 
@@ -118,7 +121,8 @@ struct ShardReport {
   uint64_t batches = 0;
   /// Lifetime refreshes across this shard's series.
   uint64_t refreshes = 0;
-  /// Distinct series resident in this shard's registry.
+  /// Distinct series this shard owns (ShardOf) that a record or a
+  /// restore has reached, in this run or an earlier one.
   size_t series = 0;
   /// Deepest the shard's queue got during the run — a backpressure
   /// indicator (== queue_capacity means the producer blocked).
@@ -142,8 +146,8 @@ struct SeriesReport {
   size_t window = 1;
   /// This series' records dropped as late by the shard sequencer,
   /// lifetime like points and refreshes. (A series whose every record
-  /// was late never reaches a registry and gets no SeriesReport row;
-  /// its drops still count in the shard and fleet totals.)
+  /// was late never gets an operator and has no SeriesReport row; its
+  /// drops still count in the shard and fleet totals.)
   uint64_t late = 0;
 };
 
@@ -173,7 +177,7 @@ struct FleetReport {
 };
 
 /// Drives a MultiSource through hash-sharded per-series StreamingAsap
-/// operators on T worker threads. Registries persist across runs, so
+/// operators on T worker threads. Operators persist across runs, so
 /// an engine can alternate Run calls with live FleetView reads the way
 /// a dashboard alternates ingest and render.
 ///
@@ -240,17 +244,20 @@ class ShardedEngine {
   const StreamingOptions& series_options() const { return series_options_; }
 
   /// Restores one recovered series: interns `name`, creates its
-  /// operator on the owning shard, and replays `n` pane means as
+  /// operator, and replays `n` pane means as
   /// already-complete panes (see StreamingAsap::RestorePanes; the
   /// pane sink does NOT fire — the panes are already durable). With
   /// cadenced == true the live refresh cadence is replayed so frames
   /// and the snapshot ring come out identical to an uninterrupted
-  /// run. Only legal between runs.
+  /// run. Only legal between runs. Refuses an invalid name
+  /// (InvalidArgument), a series that already has points
+  /// (AlreadyExists) and a call while a run is in flight (Internal).
   Status RestoreSeries(std::string_view name, const double* pane_means,
                        size_t n, bool cadenced);
 
  private:
   struct Shard;
+  class SeriesTable;
 
   ShardedEngine(const StreamingOptions& series_options,
                 const ShardedEngineOptions& engine_options);
@@ -263,6 +270,9 @@ class ShardedEngine {
   /// Owns the private registry when options_.metrics was null.
   std::shared_ptr<telemetry::MetricsRegistry> owned_metrics_;
   telemetry::MetricsRegistry* metrics_ = nullptr;
+  /// Every series' operator, indexed by catalog id; shared by the
+  /// shards and read lock-free by SnapshotById and FrameHistoryById.
+  std::unique_ptr<SeriesTable> table_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// True while Run is pumping/joining (heap-allocated so the engine
   /// stays movable); RestoreSeries is refused while it is set.

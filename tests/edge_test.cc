@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "common/random.h"
-#include "core/explorer.h"
 #include "core/search.h"
 #include "core/smooth.h"
 #include "core/streaming_asap.h"
@@ -46,15 +45,6 @@ TEST(EdgeTest, FftSizeTwo) {
   fft::Transform(&data);
   EXPECT_NEAR(data[0].real(), 0.0, 1e-12);
   EXPECT_NEAR(data[1].real(), 2.0, 1e-12);
-}
-
-TEST(EdgeTest, ExplorerAtMinimumSize) {
-  TimeSeries tiny = TimeSeries::FromValues({1, 2, 3, 4, 5, 6, 7, 8});
-  ExplorerOptions options;
-  options.resolution = 16;
-  Explorer explorer = Explorer::Create(tiny, options).ValueOrDie();
-  const ViewFrame frame = explorer.RenderAll().ValueOrDie();
-  EXPECT_EQ(frame.series.size(), 8u);  // window 1 on 8 points
 }
 
 // --- Degenerate configurations -------------------------------------------------

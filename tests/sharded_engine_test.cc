@@ -1,17 +1,21 @@
 // Tests for the multi-series fleet runtime: named tagged sources, the
-// per-shard series registry, lossless backpressure, and the sharded
-// engine's determinism parity — for any shard count, every series'
-// final frame must be identical to running that series alone through
-// StreamingAsap.
+// fleet-wide series table (lazy per-series state, lock-free reads while
+// it grows), lossless backpressure, RestoreSeries' refusals, and the
+// sharded engine's determinism parity — for any shard count, every
+// series' final frame must be identical to running that series alone
+// through StreamingAsap.
 
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -107,20 +111,128 @@ TEST(InterleavingMultiSourceTest, UnboundedMemberMakesFleetUnbounded) {
   EXPECT_EQ(source.NextBatch(100, &out), 100u);
 }
 
-TEST(SeriesRegistryTest, LazilyCreatesFromFactoryOptions) {
-  SeriesRegistry registry(FleetOptions());
-  EXPECT_EQ(registry.size(), 0u);
-  EXPECT_EQ(registry.Find(7), nullptr);
+TEST(ShardedEngineTest, SeriesStateIsCreatedOnFirstRecordOnly) {
+  ShardedEngineOptions engine_options;
+  engine_options.shards = 4;
+  ShardedEngine engine =
+      ShardedEngine::Create(FleetOptions(), engine_options).ValueOrDie();
 
-  StreamingAsap& op = registry.GetOrCreate(7);
-  EXPECT_EQ(registry.size(), 1u);
-  EXPECT_EQ(&registry.GetOrCreate(7), &op);  // same instance on re-lookup
-  EXPECT_EQ(registry.Find(7), &op);
-  EXPECT_EQ(op.pane_size(), 20u);  // 2000 / 100, from the shared options
+  // Interned, but no record yet: no state, so no frame and no history.
+  const SeriesId idle = engine.catalog()->Intern("lazy/idle");
+  InterleavingMultiSource source(engine.catalog());
+  source.AddVector("lazy/fed", FleetSeries(3, 3000));
+  const SeriesId fed = engine.catalog()->FindId("lazy/fed").value();
+  for (SeriesId id : {idle, fed}) {
+    EXPECT_EQ(engine.SnapshotById(id), nullptr);
+    EXPECT_TRUE(engine.FrameHistoryById(id).empty());
+  }
 
-  registry.GetOrCreate(3);
-  registry.GetOrCreate(11);
-  EXPECT_EQ(registry.Ids(), (std::vector<SeriesId>{3, 7, 11}));
+  const FleetReport report = engine.RunToCompletion(&source);
+
+  // The idle name still has no state: no row, and no shard counts it.
+  EXPECT_EQ(engine.SnapshotById(idle), nullptr);
+  EXPECT_TRUE(engine.FrameHistoryById(idle).empty());
+  EXPECT_EQ(report.series, 1u);
+  ASSERT_EQ(report.per_series.size(), 1u);
+  EXPECT_EQ(report.per_series[0].name, "lazy/fed");
+  // Exactly the owning shard counts the fed series.
+  const size_t owner = ShardedEngine::ShardOf(fed, engine_options.shards);
+  ASSERT_EQ(report.shards.size(), engine_options.shards);
+  for (const ShardReport& sr : report.shards) {
+    EXPECT_EQ(sr.series, sr.shard == owner ? 1u : 0u) << "shard " << sr.shard;
+  }
+
+  // One operator, built from the engine's options: repeated reads
+  // return the same published frame, which matches a standalone
+  // operator fed the same points.
+  const auto frame = engine.SnapshotById(fed);
+  ASSERT_NE(frame, nullptr);
+  EXPECT_EQ(engine.SnapshotById(fed), frame);
+  ASSERT_FALSE(engine.FrameHistoryById(fed).empty());
+  EXPECT_EQ(engine.FrameHistoryById(fed).back(), frame);
+  StreamingAsap reference = StreamingAsap::Create(FleetOptions()).ValueOrDie();
+  reference.PushBatch(FleetSeries(3, 3000));
+  EXPECT_GT(frame->refreshes, 0u);
+  EXPECT_EQ(frame->refreshes, reference.frame().refreshes);
+  EXPECT_EQ(frame->window, reference.frame().window);
+  EXPECT_EQ(frame->series, reference.frame().series);
+}
+
+/// Blocks in its first NextBatch until Release(), then ends the stream:
+/// holds a run in flight for as long as a test needs.
+class BlockingSource : public MultiSource {
+ public:
+  size_t NextBatch(size_t /*max_records*/, RecordBatch* /*out*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    return 0;
+  }
+  size_t TotalPoints() const override { return 0; }
+
+  void WaitUntilEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST(ShardedEngineTest, RestoreSeriesRefusals) {
+  ShardedEngineOptions engine_options;
+  engine_options.shards = 2;
+  ShardedEngine engine =
+      ShardedEngine::Create(FleetOptions(), engine_options).ValueOrDie();
+  const std::vector<double> means(40, 1.5);
+
+  // An invalid name is refused before anything is interned.
+  const Status bad_name =
+      engine.RestoreSeries("has space", means.data(), means.size(), true);
+  EXPECT_EQ(bad_name.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.catalog()->FindId("has space").has_value());
+
+  // A series that already has points keeps its frame.
+  InterleavingMultiSource source(engine.catalog());
+  source.AddVector("restore/live", FleetSeries(1, 3000));
+  (void)engine.RunToCompletion(&source);
+  const FleetView view(&engine);
+  const auto live = view.Frame("restore/live");
+  ASSERT_NE(live, nullptr);
+  const Status live_series =
+      engine.RestoreSeries("restore/live", means.data(), means.size(), true);
+  EXPECT_EQ(live_series.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(view.Frame("restore/live"), live);
+
+  // A call while a run is in flight is refused and interns nothing.
+  BlockingSource blocking;
+  std::thread run([&] { (void)engine.RunToCompletion(&blocking); });
+  blocking.WaitUntilEntered();
+  const Status in_flight =
+      engine.RestoreSeries("restore/fresh", means.data(), means.size(), true);
+  blocking.Release();
+  run.join();
+  EXPECT_EQ(in_flight.code(), StatusCode::kInternal);
+  EXPECT_NE(in_flight.message().find("run in flight"), std::string::npos)
+      << in_flight.message();
+  EXPECT_FALSE(engine.catalog()->FindId("restore/fresh").has_value());
+
+  // Between runs the same call succeeds.
+  EXPECT_TRUE(
+      engine.RestoreSeries("restore/fresh", means.data(), means.size(), true)
+          .ok());
+  const auto restored = view.Frame("restore/fresh");
+  ASSERT_NE(restored, nullptr);
+  EXPECT_GT(restored->refreshes, 0u);
 }
 
 TEST(ShardedEngineTest, ShardOfIsStableAndInRange) {
@@ -779,6 +891,90 @@ TEST(ShardedEngineTimedTest, QuietSeriesCommitsItsLastPaneBehindTheSequencer) {
   const Result<uint32_t> sid = (*store)->FindSeries("quiet/b");
   ASSERT_TRUE(sid.ok());
   EXPECT_EQ((*store)->PaneCount(sid.ValueOrDie()), 50u);
+}
+
+// The series table grows (new chunks, new slots) while readers read.
+// Series join one at a time, so a 4-shard run first sees each of the
+// 600 ids (past the chunk boundaries at ids 64, 192 and 448) while two
+// dashboard threads loop over every read path; the TSan CI job runs
+// this case as a step of its own.
+TEST(ShardedEngineTest, SeriesTableGrowsUnderConcurrentReaders) {
+  const size_t kSeries = 600;
+  const size_t kPointsPerSeries = 300;  // one refresh each
+  ShardedEngineOptions engine_options;
+  engine_options.shards = 4;
+  engine_options.batch_size = 64;
+  ShardedEngine engine =
+      ShardedEngine::Create(FleetOptions(), engine_options).ValueOrDie();
+
+  // Round r carries one point of each series i <= r, so series i's
+  // first record arrives in round i.
+  std::vector<std::string> names;
+  std::vector<SeriesId> ids;
+  for (size_t i = 0; i < kSeries; ++i) {
+    names.push_back("grow/" + std::to_string(i));
+    ids.push_back(engine.catalog()->Intern(names.back()));
+  }
+  RecordBatch records;
+  for (size_t r = 0; r < kSeries + kPointsPerSeries; ++r) {
+    for (size_t i = 0; i <= std::min(r, kSeries - 1); ++i) {
+      if (r - i < kPointsPerSeries) {
+        records.push_back(Record{ids[i], static_cast<double>((r * 7 + i) % 13)});
+      }
+    }
+  }
+  ASSERT_EQ(records.size(), kSeries * kPointsPerSeries);
+  BatchSource source(std::move(records));
+
+  const FleetView view(&engine);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> passes{0};
+  auto coherent = [](const std::shared_ptr<const StreamingAsap::Frame>& f) {
+    return f == nullptr || f->window >= 1;
+  };
+  auto reader = [&](size_t offset) {
+    size_t next = offset;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::string& name = names[next % kSeries];
+      next += 7;
+      EXPECT_TRUE(coherent(view.Frame(name))) << name;
+      for (const auto& frame : view.History(name)) {
+        EXPECT_TRUE(frame != nullptr && coherent(frame)) << name;
+      }
+      for (const FleetSample& sample :
+           {view.Sample(SeriesSelector::All()), view.SampleGlob("grow/*")}) {
+        for (const SampledSeries& member : sample.series) {
+          EXPECT_TRUE(member.frame != nullptr && coherent(member.frame))
+              << member.name;
+        }
+      }
+      const ChangeRanking change = view.TopKByChange(5, 1);
+      EXPECT_LE(change.ranks.size(), 5u);
+      passes.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread reader_a(reader, 0);
+  std::thread reader_b(reader, 3);
+  while (passes.load(std::memory_order_relaxed) < 2) {
+    std::this_thread::yield();  // the readers loop before any id arrives
+  }
+  const FleetReport report = engine.RunToCompletion(&source);
+  done.store(true, std::memory_order_release);
+  reader_a.join();
+  reader_b.join();
+
+  EXPECT_EQ(report.points, kSeries * kPointsPerSeries);
+  EXPECT_EQ(report.series, kSeries);
+  size_t shard_series = 0;
+  for (const ShardReport& sr : report.shards) {
+    shard_series += sr.series;
+  }
+  EXPECT_EQ(shard_series, kSeries);
+  for (const std::string& name : names) {
+    const auto frame = view.Frame(name);
+    ASSERT_NE(frame, nullptr) << name;
+    EXPECT_GT(frame->refreshes, 0u) << name;
+  }
 }
 
 TEST(ShardedEngineTest, RegistriesPersistAcrossRuns) {

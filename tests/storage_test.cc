@@ -554,6 +554,23 @@ TEST(StorageEngineTest, FaithfulReplayReproducesFramesBitwise) {
     EXPECT_TRUE(BitwiseEqual(frame->series, live_frames[i]->series))
         << "series " << i;
   }
+
+  // Restore is boot-time only: a second replay into the same engine
+  // finds every series holding points, skips each one, and leaves
+  // every published frame in place.
+  std::vector<std::shared_ptr<const StreamingAsap::Frame>> restored;
+  for (size_t i = 0; i < kSeries; ++i) {
+    restored.push_back(view.Frame("host-" + std::to_string(i) + "/cpu"));
+  }
+  auto again = ReplayIntoEngine(**store, &*engine, ReplayFidelity::kFaithful);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->series_restored, 0u);
+  EXPECT_EQ(again->panes_restored, 0u);
+  EXPECT_EQ(again->series_skipped, kSeries);
+  for (size_t i = 0; i < kSeries; ++i) {
+    EXPECT_EQ(view.Frame("host-" + std::to_string(i) + "/cpu"), restored[i])
+        << "series " << i;
+  }
 }
 
 // Deep history: with the ring at 2 frames, History(name, many) must
