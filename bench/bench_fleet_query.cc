@@ -4,7 +4,10 @@
 // the whole-frame rollup queries (percentile bands, roughness ranking,
 // anomaly counts, history diffs, change ranking) against a live-run
 // fleet. The two rollups that read cached frame summaries are timed
-// cold (every summary computed) and warm (every summary cached).
+// cold (every summary computed) and warm (every summary cached). The
+// percentile bands are also timed single-threaded against the
+// sort-based rollup, on the fleet (gated) and in the member x position
+// geometries of the perfbench dashboard slices (reported).
 //
 //   $ ./bench_fleet_query [scale]
 //
@@ -130,6 +133,28 @@ FleetSample FreshCopies(const FleetSample& sample) {
         std::make_shared<const asap::StreamingAsap::Frame>(*member.frame);
   }
   return copy;
+}
+
+/// `members` published frames of `positions` points each: noisy
+/// seasonal series with a per-member level, the shape of a dashboard
+/// slice's smoothed frames.
+FleetSample GeometrySample(size_t members, size_t positions) {
+  FleetSample sample;
+  for (size_t s = 0; s < members; ++s) {
+    asap::Pcg32 rng(700 + s);
+    auto frame = std::make_shared<asap::StreamingAsap::Frame>();
+    frame->series = asap::gen::Add(
+        asap::gen::Sine(positions, 48.0 + static_cast<double>(s % 7), 1.0),
+        asap::gen::WhiteNoise(&rng, positions, 0.4));
+    for (double& v : frame->series) {
+      v += 0.05 * static_cast<double>(s);
+    }
+    frame->refreshes = 1;
+    sample.series.push_back(
+        SampledSeries{std::string_view(), static_cast<SeriesId>(s),
+                      std::move(frame)});
+  }
+  return sample;
 }
 
 /// Best of `reps` timings of `rollup` over fresh frame copies of
@@ -307,6 +332,38 @@ int main(int argc, char** argv) {
   const double optimized_seconds = asap::bench::TimeBest(
       [&] { (void)FleetView::BandsOf(rollup_sample, sequential); }, 5);
   const double rollup_ratio = baseline_seconds / optimized_seconds;
+
+  // The same single-threaded comparison in the dashboard slice
+  // geometries of the perfbench workloads (members x pane positions).
+  // Small samples are where per-column overhead shows; these rows are
+  // reported, not gated.
+  struct Geometry {
+    const char* label;
+    size_t members;
+    size_t positions;
+  };
+  const Geometry geometries[] = {
+      {"refresh_bound", 16, 2000},
+      {"firehose", 63, 400},
+      {"dashboard", 256, 400},
+  };
+  std::printf("\n");
+  Row({"Bands geometry", "Members x pos", "BandsOf", "Sort-based", "Ratio"},
+      16);
+  Rule(5, 16);
+  for (const Geometry& g : geometries) {
+    const FleetSample sample = GeometrySample(g.members, g.positions);
+    const double base =
+        asap::bench::TimeBest([&] { (void)BaselineBands(sample); }, 7);
+    const double fast = asap::bench::TimeBest(
+        [&] { (void)FleetView::BandsOf(sample, sequential); }, 7);
+    Row({g.label,
+         std::to_string(g.members) + " x " + std::to_string(g.positions),
+         Fmt(fast * 1e6, 1) + " us", Fmt(base * 1e6, 1) + " us",
+         Fmt(base / fast, 2) + "x"},
+        16);
+  }
+  Rule(5, 16);
 
   // Smoothing-kernel latency at scale: one fused ScoreWindow pass over
   // a 10M-point series (the per-candidate unit of every window

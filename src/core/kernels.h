@@ -100,10 +100,13 @@ struct KernelTable {
 
   /// Linear value-domain bucketing for the percentile-band selection:
   ///   t = (col[i] - min_v) * scale;  t = max(t, 0); t = min(t, 255);
-  ///   bucket[i] = (unsigned char)(int)t;  ++hist256[bucket[i]];
+  ///   bucket[i] = (unsigned char)(int)t;  ++hist[bucket[i]];
   /// with max/min in the same select semantics as column_minmax.
+  /// `hist` has an entry for every bucket the scale can reach: B
+  /// entries for (B - 1) / (max - min) over a column in [min, max],
+  /// 256 for an infinite scale.
   void (*bucketize)(const double* col, size_t n, double min_v, double scale,
-                    unsigned char* bucket, unsigned int* hist256);
+                    unsigned char* bucket, unsigned int* hist);
 };
 
 /// The scalar reference table (always available; the parity baseline).

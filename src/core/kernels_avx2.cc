@@ -177,7 +177,7 @@ ColumnMinMax ColumnMinMaxAvx2(const double* col, size_t n) {
 }
 
 void BucketizeAvx2(const double* col, size_t n, double min_v, double scale,
-                   unsigned char* bucket, unsigned int* hist256) {
+                   unsigned char* bucket, unsigned int* hist) {
   const __m256d vmin = _mm256_set1_pd(min_v);
   const __m256d vscale = _mm256_set1_pd(scale);
   const __m256d vzero = _mm256_setzero_pd();
@@ -201,10 +201,10 @@ void BucketizeAvx2(const double* col, size_t n, double min_v, double scale,
     bucket[i + 1] = b1;
     bucket[i + 2] = b2;
     bucket[i + 3] = b3;
-    ++hist256[b0];
-    ++hist256[b1];
-    ++hist256[b2];
-    ++hist256[b3];
+    ++hist[b0];
+    ++hist[b1];
+    ++hist[b2];
+    ++hist[b3];
   }
   for (; i < n; ++i) {
     double t = (col[i] - min_v) * scale;
@@ -212,7 +212,7 @@ void BucketizeAvx2(const double* col, size_t n, double min_v, double scale,
     t = (t < 255.0) ? t : 255.0;
     const unsigned char b = static_cast<unsigned char>(static_cast<int>(t));
     bucket[i] = b;
-    ++hist256[b];
+    ++hist[b];
   }
 }
 

@@ -179,14 +179,14 @@ void Gather4Neon(const double* const* bases, size_t offset, size_t count,
 }
 
 void BucketizeNeon(const double* col, size_t n, double min_v, double scale,
-                   unsigned char* bucket, unsigned int* hist256) {
+                   unsigned char* bucket, unsigned int* hist) {
   for (size_t i = 0; i < n; ++i) {
     double t = (col[i] - min_v) * scale;
     t = (t > 0.0) ? t : 0.0;
     t = (t < 255.0) ? t : 255.0;
     const unsigned char b = static_cast<unsigned char>(static_cast<int>(t));
     bucket[i] = b;
-    ++hist256[b];
+    ++hist[b];
   }
 }
 

@@ -166,6 +166,9 @@ Status ChunkStore::DecodeManifest(const std::string& data, ManifestData* out) {
     ChunkEntry e;
     e.chunk_id = c.U32();
     e.sid = c.U32();
+    if (e.sid >= name_count) {
+      return Status::IOError("manifest: entry for an unnamed series");
+    }
     e.first_pane = c.U64();
     e.pane_count = c.U32();
     e.offset = c.U64();
@@ -196,6 +199,8 @@ Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(std::string dir,
     std::string raw;
     ASAP_RETURN_NOT_OK(ReadFile(store->ManifestPath(), &raw));
     ASAP_RETURN_NOT_OK(DecodeManifest(raw, &store->manifest_));
+    std::lock_guard<std::mutex> lock(store->mu_);
+    store->IndexEntriesFrom(0);
   }
   // Sweep crash leftovers: chunk files the manifest does not
   // reference (written but never published) and stale rename temps.
@@ -234,6 +239,7 @@ Result<uint32_t> ChunkStore::WriteChunk(const std::vector<SeriesSlice>& slices,
   }
   next.names = names;
   next.wal_floor_seq = std::max(next.wal_floor_seq, wal_floor_seq);
+  const size_t first_new = next.entries.size();
 
   uint32_t chunk_id = 0;
   size_t live_slices = 0;
@@ -252,6 +258,9 @@ Result<uint32_t> ChunkStore::WriteChunk(const std::vector<SeriesSlice>& slices,
     for (const SeriesSlice& s : slices) {
       if (s.count == 0) {
         continue;
+      }
+      if (s.sid >= names.size()) {
+        return Status::InvalidArgument("WriteChunk: slice for an unnamed sid");
       }
       std::string block;
       EncodeContiguousPaneBlock(s.first_pane, s.values, s.count, &block);
@@ -283,8 +292,23 @@ Result<uint32_t> ChunkStore::WriteChunk(const std::vector<SeriesSlice>& slices,
   {
     std::lock_guard<std::mutex> lock(mu_);
     manifest_ = std::move(next);
+    IndexEntriesFrom(first_new);
   }
   return chunk_id;
+}
+
+void ChunkStore::IndexEntriesFrom(size_t from) {
+  const std::vector<ChunkEntry>& entries = manifest_.entries;
+  // Names only grow, and every entry's sid names a series.
+  if (last_of_.size() < manifest_.names.size()) {
+    last_of_.resize(manifest_.names.size(), kNoEntry);
+  }
+  prev_of_.resize(entries.size());
+  for (size_t i = from; i < entries.size(); ++i) {
+    uint32_t& last = last_of_[entries[i].sid];
+    prev_of_[i] = last;
+    last = static_cast<uint32_t>(i);
+  }
 }
 
 Status ChunkStore::ReadSeriesBlock(const ChunkEntry& entry,
@@ -306,24 +330,28 @@ std::vector<ChunkEntry> ChunkStore::EntriesFor(uint32_t sid) const {
   std::vector<ChunkEntry> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const ChunkEntry& e : manifest_.entries) {
-      if (e.sid == sid) {
-        out.push_back(e);
+    if (sid < last_of_.size()) {
+      for (uint32_t i = last_of_[sid]; i != kNoEntry; i = prev_of_[i]) {
+        out.push_back(manifest_.entries[i]);
       }
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const ChunkEntry& a, const ChunkEntry& b) {
-              return a.first_pane < b.first_pane;
-            });
+  // Manifest order; compaction appends each series' panes in order,
+  // so the sort only moves entries a manifest lists out of order.
+  std::reverse(out.begin(), out.end());
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ChunkEntry& a, const ChunkEntry& b) {
+                     return a.first_pane < b.first_pane;
+                   });
   return out;
 }
 
 uint64_t ChunkStore::PaneCountFor(uint32_t sid) const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t max_end = 0;
-  for (const ChunkEntry& e : manifest_.entries) {
-    if (e.sid == sid) {
+  if (sid < last_of_.size()) {
+    for (uint32_t i = last_of_[sid]; i != kNoEntry; i = prev_of_[i]) {
+      const ChunkEntry& e = manifest_.entries[i];
       max_end = std::max(max_end, e.first_pane + e.pane_count);
     }
   }

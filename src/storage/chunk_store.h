@@ -111,7 +111,8 @@ class ChunkStore {
   Status ReadSeriesBlock(const ChunkEntry& entry, std::vector<uint64_t>* indices,
                          std::vector<double>* values) const;
 
-  /// Entries for `sid`, ascending by first_pane.
+  /// Entries for `sid`, ascending by first_pane (manifest order among
+  /// equal first_pane). Costs time in proportion to `sid`'s entries.
   std::vector<ChunkEntry> EntriesFor(uint32_t sid) const;
 
   /// Total panes stored in chunks for `sid`.
@@ -133,11 +134,23 @@ class ChunkStore {
   std::string ChunkPath(uint32_t chunk_id) const;
   std::string ManifestPath() const;
 
+  /// Links manifest_.entries[from, end) into their series' chains.
+  /// Caller holds mu_.
+  void IndexEntriesFrom(size_t from);
+
   const std::string dir_;
   const Options options_;
 
   mutable std::mutex mu_;
   ManifestData manifest_;
+  /// Per-series chains through manifest_.entries, so per-series
+  /// lookups never walk the fleet-wide entry list: last_of_[sid] is
+  /// the position of the series' last entry in manifest order and
+  /// prev_of_[i] that of the entry before i in its series (kNoEntry
+  /// ends a chain).
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  std::vector<uint32_t> last_of_;
+  std::vector<uint32_t> prev_of_;
 };
 
 }  // namespace storage

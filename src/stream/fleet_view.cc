@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 
 #include "common/macros.h"
 #include "common/task_pool.h"
@@ -45,10 +46,14 @@ int CompareDescendingNanLast(double a, double b) {
 // The band percentile ranks over a column of n values: the lo/hi
 // order statistics of p50, p90, p99 under the inclusive linear
 // interpolation definition (fractional rank = p/100 * (n-1), result
-// always within [min, max] so bands bracket their members).
+// always within [min, max] so bands bracket their members). Every
+// column of one BandsOf call has the same n, so they are computed once
+// per call.
 struct BandRanks {
   double r50, r90, r99;   // fractional ranks
-  size_t idx[6];          // lo/hi statistic indices, ascending
+  size_t idx[6];          // lo/hi statistic indices
+  int order[6];           // k in ascending idx[k] order
+  size_t buckets;         // histogram size for a finite bucket scale
 };
 
 BandRanks RanksFor(size_t n) {
@@ -66,38 +71,51 @@ BandRanks RanksFor(size_t n) {
   r.idx[3] = std::min(l90 + 1, n - 1);
   r.idx[4] = l99;
   r.idx[5] = std::min(l99 + 1, n - 1);
+  // The six indices are not ascending in k for small n (p90's hi
+  // index can exceed p99's lo index); the histogram walk visits them
+  // in rank order so it stays monotone.
+  std::iota(r.order, r.order + 6, 0);
+  std::sort(r.order, r.order + 6,
+            [&r](int a, int b) { return r.idx[a] < r.idx[b]; });
+  // About one member per bucket: the smallest power of two >= n, in
+  // [16, 256], so zeroing and walking the histogram scale with n.
+  r.buckets = 16;
+  while (r.buckets < n && r.buckets < 256) {
+    r.buckets *= 2;
+  }
   return r;
 }
 
 // Exact p50/p90/p99 of col[0..n) without sorting the whole column:
-// one min/max pass, one linear 256-bucket histogram pass (values
-// scaled into the [min, max] range), then only the buckets containing
-// the six needed order statistics are collected and sorted. Selecting
-// the k-th smallest element this way returns exactly the value
-// std::sort + indexing would, so the result matches a sort-based
-// rollup bitwise while doing a fraction of its work.
+// one min/max pass, one linear histogram pass (values scaled into the
+// [min, max] range), one walk of the histogram to find the buckets
+// holding the six order statistics, and one branch-free pass copying
+// those buckets' members into a pool that is sorted once. Bucket
+// indices grow with value, so the sorted pool is the target buckets'
+// members in global order, and each statistic sits at its bucket's
+// offset in the pool: the result matches std::sort + indexing
+// bitwise while doing a fraction of its work.
 // Columns containing NaN fall back to a full sort under IEEE total
 // order (deterministic where operator< is not).
 //
-// `col` is scratch (the gathered column), `bidx`/`pool` are reusable
-// per-thread scratch buffers.
+// `bidx` and `pool` are per-thread scratch of at least n entries.
 void SelectColumnPercentiles(const double* col, size_t n,
+                             const BandRanks& ranks,
                              const kern::KernelTable& kt,
-                             unsigned char* bidx, std::vector<double>* pool,
+                             unsigned char* bidx, double* pool,
                              double* out50, double* out90, double* out99) {
   ASAP_DCHECK(n >= 1);
   if (n == 1) {
     *out50 = *out90 = *out99 = col[0];
     return;
   }
-  const BandRanks ranks = RanksFor(n);
   double vals[6];
   const kern::ColumnMinMax mm = kt.column_minmax(col, n);
   if (mm.has_nan) {
-    pool->assign(col, col + n);
-    std::sort(pool->begin(), pool->end(), TotalOrderLess);
+    std::copy(col, col + n, pool);
+    std::sort(pool, pool + n, TotalOrderLess);
     for (int k = 0; k < 6; ++k) {
-      vals[k] = (*pool)[ranks.idx[k]];
+      vals[k] = pool[ranks.idx[k]];
     }
   } else if (!(mm.max_v > mm.min_v)) {
     // Constant column (every order statistic is the one value).
@@ -105,37 +123,52 @@ void SelectColumnPercentiles(const double* col, size_t n,
       vals[k] = mm.min_v;
     }
   } else {
-    unsigned int hist[256] = {0};
-    const double scale = 255.0 / (mm.max_v - mm.min_v);
+    // With a finite scale every bucket index is at most buckets - 1.
+    // A denormal range overflows the scale to +inf, and the kernel
+    // clamps every member above min into bucket 255.
+    size_t buckets = ranks.buckets;
+    double scale = static_cast<double>(buckets - 1) / (mm.max_v - mm.min_v);
+    if (!std::isfinite(scale)) {
+      buckets = 256;
+      scale = 255.0 / (mm.max_v - mm.min_v);
+    }
+    unsigned int hist[256];
+    std::fill(hist, hist + buckets, 0u);
     kt.bucketize(col, n, mm.min_v, scale, bidx, hist);
-    // The six statistic indices are not ascending in k for small n
-    // (p90's hi index can exceed p99's lo index), so visit them in
-    // rank order to keep the histogram walk monotone.
-    int order[6] = {0, 1, 2, 3, 4, 5};
-    std::sort(order, order + 6, [&ranks](int a, int b) {
-      return ranks.idx[a] < ranks.idx[b];
-    });
-    size_t cum = 0;  // elements in buckets below b
+
+    // One walk: mark each statistic's bucket and place the statistic
+    // within the pool those buckets will fill, in bucket order.
+    unsigned char take[256];
+    std::fill(take, take + buckets, static_cast<unsigned char>(0));
+    size_t at[6];
+    size_t cum = 0;     // members in buckets below b
     size_t b = 0;
-    size_t loaded = static_cast<size_t>(-1);
+    size_t pooled = 0;  // members of the target buckets up to b
+    size_t base = 0;    // pool offset of bucket b's members
     for (int kk = 0; kk < 6; ++kk) {
-      const int k = order[kk];
+      const int k = ranks.order[kk];
       const size_t r = ranks.idx[k];
       while (cum + hist[b] <= r) {
         cum += hist[b];
         ++b;
       }
-      if (b != loaded) {
-        pool->clear();
-        for (size_t i = 0; i < n; ++i) {
-          if (bidx[i] == b) {
-            pool->push_back(col[i]);
-          }
-        }
-        std::sort(pool->begin(), pool->end());
-        loaded = b;
+      ASAP_DCHECK(b < buckets);
+      if (take[b] == 0) {
+        take[b] = 1;
+        base = pooled;
+        pooled += hist[b];
       }
-      vals[k] = (*pool)[r - cum];
+      at[k] = base + (r - cum);
+    }
+    // Every member is written; only target-bucket members advance.
+    size_t w = 0;
+    for (size_t i = 0; i < n; ++i) {
+      pool[w] = col[i];
+      w += take[bidx[i]];
+    }
+    std::sort(pool, pool + pooled);
+    for (int k = 0; k < 6; ++k) {
+      vals[k] = pool[at[k]];
     }
   }
   const double f50 = ranks.r50 - static_cast<double>(ranks.idx[0]);
@@ -433,6 +466,7 @@ FleetPercentileBands FleetView::BandsOf(const FleetSample& sample,
   }
 
   const kern::KernelTable& kt = kern::ActiveKernels();
+  const BandRanks ranks = RanksFor(n);
   // Positions are processed in blocks of 4 so the gather is a tiled
   // 4x4 transpose (one vector load per series row covers 4 columns).
   // Blocks write disjoint output positions, so they fan out freely.
@@ -441,7 +475,7 @@ FleetPercentileBands FleetView::BandsOf(const FleetSample& sample,
   ParallelChunks(policy, chunks, [&](size_t c) {
     std::vector<double> cols(4 * n);
     std::vector<unsigned char> bidx(n);
-    std::vector<double> pool;
+    std::vector<double> pool(n);
     const size_t b0 = kern::ChunkBound(blocks, chunks, c);
     const size_t b1 = kern::ChunkBound(blocks, chunks, c + 1);
     for (size_t b = b0; b < b1; ++b) {
@@ -460,9 +494,9 @@ FleetPercentileBands FleetView::BandsOf(const FleetSample& sample,
       }
       for (size_t q = 0; q < bw; ++q) {
         const size_t j = j0 + q;
-        SelectColumnPercentiles(cols.data() + q * n, n, kt, bidx.data(),
-                                &pool, &bands.p50[j], &bands.p90[j],
-                                &bands.p99[j]);
+        SelectColumnPercentiles(cols.data() + q * n, n, ranks, kt,
+                                bidx.data(), pool.data(), &bands.p50[j],
+                                &bands.p90[j], &bands.p99[j]);
       }
     }
   });

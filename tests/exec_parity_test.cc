@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -203,9 +204,11 @@ TEST(KernelParityTest, ColumnMinMaxAndBucketizeMatchScalarBitwise) {
           << "len=" << len << " specials=" << specials;
       EXPECT_EQ(a.has_nan, specials == 5 && len > 48);
 
-      // BandsOf's scale for the [-3, 3) range, and the infinite scale
-      // of a denormal-range column.
-      for (const double scale : {255.0 / 6.0, kInf}) {
+      // BandsOf's scales for the [-3, 3) range at each histogram size
+      // it picks (16 to 256 buckets, (buckets - 1) / range), and the
+      // infinite scale of a denormal-range column.
+      for (const double scale : {15.0 / 6.0, 31.0 / 6.0, 63.0 / 6.0,
+                                 127.0 / 6.0, 255.0 / 6.0, kInf}) {
         std::vector<unsigned char> ba(len), bb(len);
         std::vector<unsigned int> ha(256, 0), hb(256, 0);
         scalar.bucketize(col.data(), len, -3.0, scale, ba.data(), ha.data());
@@ -325,12 +328,109 @@ void ExpectBandsBitEq(const FleetPercentileBands& a,
 
 TEST(BandsParityTest, MatchesSortBasedReferenceBitwise) {
   // Fleet sizes straddle the small-n rank inversions (p90's upper
-  // order statistic above p99's lower one) and the 4-wide gather tail.
-  for (size_t members : {size_t{1}, size_t{2}, size_t{3}, size_t{10},
-                         size_t{12}, size_t{37}, size_t{256}}) {
+  // order statistic above p99's lower one) and the 4-wide gather tail,
+  // and sit on both sides of every histogram size the selection picks
+  // (the power of two >= members, 16 to 256 buckets).
+  for (size_t members :
+       {size_t{1}, size_t{2}, size_t{3}, size_t{10}, size_t{12}, size_t{37},
+        size_t{256}, size_t{15}, size_t{16}, size_t{17}, size_t{31},
+        size_t{32}, size_t{33}, size_t{63}, size_t{64}, size_t{65},
+        size_t{127}, size_t{128}, size_t{129}, size_t{255}, size_t{257},
+        size_t{1000}}) {
     for (size_t positions : {size_t{1}, size_t{2}, size_t{5}, size_t{103}}) {
+      SCOPED_TRACE("members=" + std::to_string(members) +
+                   " positions=" + std::to_string(positions));
       const FleetSample sample = SyntheticFleet(members, positions, 1000);
-      ExpectBandsBitEq(ReferenceBands(sample), FleetView::BandsOf(sample));
+      const FleetPercentileBands ref = ReferenceBands(sample);
+      ExpectBandsBitEq(ref, FleetView::BandsOf(sample));
+      ExpectBandsBitEq(ref, FleetView::BandsOf(sample, Threads(4)));
+    }
+  }
+}
+
+// A sample whose column j holds value(j, s) at member s: each member's
+// series is one row of the column matrix.
+FleetSample ColumnFleet(size_t members, size_t positions,
+                        const std::function<double(size_t, size_t)>& value) {
+  FleetSample sample;
+  for (size_t s = 0; s < members; ++s) {
+    std::vector<double> series(positions);
+    for (size_t j = 0; j < positions; ++j) {
+      series[j] = value(j, s);
+    }
+    sample.series.push_back(
+        Member("col-" + std::to_string(s), std::move(series)));
+  }
+  return sample;
+}
+
+TEST(BandsParityTest, AdversarialColumnsMatchReferenceBitwise) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  struct Case {
+    const char* label;
+    // value(j, s, members) of column j at member s.
+    std::function<double(size_t, size_t, size_t)> value;
+  };
+  const Case cases[] = {
+      // Nearly every member in one bucket: one outlier per column,
+      // below the rest on even columns and above on odd ones.
+      {"all-equal-but-one",
+       [](size_t j, size_t s, size_t n) {
+         return s != (7 * j) % n ? 2.5 : (j % 2 == 0 ? -40.0 : 40.0);
+       }},
+      // Three distinct values, repeated in column-dependent shares.
+      {"three-values",
+       [](size_t j, size_t s, size_t) {
+         const double kThree[] = {-1.0, 0.25, 7.0};
+         return kThree[(s * s + j) % 3];
+       }},
+      // Zeros of both signs, with 0-3 members at +1 and 0-2 at -1:
+      // the order statistics fall on zeros of either sign.
+      {"signed-zeros",
+       [](size_t j, size_t s, size_t) {
+         if (s < j % 4) {
+           return 1.0;
+         }
+         if (s >= 4 && s < 4 + j % 3) {
+           return -1.0;
+         }
+         return ((s * 2654435761u + j) >> 4) % 2 == 0 ? 0.0 : -0.0;
+       }},
+      // Infinities of both signs among finite members: the range, and
+      // with it the bucket scale's denominator, is infinite.
+      {"infinities",
+       [](size_t j, size_t s, size_t) {
+         if ((s + j) % 5 == 0) {
+           return kInf;
+         }
+         if (j % 3 == 0 && (s + j) % 7 == 0) {
+           return -kInf;
+         }
+         return static_cast<double>((37 * s + 11 * j) % 101) * 0.1 - 5.0;
+       }},
+      // A denormal range: (buckets - 1) / range overflows to +inf.
+      {"denormal-range",
+       [denorm](size_t j, size_t s, size_t) {
+         return static_cast<double>((5 * s + j) % 7) * denorm;
+       }},
+      // A 1e-307 range: 15 / range is finite, but 31 / range and
+      // wider scales overflow, so the large column takes 256 buckets.
+      {"scale-overflow-edge",
+       [](size_t j, size_t s, size_t) {
+         return static_cast<double>((3 * s + j) % 6) * 2e-308;
+       }},
+  };
+  for (const Case& c : cases) {
+    for (size_t members : {size_t{13}, size_t{300}}) {
+      SCOPED_TRACE(std::string(c.label) +
+                   " members=" + std::to_string(members));
+      const FleetSample sample =
+          ColumnFleet(members, 9, [&](size_t j, size_t s) {
+            return c.value(j, s, members);
+          });
+      const FleetPercentileBands ref = ReferenceBands(sample);
+      ExpectBandsBitEq(ref, FleetView::BandsOf(sample, Threads(1)));
+      ExpectBandsBitEq(ref, FleetView::BandsOf(sample, Threads(4)));
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -158,6 +159,118 @@ TEST(ChunkCodecTest, RejectsTruncatedAndGarbageInputWithoutCrashing) {
     std::vector<uint64_t> oi;
     std::vector<double> ov;
     (void)DecodePaneBlock(garbage.data(), garbage.size(), &oi, &ov);
+  }
+}
+
+// EntriesFor and PaneCountFor of every sid (and one past the last)
+// against a filter of the manifest's entry list, ascending by
+// first_pane.
+void ExpectSeriesIndexMatchesManifest(const ChunkStore& chunks,
+                                      uint32_t series) {
+  const ManifestData manifest = chunks.Manifest();
+  for (uint32_t sid = 0; sid <= series; ++sid) {
+    std::vector<ChunkEntry> want;
+    uint64_t want_panes = 0;
+    for (const ChunkEntry& e : manifest.entries) {
+      if (e.sid == sid) {
+        want.push_back(e);
+        want_panes = std::max(want_panes, e.first_pane + e.pane_count);
+      }
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [](const ChunkEntry& a, const ChunkEntry& b) {
+                       return a.first_pane < b.first_pane;
+                     });
+    const std::vector<ChunkEntry> got = chunks.EntriesFor(sid);
+    ASSERT_EQ(got.size(), want.size()) << "sid=" << sid;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].chunk_id, want[i].chunk_id) << "sid=" << sid;
+      EXPECT_EQ(got[i].sid, sid);
+      EXPECT_EQ(got[i].first_pane, want[i].first_pane) << "sid=" << sid;
+      EXPECT_EQ(got[i].pane_count, want[i].pane_count) << "sid=" << sid;
+      EXPECT_EQ(got[i].offset, want[i].offset) << "sid=" << sid;
+      EXPECT_EQ(got[i].block_len, want[i].block_len) << "sid=" << sid;
+      EXPECT_EQ(got[i].block_crc, want[i].block_crc) << "sid=" << sid;
+    }
+    EXPECT_EQ(chunks.PaneCountFor(sid), want_panes) << "sid=" << sid;
+  }
+}
+
+TEST(ChunkStoreTest, SeriesIndexMatchesManifestAcrossCompactionsAndReopen) {
+  TempDir dir("chunks");
+  constexpr uint32_t kSeries = 5;
+  const std::vector<std::string> all_names = {"a", "b", "c", "d", "e"};
+  std::vector<double> values(16);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = 0.5 * static_cast<double>(i);
+  }
+  std::vector<uint64_t> panes(kSeries, 0);
+  std::vector<std::vector<ChunkEntry>> before(kSeries);
+  {
+    auto opened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
+    ASSERT_TRUE(opened.ok());
+    ChunkStore& chunks = **opened;
+    for (uint32_t round = 0; round < 24; ++round) {
+      // Series 3 and 4 are named from round 5 on; series 1-3 skip the
+      // rounds their period divides; series 4 writes descending
+      // first_pane, so its manifest entries are out of order.
+      const uint32_t named = round < 5 ? 3 : kSeries;
+      std::vector<SeriesSlice> slices;
+      for (uint32_t k = 0; k < named; ++k) {
+        const uint32_t sid = round % 2 == 0 ? k : named - 1 - k;
+        if (sid >= 1 && sid <= 3 && round % (sid + 1) == 0) {
+          continue;
+        }
+        SeriesSlice slice;
+        slice.sid = sid;
+        slice.values = values.data();
+        slice.count = 1 + (round + sid) % 7;
+        slice.first_pane = sid == 4 ? 1000 - 40 * round : panes[sid];
+        panes[sid] = std::max<uint64_t>(panes[sid],
+                                        slice.first_pane + slice.count);
+        slices.push_back(slice);
+      }
+      const std::vector<std::string> names(all_names.begin(),
+                                           all_names.begin() + named);
+      ASSERT_TRUE(chunks.WriteChunk(slices, names, round + 1).ok());
+      ExpectSeriesIndexMatchesManifest(chunks, kSeries);
+    }
+    for (uint32_t sid = 0; sid < kSeries; ++sid) {
+      EXPECT_EQ(chunks.PaneCountFor(sid), panes[sid]) << "sid=" << sid;
+      before[sid] = chunks.EntriesFor(sid);
+    }
+    EXPECT_EQ(chunks.Manifest().entries.size(), 86u);
+  }
+  // The index is dense by sid: a slice or an entry for a sid with no
+  // name is refused, and the refused write publishes nothing.
+  {
+    auto opened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
+    ASSERT_TRUE(opened.ok());
+    SeriesSlice unnamed;
+    unnamed.sid = kSeries;
+    unnamed.values = values.data();
+    unnamed.count = 1;
+    EXPECT_FALSE((*opened)->WriteChunk({unnamed}, all_names, 99).ok());
+    EXPECT_EQ((*opened)->Manifest().entries.size(), 86u);
+    ManifestData bad = (*opened)->Manifest();
+    bad.entries.back().sid = kSeries;
+    ManifestData decoded;
+    EXPECT_FALSE(
+        ChunkStore::DecodeManifest(ChunkStore::EncodeManifest(bad), &decoded)
+            .ok());
+  }
+  // Reopening rebuilds the index from the decoded manifest.
+  auto reopened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
+  ASSERT_TRUE(reopened.ok());
+  ExpectSeriesIndexMatchesManifest(**reopened, kSeries);
+  for (uint32_t sid = 0; sid < kSeries; ++sid) {
+    EXPECT_EQ((*reopened)->PaneCountFor(sid), panes[sid]) << "sid=" << sid;
+    const std::vector<ChunkEntry> after = (*reopened)->EntriesFor(sid);
+    ASSERT_EQ(after.size(), before[sid].size()) << "sid=" << sid;
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].chunk_id, before[sid][i].chunk_id);
+      EXPECT_EQ(after[i].first_pane, before[sid][i].first_pane);
+    }
   }
 }
 
