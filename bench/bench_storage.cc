@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
       "WAL replay   : DurableStore::Open over the un-compacted log —\n"
       "               the crash-restart path\n"
       "compaction   : CompactOnce(force) moving every tail pane into\n"
-      "               delta-of-delta + Gorilla chunks, then pruning WAL\n"
+      "               Gorilla-compressed chunk blocks, then pruning WAL\n"
       "chunk read   : ReadPanes stitching chunk blocks + live tail\n"
       "chunk recovery: reopen once history is chunked — manifest load,\n"
       "               no per-pane replay\n",

@@ -6,39 +6,13 @@
 #include <cstring>
 #include <limits>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 
 namespace asap {
 namespace net {
 
 namespace {
-
-// Little-endian wire order. All supported targets are little-endian,
-// so encode/decode are straight memcpys; a big-endian port would swap
-// here and nowhere else.
-void PutU32(uint32_t v, std::string* out) {
-  char raw[4];
-  std::memcpy(raw, &v, 4);
-  out->append(raw, 4);
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-void PutI64(int64_t v, std::string* out) {
-  char raw[8];
-  std::memcpy(raw, &v, 8);
-  out->append(raw, 8);
-}
-
-int64_t GetI64(const char* p) {
-  int64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
 
 bool IsLineSpace(char c) { return c == ' ' || c == '\t'; }
 
@@ -116,9 +90,7 @@ void AppendBinaryFrame(const stream::Record* records, size_t n,
   PutU32(static_cast<uint32_t>(payload), out);
   for (size_t i = 0; i < n; ++i) {
     PutU32(records[i].series_id, out);
-    char raw[8];
-    std::memcpy(raw, &records[i].value, 8);
-    out->append(raw, 8);
+    PutLe(records[i].value, out);
   }
 }
 
@@ -133,9 +105,7 @@ void AppendTimedFrame(const stream::Record* records, size_t n,
   PutU32(static_cast<uint32_t>(payload), out);
   for (size_t i = 0; i < n; ++i) {
     PutU32(records[i].series_id, out);
-    char raw[8];
-    std::memcpy(raw, &records[i].value, 8);
-    out->append(raw, 8);
+    PutLe(records[i].value, out);
     PutI64(records[i].ts, out);
   }
 }
@@ -313,7 +283,7 @@ size_t FrameDecoder::DecodeSome(const char* data, size_t size,
           } else {
             stream::Record r;
             r.series_id = it->second;
-            std::memcpy(&r.value, p + 4, 8);
+            r.value = GetLe<double>(p + 4);
             if (timed) {
               r.ts = GetI64(p + 12);
               stats_.timed_records += 1;

@@ -1,49 +1,12 @@
 #include "storage/chunk_codec.h"
 
+#include <cstdint>
 #include <cstring>
-
-#include "common/macros.h"
 
 namespace asap {
 namespace storage {
 
 namespace {
-
-// --------------------------------------------------------------------
-// varints + zigzag
-
-void PutVarint64(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-bool GetVarint64(const char** p, const char* end, uint64_t* out) {
-  uint64_t v = 0;
-  unsigned shift = 0;
-  while (*p < end && shift < 64) {
-    const uint8_t byte = static_cast<uint8_t>(**p);
-    ++*p;
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *out = v;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
-uint64_t ZigzagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);
-}
-
-int64_t ZigzagDecode(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
 
 // --------------------------------------------------------------------
 // bit IO (MSB-first within each byte)
@@ -109,6 +72,9 @@ class BitReader {
     return true;
   }
 
+  /// Bytes consumed so far, counting a partly read last byte.
+  size_t bytes_read() const { return byte_; }
+
  private:
   const char* data_;
   size_t len_;
@@ -116,22 +82,6 @@ class BitReader {
   uint8_t cur_ = 0;
   unsigned avail_ = 0;
 };
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
 
 uint64_t DoubleBits(double d) {
   uint64_t b;
@@ -145,87 +95,9 @@ double BitsToDouble(uint64_t b) {
   return d;
 }
 
-// Encodes the index column: varint(first), then delta-of-delta zigzag
-// varints for the rest, with zero runs collapsed to 0x00 + varint(run).
-// The previous delta is seeded to 1 so contiguous indices are a zero
-// run from the very first pair.
-void EncodeIndexColumn(const uint64_t* indices, size_t n, std::string* out) {
-  if (n == 0) {
-    return;
-  }
-  PutVarint64(indices[0], out);
-  int64_t prev_delta = 1;
-  uint64_t zero_run = 0;
-  auto flush_run = [&] {
-    if (zero_run > 0) {
-      out->push_back('\0');
-      PutVarint64(zero_run, out);
-      zero_run = 0;
-    }
-  };
-  for (size_t i = 1; i < n; ++i) {
-    const int64_t delta =
-        static_cast<int64_t>(indices[i]) - static_cast<int64_t>(indices[i - 1]);
-    const int64_t dod = delta - prev_delta;
-    prev_delta = delta;
-    if (dod == 0) {
-      ++zero_run;
-      continue;
-    }
-    flush_run();
-    PutVarint64(ZigzagEncode(dod), out);
-  }
-  flush_run();
-}
+}  // namespace
 
-Status DecodeIndexColumn(const char* data, size_t len, size_t n,
-                         std::vector<uint64_t>* out) {
-  const char* p = data;
-  const char* end = data + len;
-  uint64_t first;
-  if (!GetVarint64(&p, end, &first)) {
-    return Status::IOError("pane block: truncated index column");
-  }
-  out->push_back(first);
-  uint64_t prev = first;
-  int64_t prev_delta = 1;
-  size_t produced = 1;
-  uint64_t pending_zeros = 0;
-  while (produced < n) {
-    int64_t dod;
-    if (pending_zeros > 0) {
-      --pending_zeros;
-      dod = 0;
-    } else {
-      if (p >= end) {
-        return Status::IOError("pane block: truncated index column");
-      }
-      if (*p == '\0') {
-        ++p;
-        if (!GetVarint64(&p, end, &pending_zeros) || pending_zeros == 0) {
-          return Status::IOError("pane block: bad zero run");
-        }
-        continue;
-      }
-      uint64_t z;
-      if (!GetVarint64(&p, end, &z)) {
-        return Status::IOError("pane block: truncated index column");
-      }
-      dod = ZigzagDecode(z);
-    }
-    const int64_t delta = prev_delta + dod;
-    prev_delta = delta;
-    prev = static_cast<uint64_t>(static_cast<int64_t>(prev) + delta);
-    out->push_back(prev);
-    ++produced;
-  }
-  if (pending_zeros > 0 || p != end) {
-    return Status::IOError("pane block: trailing bytes in index column");
-  }
-  return Status::OK();
-}
-
-void EncodeValueColumn(const double* values, size_t n, std::string* out) {
+void EncodePaneBlock(const double* values, size_t n, std::string* out) {
   BitWriter bw(out);
   uint64_t prev = 0;
   unsigned prev_leading = 65;  // sentinel: no window established
@@ -268,8 +140,14 @@ void EncodeValueColumn(const double* values, size_t n, std::string* out) {
   bw.Flush();
 }
 
-Status DecodeValueColumn(const char* data, size_t len, size_t n,
-                         std::vector<double>* out) {
+Status DecodePaneBlock(const char* data, size_t len, size_t n,
+                       std::vector<double>* out) {
+  // The first mean takes 64 bits and each later one at least 1, so a
+  // block this short cannot hold `n`; checking first bounds the reserve.
+  if (n > 0 && (len < 8 || (len - 8) * 8 < n - 1)) {
+    return Status::IOError("pane block: shorter than its pane count");
+  }
+  out->reserve(out->size() + n);
   BitReader br(data, len);
   uint64_t prev = 0;
   unsigned prev_leading = 0;
@@ -277,26 +155,26 @@ Status DecodeValueColumn(const char* data, size_t len, size_t n,
   for (size_t i = 0; i < n; ++i) {
     if (i == 0) {
       if (!br.ReadBits(64, &prev)) {
-        return Status::IOError("pane block: truncated value column");
+        return Status::IOError("pane block: truncated");
       }
       out->push_back(BitsToDouble(prev));
       continue;
     }
     uint64_t bit;
     if (!br.ReadBits(1, &bit)) {
-      return Status::IOError("pane block: truncated value column");
+      return Status::IOError("pane block: truncated");
     }
     if (bit == 0) {
       out->push_back(BitsToDouble(prev));
       continue;
     }
     if (!br.ReadBits(1, &bit)) {
-      return Status::IOError("pane block: truncated value column");
+      return Status::IOError("pane block: truncated");
     }
     if (bit == 1) {
       uint64_t leading, mlen;
       if (!br.ReadBits(5, &leading) || !br.ReadBits(6, &mlen)) {
-        return Status::IOError("pane block: truncated value column");
+        return Status::IOError("pane block: truncated");
       }
       prev_leading = static_cast<unsigned>(leading);
       prev_meaningful = static_cast<unsigned>(mlen) + 1;
@@ -308,56 +186,15 @@ Status DecodeValueColumn(const char* data, size_t len, size_t n,
     }
     uint64_t m;
     if (!br.ReadBits(prev_meaningful, &m)) {
-      return Status::IOError("pane block: truncated value column");
+      return Status::IOError("pane block: truncated");
     }
     prev ^= m << (64 - prev_leading - prev_meaningful);
     out->push_back(BitsToDouble(prev));
   }
+  if (br.bytes_read() != len) {
+    return Status::IOError("pane block: bytes past the last value");
+  }
   return Status::OK();
-}
-
-}  // namespace
-
-void EncodePaneBlock(const uint64_t* indices, const double* values, size_t n,
-                     std::string* out) {
-  PutU32(static_cast<uint32_t>(n), out);
-  std::string index_col;
-  EncodeIndexColumn(indices, n, &index_col);
-  PutU32(static_cast<uint32_t>(index_col.size()), out);
-  out->append(index_col);
-  EncodeValueColumn(values, n, out);
-}
-
-void EncodeContiguousPaneBlock(uint64_t first_index, const double* values,
-                               size_t n, std::string* out) {
-  std::vector<uint64_t> indices(n);
-  for (size_t i = 0; i < n; ++i) {
-    indices[i] = first_index + i;
-  }
-  EncodePaneBlock(indices.data(), values, n, out);
-}
-
-Status DecodePaneBlock(const char* data, size_t len,
-                       std::vector<uint64_t>* indices,
-                       std::vector<double>* values) {
-  if (len < 8) {
-    return Status::IOError("pane block: short header");
-  }
-  const uint32_t n = GetU32(data);
-  const uint32_t index_bytes = GetU32(data + 4);
-  if (index_bytes > len - 8) {
-    return Status::IOError("pane block: bad index column size");
-  }
-  if (n == 0) {
-    return index_bytes == 0 && len == 8
-               ? Status::OK()
-               : Status::IOError("pane block: empty block with data");
-  }
-  indices->reserve(indices->size() + n);
-  values->reserve(values->size() + n);
-  ASAP_RETURN_NOT_OK(DecodeIndexColumn(data + 8, index_bytes, n, indices));
-  return DecodeValueColumn(data + 8 + index_bytes, len - 8 - index_bytes, n,
-                           values);
 }
 
 }  // namespace storage

@@ -1,29 +1,23 @@
-// Columnar codec for pane pre-aggregate blocks, Gorilla/Akumuli
-// style. A block holds one series' panes as two columns:
+// Codec for chunk blocks. A block holds one series' contiguous run of
+// pane means and nothing else: which panes those are is recorded once,
+// in the manifest entry's first_pane/pane_count, so the block carries
+// no index, count or length.
 //
-//   pane indices — monotonically increasing u64s, encoded as
-//   delta-of-delta zigzag varints. Because the ingest path appends
-//   panes contiguously, almost every delta-of-delta is zero, so runs
-//   of zeros are run-length encoded: the byte 0x00 followed by a
-//   varint run length. (Safe: a nonzero zigzag varint never starts
-//   with 0x00.) A chunk of 10k contiguous panes spends ~4 bytes on
-//   its whole index column.
+// The means are Gorilla's value column (Pelkonen et al., VLDB 2015
+// §4.1.2): the first double in 64 raw bits, then each one XORed
+// against its predecessor: identical → '0'; inside the previous
+// leading/trailing-zero window → '10' + the window's bits; else '11' +
+// 5-bit leading-zero count + 6-bit length + the meaningful bits.
+// Smooth series cluster, so most panes cost far less than 64 bits.
+// Bits are written MSB-first and the last byte is zero-padded.
 //
-//   pane means — doubles, XOR-compressed against the previous value
-//   (Gorilla §4.1.2): identical → 1 bit; same leading/trailing-zero
-//   window → '10' + meaningful bits; else '11' + 5-bit leading-zero
-//   count + 6-bit length + bits. Smooth series cluster near each
-//   other, so most panes cost far less than 64 bits.
-//
-// Blocks are self-delimiting ([u32 count] ... [u32 index bytes]) and
-// integrity is handled a layer up: the chunk file stores a masked
-// CRC32C per block.
+// Integrity is handled a layer up: the manifest entry holds the
+// block's masked CRC32C.
 
 #ifndef ASAP_STORAGE_CHUNK_CODEC_H_
 #define ASAP_STORAGE_CHUNK_CODEC_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,21 +26,14 @@
 namespace asap {
 namespace storage {
 
-/// Encodes `n` (index, value) pairs into a block appended to `*out`.
-/// Indices must be strictly increasing.
-void EncodePaneBlock(const uint64_t* indices, const double* values, size_t n,
-                     std::string* out);
+/// Appends the block of `values[0, n)` to `*out`.
+void EncodePaneBlock(const double* values, size_t n, std::string* out);
 
-/// Convenience for the common contiguous case: panes
-/// [first_index, first_index + n).
-void EncodeContiguousPaneBlock(uint64_t first_index, const double* values,
-                               size_t n, std::string* out);
-
-/// Decodes a block produced by EncodePaneBlock. Appends to the output
-/// vectors. Fails (without crashing) on any malformed input.
-Status DecodePaneBlock(const char* data, size_t len,
-                       std::vector<uint64_t>* indices,
-                       std::vector<double>* values);
+/// Decodes a block of exactly `n` means, appending them to `*out`.
+/// IOError (never a crash) for a block that is short, malformed or
+/// has bytes past its last value.
+Status DecodePaneBlock(const char* data, size_t len, size_t n,
+                       std::vector<double>* out);
 
 }  // namespace storage
 }  // namespace asap

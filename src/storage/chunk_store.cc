@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <unordered_set>
 #include <utility>
 
+#include "common/bytes.h"
+#include "common/macros.h"
 #include "storage/chunk_codec.h"
 #include "storage/crc32c.h"
 #include "storage/posix_file.h"
@@ -14,42 +16,6 @@ namespace asap {
 namespace storage {
 
 namespace {
-
-void PutU16(uint16_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-  PutU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-uint16_t GetU16(const char* p) {
-  return static_cast<uint16_t>(static_cast<unsigned char>(p[0]) |
-                               static_cast<unsigned char>(p[1]) << 8);
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
 
 /// Bounds-checked cursor over a decoded byte buffer.
 struct Cursor {
@@ -73,6 +39,13 @@ struct Cursor {
     return v;
   }
 };
+
+/// The pane after a series' last stored one.
+uint64_t EndOf(const std::vector<ChunkEntry>& entries) {
+  return entries.empty()
+             ? 0
+             : entries.back().first_pane + entries.back().pane_count;
+}
 
 }  // namespace
 
@@ -98,25 +71,25 @@ uint32_t ChunkStore::ParseChunkFileName(const std::string& name) {
 }
 
 std::string ChunkStore::EncodeManifest(const ManifestData& m) {
+  ASAP_CHECK_EQ(m.entries.size(), m.names.size());
   std::string out;
   PutU64(kManifestMagic, &out);
   PutU32(kChunkFormatVersion, &out);
   PutU32(m.wal_floor_seq, &out);
   PutU32(m.next_chunk_id, &out);
   PutU32(static_cast<uint32_t>(m.names.size()), &out);
-  for (const std::string& name : m.names) {
-    PutU16(static_cast<uint16_t>(name.size()), &out);
-    out.append(name);
-  }
-  PutU32(static_cast<uint32_t>(m.entries.size()), &out);
-  for (const ChunkEntry& e : m.entries) {
-    PutU32(e.chunk_id, &out);
-    PutU32(e.sid, &out);
-    PutU64(e.first_pane, &out);
-    PutU32(e.pane_count, &out);
-    PutU64(e.offset, &out);
-    PutU32(e.block_len, &out);
-    PutU32(e.block_crc, &out);
+  for (size_t sid = 0; sid < m.names.size(); ++sid) {
+    PutU16(static_cast<uint16_t>(m.names[sid].size()), &out);
+    out.append(m.names[sid]);
+    PutU32(static_cast<uint32_t>(m.entries[sid].size()), &out);
+    for (const ChunkEntry& e : m.entries[sid]) {
+      PutU32(e.chunk_id, &out);
+      PutU64(e.first_pane, &out);
+      PutU32(e.pane_count, &out);
+      PutU64(e.offset, &out);
+      PutU32(e.block_len, &out);
+      PutU32(e.block_crc, &out);
+    }
   }
   PutU32(Crc32cMask(Crc32c(out.data(), out.size())), &out);
   return out;
@@ -137,44 +110,47 @@ Status ChunkStore::DecodeManifest(const std::string& data, ManifestData* out) {
   }
   out->wal_floor_seq = c.U32();
   out->next_chunk_id = c.U32();
-  if (!c.Need(4)) {
-    return Status::IOError("manifest: truncated");
+  const uint32_t series = c.U32();
+  // Each series takes at least 6 bytes, which bounds the reserve.
+  if (!c.Need(static_cast<size_t>(series) * 6)) {
+    return Status::IOError("manifest: truncated series table");
   }
-  const uint32_t name_count = c.U32();
-  out->names.reserve(name_count);
-  for (uint32_t i = 0; i < name_count; ++i) {
+  out->names.reserve(series);
+  out->entries.reserve(series);
+  constexpr size_t kEntryBytes = 4 + 8 + 4 + 8 + 4 + 4;
+  for (uint32_t sid = 0; sid < series; ++sid) {
     if (!c.Need(2)) {
-      return Status::IOError("manifest: truncated name table");
+      return Status::IOError("manifest: truncated series table");
     }
     const uint16_t len = c.U16();
-    if (!c.Need(len)) {
+    if (!c.Need(len + size_t{4})) {
       return Status::IOError("manifest: truncated name");
     }
     out->names.emplace_back(c.p, len);
     c.p += len;
-  }
-  if (!c.Need(4)) {
-    return Status::IOError("manifest: truncated");
-  }
-  const uint32_t entry_count = c.U32();
-  constexpr size_t kEntryBytes = 4 + 4 + 8 + 4 + 8 + 4 + 4;
-  if (!c.Need(static_cast<size_t>(entry_count) * kEntryBytes)) {
-    return Status::IOError("manifest: truncated entries");
-  }
-  out->entries.reserve(entry_count);
-  for (uint32_t i = 0; i < entry_count; ++i) {
-    ChunkEntry e;
-    e.chunk_id = c.U32();
-    e.sid = c.U32();
-    if (e.sid >= name_count) {
-      return Status::IOError("manifest: entry for an unnamed series");
+    const uint32_t count = c.U32();
+    if (!c.Need(static_cast<size_t>(count) * kEntryBytes)) {
+      return Status::IOError("manifest: truncated entries");
     }
-    e.first_pane = c.U64();
-    e.pane_count = c.U32();
-    e.offset = c.U64();
-    e.block_len = c.U32();
-    e.block_crc = c.U32();
-    out->entries.push_back(e);
+    std::vector<ChunkEntry>& entries = out->entries.emplace_back();
+    entries.reserve(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      ChunkEntry e;
+      e.chunk_id = c.U32();
+      e.first_pane = c.U64();
+      e.pane_count = c.U32();
+      e.offset = c.U64();
+      e.block_len = c.U32();
+      e.block_crc = c.U32();
+      if (e.first_pane != EndOf(entries)) {
+        return Status::IOError("manifest: series " + std::to_string(sid) +
+                               " has an entry at pane " +
+                               std::to_string(e.first_pane) +
+                               ", not where its panes end (" +
+                               std::to_string(EndOf(entries)) + ")");
+      }
+      entries.push_back(e);
+    }
   }
   if (c.p != c.end) {
     return Status::IOError("manifest: trailing bytes");
@@ -199,85 +175,61 @@ Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(std::string dir,
     std::string raw;
     ASAP_RETURN_NOT_OK(ReadFile(store->ManifestPath(), &raw));
     ASAP_RETURN_NOT_OK(DecodeManifest(raw, &store->manifest_));
-    std::lock_guard<std::mutex> lock(store->mu_);
-    store->IndexEntriesFrom(0);
   }
   // Sweep crash leftovers: chunk files the manifest does not
   // reference (written but never published) and stale rename temps.
+  std::unordered_set<uint32_t> referenced;
+  for (const std::vector<ChunkEntry>& entries : store->manifest_.entries) {
+    for (const ChunkEntry& e : entries) {
+      referenced.insert(e.chunk_id);
+    }
+  }
   std::vector<std::string> names;
   ASAP_RETURN_NOT_OK(ListDir(store->dir_, &names));
   for (const std::string& name : names) {
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      RemoveFile(store->dir_ + "/" + name);
-      continue;
-    }
+    const bool temp =
+        name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0;
     const uint32_t id = ParseChunkFileName(name);
-    if (id == 0) {
-      continue;
-    }
-    bool referenced = false;
-    for (const ChunkEntry& e : store->manifest_.entries) {
-      if (e.chunk_id == id) {
-        referenced = true;
-        break;
-      }
-    }
-    if (!referenced) {
+    if (temp || (id != 0 && referenced.count(id) == 0)) {
       RemoveFile(store->dir_ + "/" + name);
     }
   }
   return store;
 }
 
-Result<uint32_t> ChunkStore::WriteChunk(const std::vector<SeriesSlice>& slices,
-                                        const std::vector<std::string>& names,
-                                        uint32_t wal_floor_seq) {
-  ManifestData next;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next = manifest_;
-  }
-  next.names = names;
-  next.wal_floor_seq = std::max(next.wal_floor_seq, wal_floor_seq);
-  const size_t first_new = next.entries.size();
-
-  uint32_t chunk_id = 0;
-  size_t live_slices = 0;
+Result<uint32_t> ChunkStore::WriteChunk(
+    const std::vector<SeriesSlice>& slices,
+    const std::vector<std::string>& new_names, uint32_t wal_floor_seq) {
+  // The only writer: manifest_ is read here without mu_.
+  const size_t old_names = manifest_.names.size();
+  const size_t named = old_names + new_names.size();
+  const uint32_t chunk_id = manifest_.next_chunk_id;
+  std::string file;
+  std::vector<std::pair<uint32_t, ChunkEntry>> added;  // (sid, entry)
   for (const SeriesSlice& s : slices) {
-    if (s.count > 0) {
-      ++live_slices;
+    if (s.count == 0) {
+      continue;
     }
+    const uint64_t end =
+        s.sid < old_names ? EndOf(manifest_.entries[s.sid]) : 0;
+    if (s.sid >= named || (!added.empty() && s.sid <= added.back().first) ||
+        s.first_pane != end) {
+      return Status::InvalidArgument(
+          "WriteChunk: the slice for sid " + std::to_string(s.sid) +
+          " is unnamed, out of sid order, or does not begin at pane " +
+          std::to_string(end) + " where its stored panes end");
+    }
+    ChunkEntry e;
+    e.first_pane = s.first_pane;
+    e.pane_count = static_cast<uint32_t>(s.count);
+    e.chunk_id = chunk_id;
+    e.offset = file.size();
+    EncodePaneBlock(s.values, s.count, &file);
+    e.block_len = static_cast<uint32_t>(file.size() - e.offset);
+    e.block_crc = Crc32cMask(Crc32c(file.data() + e.offset, e.block_len));
+    added.emplace_back(s.sid, e);
   }
-  if (live_slices > 0) {
-    chunk_id = next.next_chunk_id++;
-    std::string file;
-    PutU64(kChunkMagic, &file);
-    PutU32(kChunkFormatVersion, &file);
-    PutU32(chunk_id, &file);
-    PutU32(static_cast<uint32_t>(live_slices), &file);
-    for (const SeriesSlice& s : slices) {
-      if (s.count == 0) {
-        continue;
-      }
-      if (s.sid >= names.size()) {
-        return Status::InvalidArgument("WriteChunk: slice for an unnamed sid");
-      }
-      std::string block;
-      EncodeContiguousPaneBlock(s.first_pane, s.values, s.count, &block);
-      ChunkEntry e;
-      e.chunk_id = chunk_id;
-      e.sid = s.sid;
-      e.first_pane = s.first_pane;
-      e.pane_count = static_cast<uint32_t>(s.count);
-      e.block_len = static_cast<uint32_t>(block.size());
-      e.block_crc = Crc32cMask(Crc32c(block.data(), block.size()));
-      PutU32(s.sid, &file);
-      PutU32(e.block_len, &file);
-      PutU32(e.block_crc, &file);
-      e.offset = file.size();
-      file.append(block);
-      next.entries.push_back(e);
-    }
+  if (!added.empty()) {
     // The chunk must be durable before the manifest points at it.
     ASAP_RETURN_NOT_OK(AtomicWriteFile(ChunkPath(chunk_id), file));
     if (options_.chunks_written_total != nullptr) {
@@ -288,31 +240,36 @@ Result<uint32_t> ChunkStore::WriteChunk(const std::vector<SeriesSlice>& slices,
     }
   }
 
-  ASAP_RETURN_NOT_OK(AtomicWriteFile(ManifestPath(), EncodeManifest(next)));
+  const uint32_t old_floor = manifest_.wal_floor_seq;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    manifest_ = std::move(next);
-    IndexEntriesFrom(first_new);
+    manifest_.names.insert(manifest_.names.end(), new_names.begin(),
+                           new_names.end());
+    manifest_.entries.resize(named);
+    for (const auto& [sid, e] : added) {
+      manifest_.entries[sid].push_back(e);
+    }
+    manifest_.wal_floor_seq = std::max(old_floor, wal_floor_seq);
+    manifest_.next_chunk_id = chunk_id + (added.empty() ? 0 : 1);
   }
-  return chunk_id;
-}
-
-void ChunkStore::IndexEntriesFrom(size_t from) {
-  const std::vector<ChunkEntry>& entries = manifest_.entries;
-  // Names only grow, and every entry's sid names a series.
-  if (last_of_.size() < manifest_.names.size()) {
-    last_of_.resize(manifest_.names.size(), kNoEntry);
+  const Status published =
+      AtomicWriteFile(ManifestPath(), EncodeManifest(manifest_));
+  if (!published.ok()) {
+    // Take the entries back, so a retry writes the same panes again.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [sid, e] : added) {
+      manifest_.entries[sid].pop_back();
+    }
+    manifest_.names.resize(old_names);
+    manifest_.entries.resize(old_names);
+    manifest_.wal_floor_seq = old_floor;
+    manifest_.next_chunk_id = chunk_id;
+    return published;
   }
-  prev_of_.resize(entries.size());
-  for (size_t i = from; i < entries.size(); ++i) {
-    uint32_t& last = last_of_[entries[i].sid];
-    prev_of_[i] = last;
-    last = static_cast<uint32_t>(i);
-  }
+  return added.empty() ? 0 : chunk_id;
 }
 
 Status ChunkStore::ReadSeriesBlock(const ChunkEntry& entry,
-                                   std::vector<uint64_t>* indices,
                                    std::vector<double>* values) const {
   FileHandle f;
   ASAP_RETURN_NOT_OK(OpenForRead(ChunkPath(entry.chunk_id), &f));
@@ -323,44 +280,47 @@ Status ChunkStore::ReadSeriesBlock(const ChunkEntry& entry,
     return Status::IOError("chunk " + ChunkFileName(entry.chunk_id) +
                            ": block checksum mismatch");
   }
-  return DecodePaneBlock(block.data(), block.size(), indices, values);
+  return DecodePaneBlock(block.data(), block.size(), entry.pane_count,
+                         values);
 }
 
-std::vector<ChunkEntry> ChunkStore::EntriesFor(uint32_t sid) const {
-  std::vector<ChunkEntry> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (sid < last_of_.size()) {
-      for (uint32_t i = last_of_[sid]; i != kNoEntry; i = prev_of_[i]) {
-        out.push_back(manifest_.entries[i]);
-      }
-    }
+std::vector<ChunkEntry> ChunkStore::EntriesFor(uint32_t sid, uint64_t first,
+                                               uint64_t end) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (sid >= manifest_.entries.size()) {
+    return {};
   }
-  // Manifest order; compaction appends each series' panes in order,
-  // so the sort only moves entries a manifest lists out of order.
-  std::reverse(out.begin(), out.end());
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ChunkEntry& a, const ChunkEntry& b) {
-                     return a.first_pane < b.first_pane;
-                   });
-  return out;
+  const std::vector<ChunkEntry>& entries = manifest_.entries[sid];
+  if (first >= std::min(end, EndOf(entries))) {
+    return {};
+  }
+  // Contiguous from pane 0: the entry holding `first` is the one
+  // before the first entry that starts past it.
+  const auto lo =
+      std::upper_bound(entries.begin(), entries.end(), first,
+                       [](uint64_t pane, const ChunkEntry& e) {
+                         return pane < e.first_pane;
+                       }) -
+      1;
+  const auto hi = std::lower_bound(
+      lo, entries.end(), end,
+      [](const ChunkEntry& e, uint64_t pane) { return e.first_pane < pane; });
+  return std::vector<ChunkEntry>(lo, hi);
 }
 
 uint64_t ChunkStore::PaneCountFor(uint32_t sid) const {
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t max_end = 0;
-  if (sid < last_of_.size()) {
-    for (uint32_t i = last_of_[sid]; i != kNoEntry; i = prev_of_[i]) {
-      const ChunkEntry& e = manifest_.entries[i];
-      max_end = std::max(max_end, e.first_pane + e.pane_count);
-    }
-  }
-  return max_end;
+  return sid < manifest_.entries.size() ? EndOf(manifest_.entries[sid]) : 0;
 }
 
-ManifestData ChunkStore::Manifest() const {
+std::vector<std::string> ChunkStore::names() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return manifest_;
+  return manifest_.names;
+}
+
+size_t ChunkStore::name_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return manifest_.names.size();
 }
 
 uint32_t ChunkStore::wal_floor_seq() const {

@@ -2,23 +2,26 @@
 // style. Compaction turns the in-memory pane tail into immutable
 // chunk files; a single binary MANIFEST — republished with the
 // write-temp / fsync / rename-swap idiom — is the sole authority over
-// which chunks exist, which series they hold, and how much of the WAL
-// they make redundant.
+// which chunks exist, which panes of which series they hold, and how
+// much of the WAL they make redundant.
 //
-// Chunk file (`chunks/00000007.chunk`):
-//   [u64 magic][u32 version][u32 chunk_id]
-//   [u32 series_count]
-//   repeated: [u32 sid][u32 block_len][u32 masked crc32c(block)][block]
-// where `block` is a chunk_codec pane block. Files are immutable once
-// the manifest that references them lands; readers never need a lock
-// beyond snapshotting the entry list.
+// Chunk file (`chunks/00000007.chunk`): its blocks back to back, one
+// per series, each a chunk_codec block of that series' pane means.
+// The file records nothing else; readers pread exactly
+// [offset, offset + block_len) of the manifest entry and check its CRC.
+// Files are immutable once the manifest that references them lands.
 //
-// MANIFEST:
+// MANIFEST (format version 2):
 //   [u64 magic][u32 version]
 //   [u32 wal_floor_seq][u32 next_chunk_id]
-//   [u32 name_count] repeated [u16 len][bytes]        (sid = position)
-//   [u32 entry_count] repeated ChunkEntry
+//   [u32 series_count] repeated, in sid order:
+//     [u16 name_len][name][u32 entry_count] repeated, ascending:
+//       [u32 chunk_id][u64 first_pane][u32 pane_count]
+//       [u64 offset][u32 block_len][u32 masked crc32c(block)]
 //   [u32 masked crc32c(everything above)]
+// A series' entries start at pane 0 and each begins where the one
+// before it ended, so they are the only record of which panes a block
+// holds.
 //
 // Crash safety: a chunk file is written and fsynced BEFORE the
 // manifest referencing it; a crash in between leaves an orphan chunk
@@ -44,22 +47,18 @@ class Counter;
 
 namespace storage {
 
-inline constexpr uint64_t kChunkMagic = 0x314b'4843'5041'5341ull;  // "ASAPCHK1"
 inline constexpr uint64_t kManifestMagic = 0x314e'414d'5041'5341ull;  // "ASAPMAN1"
-inline constexpr uint32_t kChunkFormatVersion = 1;
-inline constexpr size_t kChunkHeaderBytes = 16;
+inline constexpr uint32_t kChunkFormatVersion = 2;
 
-/// One series' block inside one chunk file, as indexed by the
-/// manifest. `offset` addresses the block payload (past the per-block
-/// header) so a reader can pread exactly [offset, offset+block_len).
+/// One block of one series: panes [first_pane, first_pane + pane_count)
+/// at [offset, offset + block_len) of chunk file `chunk_id`.
 struct ChunkEntry {
-  uint32_t chunk_id = 0;
-  uint32_t sid = 0;
   uint64_t first_pane = 0;
   uint32_t pane_count = 0;
+  uint32_t chunk_id = 0;
   uint64_t offset = 0;
   uint32_t block_len = 0;
-  uint32_t block_crc = 0;  // masked crc32c of the block payload
+  uint32_t block_crc = 0;  // masked crc32c of the block
 };
 
 /// Decoded manifest state.
@@ -67,7 +66,8 @@ struct ManifestData {
   uint32_t wal_floor_seq = 1;  ///< WAL segments >= this still matter
   uint32_t next_chunk_id = 1;
   std::vector<std::string> names;  ///< sid -> series name, dense
-  std::vector<ChunkEntry> entries;
+  /// sid -> its entries, contiguous from pane 0; as long as `names`.
+  std::vector<std::vector<ChunkEntry>> entries;
 };
 
 /// One series' slice of a compaction: contiguous panes
@@ -87,9 +87,10 @@ class ChunkStore {
   };
 
   /// Opens (creating if needed) the chunk directory: loads the
-  /// manifest if present, verifies its CRC, and deletes orphan chunk
-  /// files a crash left unreferenced. A corrupt manifest fails Open —
-  /// it is the root of trust, not a tail to truncate.
+  /// manifest if present, verifies its CRC and each series' entry
+  /// list, and deletes orphan chunk files a crash left unreferenced.
+  /// A corrupt manifest fails Open with IOError — it is the root of
+  /// trust, not a tail to truncate.
   static Result<std::unique_ptr<ChunkStore>> Open(std::string dir,
                                                   Options options);
 
@@ -97,35 +98,46 @@ class ChunkStore {
   ChunkStore& operator=(const ChunkStore&) = delete;
 
   /// Writes one chunk file holding `slices` (skipping empty ones) and
-  /// publishes a manifest carrying the new entries, the current name
-  /// table, and `wal_floor_seq`. With no non-empty slices, publishes
-  /// just the manifest (names / floor still advance). Returns the
-  /// chunk id, or 0 if only the manifest was written.
+  /// publishes a manifest that appends their entries, appends
+  /// `new_names` to the name table (the sids from name_count() on) and
+  /// raises the WAL floor to `wal_floor_seq`. Non-empty slices name
+  /// distinct sids in ascending order, and each continues its series'
+  /// stored panes; otherwise InvalidArgument and nothing is written.
+  /// With no non-empty slices, publishes just the manifest. Returns
+  /// the chunk id, or 0 if only the manifest was written.
+  ///
+  /// Callers serialize WriteChunk (DurableStore::CompactOnce holds its
+  /// compact_mu_). It is the entry lists' only writer, so it reads and
+  /// encodes them without mu_ and takes mu_ only to change them.
   Result<uint32_t> WriteChunk(const std::vector<SeriesSlice>& slices,
-                              const std::vector<std::string>& names,
+                              const std::vector<std::string>& new_names,
                               uint32_t wal_floor_seq);
 
-  /// Reads and decodes one series block. Entries come from
-  /// `EntriesFor`; the underlying file is immutable, so no lock is
-  /// held during IO.
-  Status ReadSeriesBlock(const ChunkEntry& entry, std::vector<uint64_t>* indices,
+  /// Reads one block and appends its `entry.pane_count` means to
+  /// `*values`. The file is immutable, so no lock is held during IO.
+  Status ReadSeriesBlock(const ChunkEntry& entry,
                          std::vector<double>* values) const;
 
-  /// Entries for `sid`, ascending by first_pane (manifest order among
-  /// equal first_pane). Costs time in proportion to `sid`'s entries.
-  std::vector<ChunkEntry> EntriesFor(uint32_t sid) const;
+  /// `sid`'s entries that hold any of panes [first, end), ascending.
+  /// A binary search finds the first, so a read costs time in what it
+  /// returns, not in the series' history.
+  std::vector<ChunkEntry> EntriesFor(uint32_t sid, uint64_t first,
+                                     uint64_t end) const;
 
-  /// Total panes stored in chunks for `sid`.
+  /// Panes stored in chunks for `sid`.
   uint64_t PaneCountFor(uint32_t sid) const;
 
-  /// Snapshot of the current manifest.
-  ManifestData Manifest() const;
-
+  /// Names in the published table; sid = position.
+  std::vector<std::string> names() const;
+  size_t name_count() const;
   uint32_t wal_floor_seq() const;
 
   static std::string ChunkFileName(uint32_t chunk_id);
   static uint32_t ParseChunkFileName(const std::string& name);
   static std::string EncodeManifest(const ManifestData& m);
+  /// Decodes and validates a manifest: IOError for a bad checksum,
+  /// magic or version, a truncation, or a series whose entries do not
+  /// start at pane 0 or leave a gap or overlap.
   static Status DecodeManifest(const std::string& data, ManifestData* out);
 
  private:
@@ -134,23 +146,11 @@ class ChunkStore {
   std::string ChunkPath(uint32_t chunk_id) const;
   std::string ManifestPath() const;
 
-  /// Links manifest_.entries[from, end) into their series' chains.
-  /// Caller holds mu_.
-  void IndexEntriesFrom(size_t from);
-
   const std::string dir_;
   const Options options_;
 
   mutable std::mutex mu_;
-  ManifestData manifest_;
-  /// Per-series chains through manifest_.entries, so per-series
-  /// lookups never walk the fleet-wide entry list: last_of_[sid] is
-  /// the position of the series' last entry in manifest order and
-  /// prev_of_[i] that of the entry before i in its series (kNoEntry
-  /// ends a chain).
-  static constexpr uint32_t kNoEntry = UINT32_MAX;
-  std::vector<uint32_t> last_of_;
-  std::vector<uint32_t> prev_of_;
+  ManifestData manifest_;  ///< the published manifest (see WriteChunk)
 };
 
 }  // namespace storage

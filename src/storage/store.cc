@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 #include "storage/posix_file.h"
 #include "telemetry/metrics.h"
@@ -19,42 +19,6 @@ constexpr uint8_t kRecRegistration = 1;
 constexpr uint8_t kRecPaneBatch = 2;
 
 constexpr size_t kMaxSeriesNameBytes = 65535;
-
-void PutU16(uint16_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-  PutU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-uint16_t GetU16(const char* p) {
-  return static_cast<uint16_t>(static_cast<unsigned char>(p[0]) |
-                               static_cast<unsigned char>(p[1]) << 8);
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
 
 }  // namespace
 
@@ -139,8 +103,7 @@ Status DurableStore::OpenInternal() {
   chunks_ = std::move(chunks).ValueOrDie();
 
   // Seed identity + per-series chunk coverage from the manifest.
-  const ManifestData manifest = chunks_->Manifest();
-  names_ = manifest.names;
+  names_ = chunks_->names();
   series_.resize(names_.size());
   for (uint32_t sid = 0; sid < names_.size(); ++sid) {
     name_to_sid_.emplace(names_[sid], sid);
@@ -150,7 +113,7 @@ Status DurableStore::OpenInternal() {
   recovery_.chunk_series = names_.size();
 
   const std::string wal_dir = dir_ + "/wal";
-  const uint32_t floor = manifest.wal_floor_seq;
+  const uint32_t floor = chunks_->wal_floor_seq();
 
   // Delete segments compaction already covered but a crash kept
   // around (manifest published, segment deletion interrupted).
@@ -304,10 +267,7 @@ Status DurableStore::ReplayWalFrame(const char* payload, size_t len) {
       }
       st.tail.reserve(st.tail.size() + count - skip);
       for (uint64_t i = skip; i < count; ++i) {
-        uint64_t bits = GetU64(payload + off + i * 8);
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        st.tail.push_back(v);
+        st.tail.push_back(GetLe<double>(payload + off + i * 8));
       }
       recovery_.replayed_panes += count - skip;
       off += static_cast<size_t>(count) * 8;
@@ -378,9 +338,7 @@ void DurableStore::EncodePaneBatch(const PaneRun* runs, const uint64_t* firsts,
     PutU64(firsts[r], out);
     PutU32(runs[r].count, out);
     for (uint32_t i = 0; i < runs[r].count; ++i) {
-      uint64_t bits;
-      std::memcpy(&bits, &runs[r].values[i], sizeof(bits));
-      PutU64(bits, out);
+      PutLe(runs[r].values[i], out);
     }
   }
 }
@@ -429,20 +387,28 @@ Status DurableStore::CompactOnce(bool force) {
   }
   telemetry::ScopedTimer timer(compaction_nanos_.get());
 
-  // Boundary: roll the WAL and snapshot the tail under the store
-  // lock. Every pane visible in the snapshot has its WAL bytes at or
-  // below the roll (or is salvaged by replay dedup — see AppendPanes).
+  // Boundary: roll the WAL, then snapshot the tails and the names
+  // registered since the last publish under mu_. The roll fsyncs twice
+  // and syncs the directory, so it runs outside mu_, which every shard
+  // worker's AppendPanes takes. Snapshotting after the roll is safe:
+  //  - a pane whose tail insert preceded the roll is in the snapshot,
+  //    or already in a chunk: AppendPanes inserts before it logs, and
+  //    the roll covers every frame logged before it;
+  //  - a registration logs its WAL frame and adds its name while
+  //    holding mu_, so a name whose frame lies below the new floor is
+  //    in the snapshot;
+  //  - a frame logged after the roll is at or above the new floor and
+  //    survives; whatever of it the snapshot chunked, replay skips as
+  //    a duplicate (see AppendPanes and ReplayWalFrame).
+  auto roll = wal_->Roll();
+  ASAP_RETURN_NOT_OK(roll.status());
+  const uint32_t new_floor = roll.ValueOrDie();
+  const size_t published_names = chunks_->name_count();
   std::vector<SeriesSlice> slices;
   std::vector<std::vector<double>> bufs;
-  std::vector<std::string> names_copy;
-  uint32_t new_floor = 0;
+  std::vector<std::string> new_names;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto roll = wal_->Roll();
-    if (!roll.ok()) {
-      return roll.status();
-    }
-    new_floor = roll.ValueOrDie();
     bufs.reserve(series_.size());
     for (uint32_t sid = 0; sid < series_.size(); ++sid) {
       SeriesState& st = series_[sid];
@@ -457,14 +423,14 @@ Status DurableStore::CompactOnce(bool force) {
       slice.count = bufs.back().size();
       slices.push_back(slice);
     }
-    names_copy = names_;
+    new_names.assign(names_.begin() + published_names, names_.end());
   }
-  if (slices.empty() && new_floor <= chunks_->wal_floor_seq() &&
-      names_copy.size() == chunks_->Manifest().names.size()) {
+  if (slices.empty() && new_names.empty() &&
+      new_floor <= chunks_->wal_floor_seq()) {
     return Status::OK();  // nothing new to publish
   }
 
-  auto chunk_id = chunks_->WriteChunk(slices, names_copy, new_floor);
+  auto chunk_id = chunks_->WriteChunk(slices, new_names, new_floor);
   ASAP_RETURN_NOT_OK(chunk_id.status());
 
   uint64_t remaining_tail = 0;
@@ -542,20 +508,16 @@ Status DurableStore::ReadPanes(uint32_t sid, uint64_t first, uint64_t count,
   // held across file IO.
   const uint64_t chunk_hi = std::min(first + count, tail_base);
   uint64_t filled = 0;
-  for (const ChunkEntry& e : chunks_->EntriesFor(sid)) {
-    const uint64_t e_end = e.first_pane + e.pane_count;
-    if (e_end <= first || e.first_pane >= chunk_hi) {
-      continue;
-    }
-    std::vector<uint64_t> indices;
-    std::vector<double> values;
-    ASAP_RETURN_NOT_OK(chunks_->ReadSeriesBlock(e, &indices, &values));
-    for (size_t i = 0; i < indices.size(); ++i) {
-      if (indices[i] >= first && indices[i] < chunk_hi) {
-        (*out)[indices[i] - first] = values[i];
-        ++filled;
-      }
-    }
+  std::vector<double> block;
+  for (const ChunkEntry& e : chunks_->EntriesFor(sid, first, chunk_hi)) {
+    block.clear();
+    ASAP_RETURN_NOT_OK(chunks_->ReadSeriesBlock(e, &block));
+    const uint64_t lo = std::max(first, e.first_pane);
+    const uint64_t hi = std::min(chunk_hi, e.first_pane + e.pane_count);
+    std::copy(block.begin() + static_cast<ptrdiff_t>(lo - e.first_pane),
+              block.begin() + static_cast<ptrdiff_t>(hi - e.first_pane),
+              out->begin() + static_cast<ptrdiff_t>(lo - first));
+    filled += hi - lo;
   }
   if (filled != chunk_hi - first) {
     return Status::Internal("ReadPanes: chunk coverage hole for sid " +

@@ -2,44 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
 #include "storage/crc32c.h"
 #include "telemetry/metrics.h"
 
 namespace asap {
 namespace storage {
-
-namespace {
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-  PutU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-uint32_t GetU32(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
-}
-
-uint64_t GetU64(const char* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
-
-}  // namespace
 
 const char* SyncPolicyName(SyncPolicy policy) {
   switch (policy) {

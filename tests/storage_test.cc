@@ -11,13 +11,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "storage/chunk_codec.h"
 #include "storage/chunk_store.h"
@@ -80,144 +84,162 @@ TEST(Crc32cTest, MatchesKnownVectors) {
   EXPECT_NE(Crc32cMask(0xE3069283u), 0xE3069283u);
 }
 
-TEST(ChunkCodecTest, RoundTripsContiguousAndGappedIndices) {
-  Pcg32 rng(42);
-  for (const bool gapped : {false, true}) {
-    std::vector<uint64_t> indices;
-    std::vector<double> values;
-    uint64_t idx = gapped ? 1000 : 0;
-    for (size_t i = 0; i < 500; ++i) {
-      indices.push_back(idx);
-      idx += gapped ? 1 + rng.NextBounded(5) : 1;
-      // Smooth-ish walk with occasional jumps, plus exact repeats
-      // (the XOR same-value fast path).
-      values.push_back(i % 7 == 0 && i > 0 ? values.back()
-                                           : rng.Gaussian(100.0, 5.0));
-    }
-    std::string block;
-    EncodePaneBlock(indices.data(), values.data(), indices.size(), &block);
-    std::vector<uint64_t> out_idx;
-    std::vector<double> out_val;
-    ASSERT_TRUE(
-        DecodePaneBlock(block.data(), block.size(), &out_idx, &out_val).ok());
-    EXPECT_EQ(out_idx, indices);
-    EXPECT_TRUE(BitwiseEqual(out_val, values));
+// Smooth-ish walk with occasional jumps, plus exact repeats (the XOR
+// same-value path).
+std::vector<double> WalkValues(uint64_t seed, size_t n) {
+  Pcg32 rng(seed);
+  std::vector<double> values;
+  for (size_t i = 0; i < n; ++i) {
+    values.push_back(i % 7 == 0 && i > 0 ? values.back()
+                                         : rng.Gaussian(100.0, 5.0));
   }
+  return values;
 }
 
-TEST(ChunkCodecTest, ContiguousEncoderMatchesGenericEncoder) {
-  std::vector<double> values;
-  Pcg32 rng(7);
-  for (size_t i = 0; i < 257; ++i) {
-    values.push_back(rng.Gaussian());
+TEST(ChunkCodecTest, RoundTripsValues) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{500}}) {
+    const std::vector<double> values = WalkValues(42, n);
+    std::string block;
+    EncodePaneBlock(values.data(), n, &block);
+    EXPECT_EQ(block.empty(), n == 0);
+    std::vector<double> out = {-1.0};  // decoding appends
+    ASSERT_TRUE(DecodePaneBlock(block.data(), block.size(), n, &out).ok())
+        << n;
+    ASSERT_EQ(out.size(), n + 1);
+    EXPECT_TRUE(BitwiseEqual({out.begin() + 1, out.end()}, values)) << n;
   }
-  std::vector<uint64_t> indices(values.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    indices[i] = 90 + i;
-  }
-  std::string generic, contiguous;
-  EncodePaneBlock(indices.data(), values.data(), values.size(), &generic);
-  EncodeContiguousPaneBlock(90, values.data(), values.size(), &contiguous);
-  EXPECT_EQ(generic, contiguous);
 }
 
 TEST(ChunkCodecTest, RoundTripsSpecialValues) {
-  const std::vector<uint64_t> indices = {0, 1, 2, 3, 4, 5, 6};
   const std::vector<double> values = {
       0.0, -0.0, 1e308, -1e-308,
       std::numeric_limits<double>::infinity(),
       std::numeric_limits<double>::quiet_NaN(), 1.0};
   std::string block;
-  EncodePaneBlock(indices.data(), values.data(), values.size(), &block);
-  std::vector<uint64_t> out_idx;
-  std::vector<double> out_val;
+  EncodePaneBlock(values.data(), values.size(), &block);
+  std::vector<double> out;
   ASSERT_TRUE(
-      DecodePaneBlock(block.data(), block.size(), &out_idx, &out_val).ok());
-  EXPECT_EQ(out_idx, indices);
-  EXPECT_TRUE(BitwiseEqual(out_val, values));
+      DecodePaneBlock(block.data(), block.size(), values.size(), &out).ok());
+  EXPECT_TRUE(BitwiseEqual(out, values));
 }
 
-TEST(ChunkCodecTest, RejectsTruncatedAndGarbageInputWithoutCrashing) {
-  std::vector<uint64_t> indices = {5, 6, 7, 8};
-  std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
+TEST(ChunkCodecTest, RejectsShortLongAndGarbageBlocksWithoutCrashing) {
+  const std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
   std::string block;
-  EncodePaneBlock(indices.data(), values.data(), 4, &block);
-  // Every strict prefix must fail cleanly.
+  EncodePaneBlock(values.data(), values.size(), &block);
+  // Every strict prefix is short of the pane count.
   for (size_t cut = 0; cut < block.size(); ++cut) {
-    std::vector<uint64_t> oi;
-    std::vector<double> ov;
-    EXPECT_FALSE(DecodePaneBlock(block.data(), cut, &oi, &ov).ok())
+    std::vector<double> out;
+    EXPECT_EQ(DecodePaneBlock(block.data(), cut, values.size(), &out).code(),
+              StatusCode::kIOError)
         << "prefix of " << cut << " bytes decoded";
   }
-  // Random garbage must fail cleanly too.
+  // A byte past the last value fails, and so does a count the block's
+  // bits cannot hold (each mean takes at least one bit, and the last
+  // byte's padding is at most 7).
+  std::vector<double> out;
+  const std::string longer = block + '\0';
+  EXPECT_EQ(DecodePaneBlock(longer.data(), longer.size(), values.size(), &out)
+                .code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(DecodePaneBlock(block.data(), block.size(), values.size() + 8,
+                            &out)
+                .code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(DecodePaneBlock(block.data(), block.size(), 1u << 30, &out).code(),
+            StatusCode::kIOError);
+  // Random garbage at random counts must fail or decode, never crash.
   Pcg32 rng(99);
   for (int round = 0; round < 50; ++round) {
     std::string garbage(8 + rng.NextBounded(64), '\0');
     for (char& c : garbage) {
       c = static_cast<char>(rng.NextU32());
     }
-    std::vector<uint64_t> oi;
-    std::vector<double> ov;
-    (void)DecodePaneBlock(garbage.data(), garbage.size(), &oi, &ov);
+    out.clear();
+    (void)DecodePaneBlock(garbage.data(), garbage.size(),
+                          rng.NextBounded(600), &out);
   }
 }
 
-// EntriesFor and PaneCountFor of every sid (and one past the last)
-// against a filter of the manifest's entry list, ascending by
-// first_pane.
-void ExpectSeriesIndexMatchesManifest(const ChunkStore& chunks,
-                                      uint32_t series) {
-  const ManifestData manifest = chunks.Manifest();
-  for (uint32_t sid = 0; sid <= series; ++sid) {
-    std::vector<ChunkEntry> want;
-    uint64_t want_panes = 0;
-    for (const ChunkEntry& e : manifest.entries) {
-      if (e.sid == sid) {
-        want.push_back(e);
-        want_panes = std::max(want_panes, e.first_pane + e.pane_count);
+ManifestData ReadManifest(const std::string& chunk_dir) {
+  std::string raw;
+  ManifestData m;
+  EXPECT_TRUE(ReadFile(chunk_dir + "/MANIFEST", &raw).ok());
+  EXPECT_TRUE(ChunkStore::DecodeManifest(raw, &m).ok());
+  return m;
+}
+
+bool SameEntry(const ChunkEntry& a, const ChunkEntry& b) {
+  return a.first_pane == b.first_pane && a.pane_count == b.pane_count &&
+         a.chunk_id == b.chunk_id && a.offset == b.offset &&
+         a.block_len == b.block_len && a.block_crc == b.block_crc;
+}
+
+// Every sid's entry list (and one past the last sid) against the
+// MANIFEST on disk: whole lists, every overlap query EntriesFor can
+// get, PaneCountFor, and each block's means (`values` prefixes).
+void ExpectEntryListsMatchManifest(const ChunkStore& chunks,
+                                   const std::string& chunk_dir,
+                                   const std::vector<uint64_t>& panes,
+                                   const std::vector<double>& values) {
+  const ManifestData m = ReadManifest(chunk_dir);
+  ASSERT_EQ(chunks.name_count(), m.names.size());
+  EXPECT_EQ(chunks.names(), m.names);
+  EXPECT_EQ(chunks.wal_floor_seq(), m.wal_floor_seq);
+  for (uint32_t sid = 0; sid <= panes.size(); ++sid) {
+    const std::vector<ChunkEntry> none;
+    const std::vector<ChunkEntry>& want =
+        sid < m.entries.size() ? m.entries[sid] : none;
+    const uint64_t stored = sid < panes.size() ? panes[sid] : 0;
+    EXPECT_EQ(chunks.PaneCountFor(sid), stored) << "sid=" << sid;
+    for (uint64_t first = 0; first <= stored + 1; ++first) {
+      for (const uint64_t end : {first, first + 1, first + 3, stored + 2}) {
+        std::vector<ChunkEntry> overlap;
+        for (const ChunkEntry& e : want) {
+          if (first < end && e.first_pane < end &&
+              first < e.first_pane + e.pane_count) {
+            overlap.push_back(e);
+          }
+        }
+        const std::vector<ChunkEntry> got = chunks.EntriesFor(sid, first, end);
+        ASSERT_EQ(got.size(), overlap.size())
+            << "sid=" << sid << " [" << first << ", " << end << ")";
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(SameEntry(got[i], overlap[i])) << "sid=" << sid;
+        }
       }
     }
-    std::stable_sort(want.begin(), want.end(),
-                     [](const ChunkEntry& a, const ChunkEntry& b) {
-                       return a.first_pane < b.first_pane;
-                     });
-    const std::vector<ChunkEntry> got = chunks.EntriesFor(sid);
-    ASSERT_EQ(got.size(), want.size()) << "sid=" << sid;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].chunk_id, want[i].chunk_id) << "sid=" << sid;
-      EXPECT_EQ(got[i].sid, sid);
-      EXPECT_EQ(got[i].first_pane, want[i].first_pane) << "sid=" << sid;
-      EXPECT_EQ(got[i].pane_count, want[i].pane_count) << "sid=" << sid;
-      EXPECT_EQ(got[i].offset, want[i].offset) << "sid=" << sid;
-      EXPECT_EQ(got[i].block_len, want[i].block_len) << "sid=" << sid;
-      EXPECT_EQ(got[i].block_crc, want[i].block_crc) << "sid=" << sid;
+    for (const ChunkEntry& e : want) {
+      std::vector<double> got;
+      ASSERT_TRUE(chunks.ReadSeriesBlock(e, &got).ok()) << "sid=" << sid;
+      EXPECT_TRUE(BitwiseEqual(
+          got, {values.begin(), values.begin() + e.pane_count}));
     }
-    EXPECT_EQ(chunks.PaneCountFor(sid), want_panes) << "sid=" << sid;
   }
 }
 
-TEST(ChunkStoreTest, SeriesIndexMatchesManifestAcrossCompactionsAndReopen) {
+TEST(ChunkStoreTest, EntryListsMatchManifestAcrossCompactionsAndReopen) {
   TempDir dir("chunks");
   constexpr uint32_t kSeries = 5;
   const std::vector<std::string> all_names = {"a", "b", "c", "d", "e"};
-  std::vector<double> values(16);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = 0.5 * static_cast<double>(i);
-  }
+  const std::vector<double> values = WalkValues(5, 16);
   std::vector<uint64_t> panes(kSeries, 0);
-  std::vector<std::vector<ChunkEntry>> before(kSeries);
   {
     auto opened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
     ASSERT_TRUE(opened.ok());
     ChunkStore& chunks = **opened;
     for (uint32_t round = 0; round < 24; ++round) {
-      // Series 3 and 4 are named from round 5 on; series 1-3 skip the
-      // rounds their period divides; series 4 writes descending
-      // first_pane, so its manifest entries are out of order.
+      // Series 3 and 4 are named in round 5; series 1-3 skip the
+      // rounds their period divides.
+      std::vector<std::string> new_names;
+      if (round == 0) {
+        new_names.assign(all_names.begin(), all_names.begin() + 3);
+      } else if (round == 5) {
+        new_names.assign(all_names.begin() + 3, all_names.end());
+      }
       const uint32_t named = round < 5 ? 3 : kSeries;
       std::vector<SeriesSlice> slices;
-      for (uint32_t k = 0; k < named; ++k) {
-        const uint32_t sid = round % 2 == 0 ? k : named - 1 - k;
+      for (uint32_t sid = 0; sid < named; ++sid) {
         if (sid >= 1 && sid <= 3 && round % (sid + 1) == 0) {
           continue;
         }
@@ -225,51 +247,151 @@ TEST(ChunkStoreTest, SeriesIndexMatchesManifestAcrossCompactionsAndReopen) {
         slice.sid = sid;
         slice.values = values.data();
         slice.count = 1 + (round + sid) % 7;
-        slice.first_pane = sid == 4 ? 1000 - 40 * round : panes[sid];
-        panes[sid] = std::max<uint64_t>(panes[sid],
-                                        slice.first_pane + slice.count);
+        slice.first_pane = panes[sid];
+        panes[sid] += slice.count;
         slices.push_back(slice);
       }
-      const std::vector<std::string> names(all_names.begin(),
-                                           all_names.begin() + named);
-      ASSERT_TRUE(chunks.WriteChunk(slices, names, round + 1).ok());
-      ExpectSeriesIndexMatchesManifest(chunks, kSeries);
+      ASSERT_TRUE(chunks.WriteChunk(slices, new_names, round + 1).ok());
+      ExpectEntryListsMatchManifest(chunks, dir.path(), panes, values);
     }
-    for (uint32_t sid = 0; sid < kSeries; ++sid) {
-      EXPECT_EQ(chunks.PaneCountFor(sid), panes[sid]) << "sid=" << sid;
-      before[sid] = chunks.EntriesFor(sid);
-    }
-    EXPECT_EQ(chunks.Manifest().entries.size(), 86u);
   }
-  // The index is dense by sid: a slice or an entry for a sid with no
-  // name is refused, and the refused write publishes nothing.
+
+  // Refused slices publish nothing: an unnamed sid, a gap, an overlap,
+  // a new series not starting at pane 0, and sids out of order or
+  // repeated.
   {
     auto opened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
     ASSERT_TRUE(opened.ok());
-    SeriesSlice unnamed;
-    unnamed.sid = kSeries;
-    unnamed.values = values.data();
-    unnamed.count = 1;
-    EXPECT_FALSE((*opened)->WriteChunk({unnamed}, all_names, 99).ok());
-    EXPECT_EQ((*opened)->Manifest().entries.size(), 86u);
-    ManifestData bad = (*opened)->Manifest();
-    bad.entries.back().sid = kSeries;
-    ManifestData decoded;
-    EXPECT_FALSE(
-        ChunkStore::DecodeManifest(ChunkStore::EncodeManifest(bad), &decoded)
-            .ok());
+    std::string manifest_before;
+    ASSERT_TRUE(ReadFile(dir.path() + "/MANIFEST", &manifest_before).ok());
+    const auto slice = [&](uint32_t sid, uint64_t first) {
+      SeriesSlice s;
+      s.sid = sid;
+      s.first_pane = first;
+      s.values = values.data();
+      s.count = 2;
+      return s;
+    };
+    const std::vector<std::vector<SeriesSlice>> refused = {
+        {slice(kSeries, 0)},
+        {slice(1, panes[1] + 1)},
+        {slice(1, panes[1] - 1)},
+        {slice(0, panes[0]), slice(2, panes[2]), slice(1, panes[1])},
+        {slice(2, panes[2]), slice(2, panes[2] + 2)},
+    };
+    for (const std::vector<SeriesSlice>& slices : refused) {
+      EXPECT_EQ((*opened)->WriteChunk(slices, {}, 99).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ((*opened)->WriteChunk({slice(kSeries, 2)}, {"f"}, 99)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    std::string manifest_after;
+    ASSERT_TRUE(ReadFile(dir.path() + "/MANIFEST", &manifest_after).ok());
+    EXPECT_EQ(manifest_after, manifest_before);
+    ExpectEntryListsMatchManifest(**opened, dir.path(), panes, values);
   }
-  // Reopening rebuilds the index from the decoded manifest.
+
+  // Reopening rebuilds the same lists from the MANIFEST alone.
   auto reopened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
   ASSERT_TRUE(reopened.ok());
-  ExpectSeriesIndexMatchesManifest(**reopened, kSeries);
-  for (uint32_t sid = 0; sid < kSeries; ++sid) {
-    EXPECT_EQ((*reopened)->PaneCountFor(sid), panes[sid]) << "sid=" << sid;
-    const std::vector<ChunkEntry> after = (*reopened)->EntriesFor(sid);
-    ASSERT_EQ(after.size(), before[sid].size()) << "sid=" << sid;
-    for (size_t i = 0; i < after.size(); ++i) {
-      EXPECT_EQ(after[i].chunk_id, before[sid][i].chunk_id);
-      EXPECT_EQ(after[i].first_pane, before[sid][i].first_pane);
+  ExpectEntryListsMatchManifest(**reopened, dir.path(), panes, values);
+}
+
+// The manifest as format version 1 wrote it (its entries carried
+// their sid), for one series with one entry, checksummed.
+std::string VersionOneManifest() {
+  std::string m;
+  PutU64(kManifestMagic, &m);
+  PutU32(1, &m);  // version
+  PutU32(1, &m);  // wal_floor_seq
+  PutU32(2, &m);  // next_chunk_id
+  PutU32(1, &m);  // name_count
+  PutU16(1, &m);
+  m.append("a");
+  PutU32(1, &m);  // entry_count
+  PutU32(1, &m);  // chunk_id
+  PutU32(0, &m);  // sid
+  PutU64(0, &m);  // first_pane
+  PutU32(4, &m);  // pane_count
+  PutU64(28, &m);  // offset
+  PutU32(40, &m);  // block_len
+  PutU32(0, &m);  // block_crc
+  PutU32(Crc32cMask(Crc32c(m.data(), m.size())), &m);
+  return m;
+}
+
+void WriteWholeFile(const std::string& path, const std::string& data) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << data;
+  ASSERT_TRUE(f.good()) << path;
+}
+
+// The MANIFEST is the root of trust: any damage to it fails Open with
+// IOError rather than opening a store that reads wrong panes.
+TEST(ChunkStoreTest, CorruptManifestFailsOpen) {
+  TempDir dir("manifest");
+  const std::vector<double> values = WalkValues(6, 8);
+  {
+    auto opened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
+    ASSERT_TRUE(opened.ok());
+    for (uint32_t round = 0; round < 3; ++round) {
+      std::vector<SeriesSlice> slices;
+      for (uint32_t sid = 0; sid < 3; ++sid) {
+        slices.push_back({sid, 4ull * round, values.data(), 4});
+      }
+      const std::vector<std::string> new_names =
+          round == 0 ? std::vector<std::string>{"a", "b", "c"}
+                     : std::vector<std::string>{};
+      ASSERT_TRUE((*opened)->WriteChunk(slices, new_names, round + 1).ok());
+    }
+  }
+  const std::string path = dir.path() + "/MANIFEST";
+  std::string good;
+  ASSERT_TRUE(ReadFile(path, &good).ok());
+  const auto open_code = [&](const std::string& manifest) {
+    WriteWholeFile(path, manifest);
+    return ChunkStore::Open(dir.path(), ChunkStore::Options{}).status().code();
+  };
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    EXPECT_EQ(open_code(good.substr(0, cut)), StatusCode::kIOError)
+        << "prefix of " << cut << " bytes";
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    std::string flipped = good;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x10);
+    EXPECT_EQ(open_code(flipped), StatusCode::kIOError) << "byte " << i;
+  }
+  EXPECT_EQ(open_code(VersionOneManifest()), StatusCode::kIOError);
+
+  // Well-checksummed manifests whose entries for series 1 leave a gap
+  // or overlap, or do not start at pane 0, fail naming the series.
+  ManifestData m;
+  ASSERT_TRUE(ChunkStore::DecodeManifest(good, &m).ok());
+  for (const bool gap : {true, false}) {
+    for (const size_t entry : {0, 1, 2}) {
+      ManifestData bad = m;
+      uint64_t& first = bad.entries[1][entry].first_pane;
+      first = gap ? first + 1 : first - 1;  // entry 0: not at pane 0
+      WriteWholeFile(path, ChunkStore::EncodeManifest(bad));
+      const Status st =
+          ChunkStore::Open(dir.path(), ChunkStore::Options{}).status();
+      EXPECT_EQ(st.code(), StatusCode::kIOError) << gap << " " << entry;
+      EXPECT_NE(st.ToString().find("series 1"), std::string::npos)
+          << st.ToString();
+    }
+  }
+
+  // The intact manifest still opens, with every chunk file kept.
+  EXPECT_EQ(open_code(good), StatusCode::kOk);
+  auto reopened = ChunkStore::Open(dir.path(), ChunkStore::Options{});
+  ASSERT_TRUE(reopened.ok());
+  for (uint32_t sid = 0; sid < 3; ++sid) {
+    EXPECT_EQ((*reopened)->PaneCountFor(sid), 12u);
+    for (const ChunkEntry& e : (*reopened)->EntriesFor(sid, 0, 12)) {
+      std::vector<double> got;
+      EXPECT_TRUE((*reopened)->ReadSeriesBlock(e, &got).ok());
     }
   }
 }
@@ -598,6 +720,75 @@ TEST(DurableStoreTest, SigkillMidIngestRecoversAllAckedPanesBitwise) {
   }
 }
 
+// Compaction racing appends: two threads append to their own series
+// while a third compacts in a loop, each compaction rolling the WAL
+// outside the store lock. Every acknowledged pane must come back
+// after a reopen, bitwise and exactly once.
+TEST(DurableStoreTest, CompactionRacingAppendsKeepsEveryAckedPane) {
+  TempDir dir("race");
+  StoreOptions options = TestStoreOptions();  // kEveryBatch
+  options.wal_segment_bytes = 2048;
+  constexpr size_t kBatches = 150;
+  std::vector<std::vector<double>> acked(2);
+  uint64_t compactions = 0;
+  {
+    auto store = DurableStore::Open(dir.path(), options);
+    ASSERT_TRUE(store.ok());
+    const uint32_t sids[2] = {(*store)->RegisterSeries("race/a").ValueOrDie(),
+                              (*store)->RegisterSeries("race/b").ValueOrDie()};
+    std::atomic<int> appending{2};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        Pcg32 rng(300 + t);
+        std::vector<double> batch;
+        for (size_t b = 0; b < kBatches && !failed; ++b) {
+          batch.resize(1 + rng.NextBounded(16));
+          for (double& v : batch) {
+            v = rng.Gaussian(10.0 * static_cast<double>(t), 1.0);
+          }
+          const PaneRun run = {sids[t], batch.data(),
+                               static_cast<uint32_t>(batch.size())};
+          if (!(*store)->AppendPanes(&run, 1).ok()) {
+            failed = true;
+            break;
+          }
+          acked[t].insert(acked[t].end(), batch.begin(), batch.end());
+        }
+        --appending;
+      });
+    }
+    threads.emplace_back([&] {
+      while (appending > 0 && !failed) {
+        if (!(*store)->CompactOnce(/*force=*/true).ok()) {
+          failed = true;
+        }
+        ++compactions;
+      }
+    });
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    ASSERT_FALSE(failed);
+  }
+  EXPECT_GT(compactions, 1u);
+
+  auto store = DurableStore::Open(dir.path(), options);
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ((*store)->recovery().gap_pane_batches, 0u);
+  EXPECT_EQ((*store)->recovery().orphan_pane_batches, 0u);
+  EXPECT_GT((*store)->recovery().chunk_panes, 0u);
+  for (size_t t = 0; t < 2; ++t) {
+    const uint32_t sid =
+        (*store)->FindSeries(t == 0 ? "race/a" : "race/b").ValueOrDie();
+    ASSERT_EQ((*store)->PaneCount(sid), acked[t].size()) << "series " << t;
+    std::vector<double> got;
+    ASSERT_TRUE((*store)->ReadPanes(sid, 0, acked[t].size(), &got).ok());
+    EXPECT_TRUE(BitwiseEqual(got, acked[t])) << "series " << t;
+  }
+}
+
 StreamingOptions FleetSeriesOptions() {
   StreamingOptions options;
   options.resolution = 100;
@@ -753,6 +944,69 @@ TEST(StorageEngineTest, FleetViewHistoryExtendsPastTheSnapshotRing) {
   ASSERT_TRUE(bare.ok());
   stream::FleetView bare_view(&*bare);
   EXPECT_TRUE(bare_view.History("deep/series", 1000).empty());
+}
+
+// XORs one byte of a file in place (twice restores it).
+void FlipByte(const std::string& path, uint64_t pos) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.seekg(static_cast<std::streamoff>(pos));
+  char c = 0;
+  f.get(c);
+  f.seekp(static_cast<std::streamoff>(pos));
+  f.put(static_cast<char>(c ^ 0x10));
+  ASSERT_TRUE(f.good()) << path << " @" << pos;
+}
+
+// A damaged chunk block is an error on every read path, never wrong
+// means: the entry's CRC covers each byte of the block.
+TEST(DurableStoreTest, CorruptChunkBlockFailsReadsAndReplay) {
+  TempDir dir("corrupt");
+  const std::vector<double> means = WalkValues(8, 40);
+  {
+    auto store = DurableStore::Open(dir.path(), TestStoreOptions());
+    ASSERT_TRUE(store.ok());
+    const uint32_t sid = (*store)->RegisterSeries("corrupt/a").ValueOrDie();
+    PaneRun run = {sid, means.data(), 30};
+    ASSERT_TRUE((*store)->AppendPanes(&run, 1).ok());
+    ASSERT_TRUE((*store)->CompactOnce(/*force=*/true).ok());
+    run = {sid, means.data() + 30, 10};  // stays in the tail
+    ASSERT_TRUE((*store)->AppendPanes(&run, 1).ok());
+  }
+  const ManifestData m = ReadManifest(dir.path() + "/chunks");
+  ASSERT_EQ(m.entries.size(), 1u);
+  ASSERT_EQ(m.entries[0].size(), 1u);
+  const ChunkEntry block = m.entries[0][0];
+  const std::string chunk_path =
+      dir.path() + "/chunks/" + ChunkStore::ChunkFileName(block.chunk_id);
+
+  auto store = DurableStore::Open(dir.path(), TestStoreOptions());
+  ASSERT_TRUE(store.ok());
+  std::vector<double> got;
+  ASSERT_TRUE((*store)->ReadPanes(0, 0, means.size(), &got).ok());
+  ASSERT_TRUE(BitwiseEqual(got, means));
+  for (uint64_t i = 0; i < block.block_len; ++i) {
+    FlipByte(chunk_path, block.offset + i);
+    EXPECT_EQ((*store)->ReadPanes(0, 0, means.size(), &got).code(),
+              StatusCode::kIOError)
+        << "byte " << i;
+    EXPECT_EQ((*store)->ReadPanes(0, 29, 2, &got).code(), StatusCode::kIOError)
+        << "byte " << i;
+    if (i == 0 || i == block.block_len / 2 || i + 1 == block.block_len) {
+      auto engine = stream::ShardedEngine::Create(FleetSeriesOptions(), {});
+      ASSERT_TRUE(engine.ok());
+      EXPECT_EQ(ReplayIntoEngine(**store, &*engine, ReplayFidelity::kFaithful)
+                    .status()
+                    .code(),
+                StatusCode::kIOError)
+          << "byte " << i;
+    }
+    FlipByte(chunk_path, block.offset + i);
+  }
+  // The tail never touches the chunk, and the restored block reads.
+  ASSERT_TRUE((*store)->ReadPanes(0, 30, 10, &got).ok());
+  ASSERT_TRUE((*store)->ReadPanes(0, 0, means.size(), &got).ok());
+  EXPECT_TRUE(BitwiseEqual(got, means));
 }
 
 TEST(StorageEngineTest, StoreTelemetryFamiliesRegister) {
