@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 
 #include "common/macros.h"
 #include "core/metrics.h"
@@ -96,24 +97,30 @@ size_t AcfRebuildPeriod(const StreamingOptions& options, size_t window_panes,
 
 }  // namespace
 
-StreamingAsap::StreamingAsap(const StreamingOptions& options)
-    : options_(options),
-      pane_size_(options.enable_preaggregation
-                     ? window::PointToPixelRatio(options.visible_points,
-                                                 options.resolution)
-                     : 1),
+StreamingAsap::StreamingAsap(const StreamingOptions& options,
+                             size_t pane_size)
+    : timed_(options.pane_width_ticks > 0),
+      panes_(timed_ ? options.pane_width_ticks
+                    : static_cast<int64_t>(pane_size),
+             timed_ ? options.pane_epoch : 0,
+             WindowPanes(options, pane_size)),
       refresh_interval_panes_(std::max<size_t>(
-          options.refresh_every_points / pane_size_ +
-              (options.refresh_every_points % pane_size_ != 0 ? 1 : 0),
+          options.refresh_every_points / pane_size +
+              (options.refresh_every_points % pane_size != 0 ? 1 : 0),
           1)),
-      panes_(options.pane_width_ticks > 0
-                 ? options.pane_width_ticks
-                 : static_cast<int64_t>(pane_size_),
-             options.pane_width_ticks > 0 ? options.pane_epoch : 0,
-             WindowPanes(options, pane_size_)),
       acf_rebuild_period_(AcfRebuildPeriod(options,
-                                           WindowPanes(options, pane_size_),
-                                           refresh_interval_panes_)) {}
+                                           WindowPanes(options, pane_size),
+                                           refresh_interval_panes_)),
+      pane_size_(pane_size),
+      options_(options) {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+  static_assert(offsetof(StreamingAsap, panes_) +
+                        window::PaneBuffer::kPointBytes <=
+                    64,
+                "a timed point's members fit the operator's first line");
+#pragma GCC diagnostic pop
+}
 
 Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
   if (options.visible_points < 8) {
@@ -128,12 +135,16 @@ Result<StreamingAsap> StreamingAsap::Create(const StreamingOptions& options) {
     return Status::InvalidArgument("pane_width_ticks must be >= 0");
   }
   ASAP_RETURN_NOT_OK(ValidateSearchOptions(options.search));
-  return StreamingAsap(options);
+  return StreamingAsap(options,
+                       options.enable_preaggregation
+                           ? window::PointToPixelRatio(options.visible_points,
+                                                       options.resolution)
+                           : 1);
 }
 
 size_t StreamingAsap::Ingest(const double* xs, const int64_t* ts, size_t n,
                              bool render) {
-  ASAP_CHECK(n == 0 || (ts != nullptr) == (options_.pane_width_ticks > 0));
+  ASAP_CHECK(n == 0 || (ts != nullptr) == timed_);
   ASAP_CHECK(xs != nullptr || n == 0);
   size_t refreshes = 0;
   panes_.Add(xs, ts, n, [&] {

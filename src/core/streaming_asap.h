@@ -354,7 +354,7 @@ class StreamingAsap {
   size_t acf_rebuild_period() const { return acf_rebuild_period_; }
 
  private:
-  explicit StreamingAsap(const StreamingOptions& options);
+  StreamingAsap(const StreamingOptions& options, size_t pane_size);
 
   /// The one ingest loop: feeds points into the pane buffer, counting
   /// each commit toward the cadence. `ts` is nullptr for arrival
@@ -366,20 +366,31 @@ class StreamingAsap {
   /// the ACF past it first; returns true iff it refreshed.
   bool OnPaneCommitted(bool render);
 
-  StreamingOptions options_;
-  size_t pane_size_ = 1;
-  size_t refresh_interval_panes_ = 1;
-  window::PaneBuffer panes_;
+  // The members are in the order ingest touches them. A fleet engine
+  // feeds thousands of operators one record at a time and keeps each
+  // on a 64-byte boundary, so what one timed point touches shares the
+  // operator's first line: Ingest's own two members, then the pane
+  // buffer, whose first window::PaneBuffer::kPointBytes are that
+  // point's (the constructor asserts the fit). A pane commit touches
+  // the buffer's retained window and the cadence members right after
+  // it; what only a refresh or a reader touches comes last.
   uint64_t points_consumed_ = 0;
-  size_t panes_since_refresh_ = 0;
+  /// pane_width_ticks > 0: the input kind Ingest checks every call
+  /// against.
+  bool timed_ = false;
+  window::PaneBuffer panes_;
 
   /// Committed panes so far, restored ones included, and their count
   /// at the latest refresh: the clock of the ACF rebuild schedule.
   uint64_t panes_committed_ = 0;
+  size_t panes_since_refresh_ = 0;
+  size_t refresh_interval_panes_ = 1;
+  SlidingAcf sliding_acf_;
   uint64_t panes_at_refresh_ = 0;
   size_t acf_rebuild_period_ = 0;
-  SlidingAcf sliding_acf_;
+  size_t pane_size_ = 1;
 
+  StreamingOptions options_;
   AsapState state_;
   bool has_previous_window_ = false;
   size_t previous_window_ = 1;

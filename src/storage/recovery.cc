@@ -24,12 +24,14 @@ Result<EngineReplayReport> ReplayIntoEngine(const DurableStore& store,
     ASAP_RETURN_NOT_OK(store.ReadPanes(sid, 0, total, &means));
     const Status st = engine->RestoreSeries(name, means.data(), means.size(),
                                             /*cadenced=*/true);
-    if (!st.ok()) {
+    if (st.code() == StatusCode::kInvalidArgument ||
+        st.code() == StatusCode::kAlreadyExists) {
       // Per-series rejection (invalid name, operator already live):
       // recovery keeps going and the caller sees the skip count.
       ++report.series_skipped;
       continue;
     }
+    ASAP_RETURN_NOT_OK(st);  // a run in flight: nothing can be restored
     ++report.series_restored;
     report.panes_restored += means.size();
   }

@@ -42,8 +42,10 @@ struct EngineReplayReport {
 /// between runs — typically freshly created). Series register in the
 /// catalog by name; pane means flow through
 /// ShardedEngine::RestoreSeries. Never fails on per-series oddities
-/// (they are counted as skipped); only infrastructure errors (chunk
-/// IO) surface as a non-OK status.
+/// (they are counted as skipped); infrastructure errors (chunk IO)
+/// and RestoreSeries' refusal of a call made while a run is in flight
+/// (Internal, returned at the first series, before any is restored)
+/// surface as a non-OK status.
 Result<EngineReplayReport> ReplayIntoEngine(const DurableStore& store,
                                             stream::ShardedEngine* engine,
                                             ReplayFidelity fidelity);

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -19,12 +20,68 @@ namespace stream {
 
 namespace {
 
-// One series' state: its operator and its durable-store id.
-struct SeriesState {
+// One series' state: its operator and its durable-store id. A state
+// starts a cache line, so the operator's first line, which holds all
+// that one timed record touches (see StreamingAsap's members), is a
+// line of its own.
+struct alignas(64) SeriesState {
   StreamingAsap op;
   /// The store's id for the series, registered by name on the first
   /// pane it completes. Touched by its shard's worker only.
   std::optional<uint32_t> store_sid;
+};
+
+// One shard's series states, side by side: blocks of kSlots states,
+// each block allocated when the one before it fills. The slab owns
+// what it built: its destructor runs each state's destructor once,
+// then frees the blocks.
+class Slab {
+ public:
+  Slab() = default;
+  Slab(const Slab&) = delete;
+  Slab& operator=(const Slab&) = delete;
+
+  ~Slab() {
+    for (size_t b = 0; b < blocks_.size(); ++b) {
+      const size_t built = b + 1 < blocks_.size() ? kSlots : used_;
+      for (size_t s = 0; s < built; ++s) {
+        std::launder(reinterpret_cast<SeriesState*>(blocks_[b]->slots[s]))
+            ->~SeriesState();
+      }
+    }
+  }
+
+  /// Returns the state `slot` points to, first building one from
+  /// `options` in the next free slab slot and publishing it there if
+  /// the slot is empty. Every creator of a series fills its slot
+  /// through the one slab that owns it, so the lock makes that happen
+  /// once.
+  SeriesState* Fill(std::atomic<SeriesState*>* slot,
+                    const StreamingOptions& options) {
+    std::lock_guard<std::mutex> lock(mu_);
+    SeriesState* state = slot->load(std::memory_order_relaxed);
+    if (state != nullptr) {
+      return state;
+    }
+    if (blocks_.empty() || used_ == kSlots) {
+      blocks_.push_back(std::unique_ptr<Block>(new Block));
+      used_ = 0;
+    }
+    state = new (blocks_.back()->slots[used_])
+        SeriesState{StreamingAsap::Create(options).ValueOrDie(), std::nullopt};
+    ++used_;
+    slot->store(state, std::memory_order_release);
+    return state;
+  }
+
+ private:
+  static constexpr size_t kSlots = 64;
+  struct Block {
+    alignas(SeriesState) unsigned char slots[kSlots][sizeof(SeriesState)];
+  };
+  std::mutex mu_;  // guards blocks_ and used_
+  std::vector<std::unique_ptr<Block>> blocks_;
+  size_t used_ = 0;  // states built in blocks_.back()
 };
 
 }  // namespace
@@ -33,19 +90,25 @@ struct SeriesState {
 // Ids are never reused, so the table only grows: a fixed array of
 // chunks, chunk k holding the 64 * 2^k ids from 64 * (2^k - 1), each
 // allocated on first use and installed by compare-exchange (27 chunks
-// cover every uint32 id). A slot is filled once, by compare-exchange
-// from null, by the owning shard's worker or by RestoreSeries between
-// runs, and freed only with the engine. Writers publish with release
-// and readers load with acquire, so a reader finds a series in two
-// loads without taking a lock.
+// cover every uint32 id). A slot is filled once, by the owning shard's
+// worker or by RestoreSeries between runs, and freed only with the
+// engine. Writers publish with release and readers load with acquire,
+// so a reader finds a series in two loads without taking a lock.
+//
+// A slot points into the slab of the shard that owns the series
+// (ShardOf), whichever thread fills it: a worker's states sit side by
+// side, not each next to the pane blocks and frames that the creating
+// thread allocated with it, so feeding one record a series touches one
+// line of a dense block. Every creator of an id fills its slot through
+// that slab, under the slab's lock, so a slot is built once.
 class ShardedEngine::SeriesTable {
  public:
-  explicit SeriesTable(const StreamingOptions& options) : options_(options) {}
+  SeriesTable(const StreamingOptions& options, size_t shards)
+      : options_(options), slabs_(shards) {}
   SeriesTable(const SeriesTable&) = delete;
   SeriesTable& operator=(const SeriesTable&) = delete;
 
   ~SeriesTable() {
-    ForEach([](SeriesId, const SeriesState& state) { delete &state; });
     for (std::atomic<Slot*>& chunk : chunks_) {
       delete[] chunk.load(std::memory_order_relaxed);
     }
@@ -60,8 +123,9 @@ class ShardedEngine::SeriesTable {
                             : chunk[slot].load(std::memory_order_acquire);
   }
 
-  /// The series' state, built from the shared options on first use.
-  /// Two shards may install one chunk at once; the loser frees its copy.
+  /// The series' state, built from the shared options on first use in
+  /// the owning shard's slab. Two shards may install one chunk at once;
+  /// the loser frees its copy.
   SeriesState& GetOrCreate(SeriesId id) {
     size_t slot = 0;
     const size_t k = Locate(id, &slot);
@@ -75,12 +139,7 @@ class ShardedEngine::SeriesTable {
     }
     SeriesState* state = chunk[slot].load(std::memory_order_acquire);
     if (state == nullptr) {
-      std::unique_ptr<SeriesState> fresh(new SeriesState{
-          StreamingAsap::Create(options_).ValueOrDie(), std::nullopt});
-      if (chunk[slot].compare_exchange_strong(state, fresh.get(),
-                                              std::memory_order_acq_rel)) {
-        state = fresh.release();
-      }
+      state = slabs_[ShardOf(id, slabs_.size())].Fill(&chunk[slot], options_);
     }
     return *state;
   }
@@ -123,6 +182,7 @@ class ShardedEngine::SeriesTable {
 
   StreamingOptions options_;
   std::atomic<Slot*> chunks_[kChunks] = {};
+  std::vector<Slab> slabs_;  // one per shard
 };
 
 // One worker shard: the bounded batch queue that feeds it and its
@@ -490,7 +550,8 @@ ShardedEngine::ShardedEngine(const StreamingOptions& series_options,
     : series_options_(series_options),
       options_(engine_options),
       catalog_(std::make_shared<SeriesCatalog>()),
-      table_(std::make_unique<SeriesTable>(series_options)),
+      table_(std::make_unique<SeriesTable>(series_options,
+                                           engine_options.shards)),
       run_in_flight_(std::make_shared<std::atomic<bool>>(false)) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;

@@ -3,13 +3,14 @@
 // A fleet stream of tagged records is hash-partitioned by series id
 // across T worker shards, each fed through a bounded FIFO batch queue
 // by the producer (the caller's thread, which pulls the MultiSource).
-// Every series' StreamingAsap operator lives in one fleet-wide table
-// indexed by catalog id; a shard's worker creates and feeds the
-// operators of the series it owns. Because one series always lands on
-// one shard and each shard's queue is FIFO, every series sees its
-// points in stream order no matter how many shards run — fleet results
-// are refresh-for-refresh identical to running each series alone
-// (determinism parity).
+// Every series' StreamingAsap operator is reached through one
+// fleet-wide table indexed by catalog id; a shard's worker feeds the
+// operators of the series it owns, which sit side by side in that
+// shard's slab whether the worker or RestoreSeries created them.
+// Because one series always lands on one shard and each shard's queue
+// is FIFO, every series sees its points in stream order no matter how
+// many shards run — fleet results are refresh-for-refresh identical to
+// running each series alone (determinism parity).
 //
 // Topology per run:
 //
@@ -249,9 +250,10 @@ class ShardedEngine {
   /// pane sink does NOT fire — the panes are already durable). With
   /// cadenced == true the live refresh cadence is replayed so frames
   /// and the snapshot ring come out identical to an uninterrupted
-  /// run. Only legal between runs. Refuses an invalid name
-  /// (InvalidArgument), a series that already has points
-  /// (AlreadyExists) and a call while a run is in flight (Internal).
+  /// run. Only legal between runs; calls for distinct names may run
+  /// at once. Refuses an invalid name (InvalidArgument), a series that
+  /// already has points (AlreadyExists) and a call while a run is in
+  /// flight (Internal).
   Status RestoreSeries(std::string_view name, const double* pane_means,
                        size_t n, bool cadenced);
 

@@ -1,5 +1,7 @@
 #include "window/panes.h"
 
+#include <cstddef>
+
 #include "common/macros.h"
 
 namespace asap {
@@ -16,7 +18,10 @@ int64_t Phase(int64_t x, int64_t width) {
 }  // namespace
 
 PaneBuffer::PaneBuffer(int64_t width, int64_t epoch, size_t max_panes)
-    : width_(width), epoch_phase_(0), max_panes_(max_panes) {
+    : width_(width), max_panes_(max_panes), epoch_phase_(0) {
+  static_assert(offsetof(PaneBuffer, sink_ctx_) + sizeof(void*) ==
+                    kPointBytes,
+                "a point's members lead the buffer");
   ASAP_CHECK_GE(width, 1);
   epoch_phase_ = Phase(epoch, width);
 }

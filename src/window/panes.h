@@ -52,6 +52,10 @@ class PaneBuffer {
   /// no-sink case a single branch on the pane-commit path.
   using PaneSink = void (*)(void* ctx, double mean);
 
+  /// Bytes at the front of the buffer that a timed point joining the
+  /// open pane touches (see the members).
+  static constexpr size_t kPointBytes = 48;
+
   /// width: ticks per pane (>= 1); epoch: the tick pane 0 starts at;
   /// max_panes: retained pane count (0 = unbounded).
   PaneBuffer(int64_t width, int64_t epoch, size_t max_panes);
@@ -128,21 +132,30 @@ class PaneBuffer {
 
   static constexpr int64_t kMaxTick = std::numeric_limits<int64_t>::max();
 
-  int64_t width_;
-  int64_t epoch_phase_;  // epoch mod width, in [0, width)
-  size_t max_panes_;
-  std::deque<double> means_;       // complete panes only
-  std::optional<double> evicted_;  // see evicted()
+  // The members are in the order ingest touches them. A timed point
+  // that joins the open pane touches only the open pane, its last tick
+  // and the width; with the sink, which an owner with a durable store
+  // sets around every run, they fill the first kPointBytes. An owner
+  // that places the buffer early in a 64-byte line (StreamingAsap
+  // does) so keeps such a point on one line. A commit touches the
+  // retained window's members, which come next; the arrival clock and
+  // the epoch, read by arrival input and by a jump to a later bucket,
+  // come last.
   Pane open_;  // the open pane; open iff open_.count > 0
   /// Last tick of the open pane, or of the last committed one while
   /// none is open (kMaxTick before any: no shortcut), so the next
   /// bucket opens without a division. Inclusive, so the bucket holding
   /// the largest tick needs no end past it.
   int64_t open_last_ = kMaxTick;
-  /// Tick of the next arrival-input point.
-  int64_t next_arrival_ = 0;
+  int64_t width_;
   PaneSink sink_ = nullptr;
   void* sink_ctx_ = nullptr;
+  std::optional<double> evicted_;  // see evicted()
+  size_t max_panes_;
+  std::deque<double> means_;  // complete panes only
+  /// Tick of the next arrival-input point.
+  int64_t next_arrival_ = 0;
+  int64_t epoch_phase_;  // epoch mod width, in [0, width)
 };
 
 template <typename OnCommit>

@@ -977,6 +977,132 @@ TEST(ShardedEngineTest, SeriesTableGrowsUnderConcurrentReaders) {
   }
 }
 
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// A shard's series states fill its slab from any thread. Two threads
+// restore disjoint series that all belong to shard 0 at once, 80 of
+// them (a slab block holds 64), while a reader loops Frame, History
+// and Sample(All); a run then feeds them and creates 60 more shard-0
+// series live (past slot 128). Each frame must be bitwise a standalone
+// operator's fed the same panes and points; under ASan the engine's
+// destruction must free every state once. The TSan CI job runs this
+// case as a step of its own.
+TEST(ShardedEngineTest, SlabFillsUnderConcurrentRestoresAndReaders) {
+  const size_t kShards = 2;
+  const size_t kRestoredPerThread = 40;
+  const size_t kLive = 60;
+  const size_t kRestoredPanes = 120;   // 9 refreshes each
+  const size_t kPointsPerSeries = 600;  // 30 more panes
+  ShardedEngineOptions engine_options;
+  engine_options.shards = kShards;
+  engine_options.batch_size = 64;
+  ShardedEngine engine =
+      ShardedEngine::Create(FleetOptions(), engine_options).ValueOrDie();
+
+  // Names are interned up front, so which restore thread runs first
+  // cannot change an id or its shard. Every name kept maps to shard 0;
+  // the first 2 * kRestoredPerThread are restored.
+  std::vector<std::string> names;
+  for (size_t i = 0; names.size() < 2 * kRestoredPerThread + kLive; ++i) {
+    std::string name = "slab/" + std::to_string(i);
+    if (ShardedEngine::ShardOf(engine.catalog()->Intern(name), kShards) ==
+        0) {
+      names.push_back(std::move(name));
+    }
+  }
+  const size_t restored = 2 * kRestoredPerThread;
+  std::vector<std::vector<double>> panes(restored);
+  for (size_t i = 0; i < restored; ++i) {
+    panes[i] = FleetSeries(100 + i, kRestoredPanes);
+  }
+
+  const FleetView view(&engine);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> passes{0};
+  std::thread reader([&] {
+    size_t next = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::string& name = names[next++ % names.size()];
+      const auto frame = view.Frame(name);
+      EXPECT_TRUE(frame == nullptr || frame->window >= 1) << name;
+      for (const auto& f : view.History(name)) {
+        EXPECT_TRUE(f != nullptr && f->window >= 1) << name;
+      }
+      for (const SampledSeries& member :
+           view.Sample(SeriesSelector::All()).series) {
+        EXPECT_TRUE(member.frame != nullptr && member.frame->window >= 1)
+            << member.name;
+      }
+      passes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (passes.load(std::memory_order_relaxed) < 2) {
+    std::this_thread::yield();  // the reader loops before any restore
+  }
+  auto restore = [&](size_t begin) {
+    for (size_t i = begin; i < begin + kRestoredPerThread; ++i) {
+      EXPECT_TRUE(engine
+                      .RestoreSeries(names[i], panes[i].data(),
+                                     panes[i].size(), /*cadenced=*/true)
+                      .ok())
+          << names[i];
+    }
+  };
+  std::thread restore_a(restore, 0);
+  std::thread restore_b(restore, kRestoredPerThread);
+  restore_a.join();
+  restore_b.join();
+
+  // The reference operators, after the restore and after the run. No
+  // ASSERT before the reader is joined: an early return would destroy
+  // it joinable.
+  std::vector<StreamingAsap> reference;
+  for (size_t i = 0; i < names.size(); ++i) {
+    reference.push_back(StreamingAsap::Create(FleetOptions()).ValueOrDie());
+    if (i < restored) {
+      StreamingAsap& want = reference.back();
+      want.RestorePanes(panes[i].data(), panes[i].size(), /*cadenced=*/true);
+      const auto frame = view.Frame(names[i]);
+      EXPECT_TRUE(frame != nullptr && frame->refreshes > 0 &&
+                  frame->refreshes == want.frame().refreshes &&
+                  BitwiseEqual(frame->series, want.frame().series))
+          << names[i];
+    } else {
+      EXPECT_EQ(view.Frame(names[i]), nullptr) << names[i];
+    }
+  }
+
+  InterleavingMultiSource source(engine.catalog());
+  for (size_t i = 0; i < names.size(); ++i) {
+    const std::vector<double> points = FleetSeries(i, kPointsPerSeries);
+    reference[i].PushBatch(points);
+    source.AddVector(names[i], points);
+  }
+  const FleetReport report = engine.RunToCompletion(&source);
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(report.points, names.size() * kPointsPerSeries);
+  EXPECT_EQ(report.shards[0].series, names.size());
+  EXPECT_EQ(report.shards[1].series, 0u);
+  for (size_t i = 0; i < names.size(); ++i) {
+    const StreamingAsap::Frame& want = reference[i].frame();
+    const auto frame = view.Frame(names[i]);
+    ASSERT_NE(frame, nullptr) << names[i];
+    EXPECT_GT(frame->refreshes, 0u) << names[i];
+    EXPECT_EQ(frame->refreshes, want.refreshes) << names[i];
+    EXPECT_EQ(frame->window, want.window) << names[i];
+    EXPECT_TRUE(BitwiseEqual(frame->series, want.series)) << names[i];
+    const auto history = view.History(names[i]);
+    ASSERT_FALSE(history.empty()) << names[i];
+    EXPECT_EQ(history.back(), frame) << names[i];
+  }
+}
+
 TEST(ShardedEngineTest, RegistriesPersistAcrossRuns) {
   ShardedEngine engine = ShardedEngine::Create(FleetOptions()).ValueOrDie();
 

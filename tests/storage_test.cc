@@ -12,11 +12,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -874,6 +876,90 @@ TEST(StorageEngineTest, FaithfulReplayReproducesFramesBitwise) {
   for (size_t i = 0; i < kSeries; ++i) {
     EXPECT_EQ(view.Frame("host-" + std::to_string(i) + "/cpu"), restored[i])
         << "series " << i;
+  }
+}
+
+/// Blocks in its first NextBatch until Release(), then ends the stream:
+/// holds a run in flight for as long as a test needs.
+class BlockingSource : public stream::MultiSource {
+ public:
+  size_t NextBatch(size_t /*max_records*/,
+                   stream::RecordBatch* /*out*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    return 0;
+  }
+  size_t TotalPoints() const override { return 0; }
+
+  void WaitUntilEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// A replay while a run is in flight restores nothing, so it must fail
+// with RestoreSeries' refusal instead of reporting every series as
+// skipped; between runs the same replay restores them all.
+TEST(StorageEngineTest, ReplayDuringARunFailsAndCreatesNoSeries) {
+  TempDir dir("inflight");
+  constexpr size_t kSeries = 4;
+  auto store = DurableStore::Open(dir.path(), TestStoreOptions());
+  ASSERT_TRUE(store.ok());
+  for (size_t i = 0; i < kSeries; ++i) {
+    const auto sid =
+        (*store)->RegisterSeries("host-" + std::to_string(i) + "/cpu");
+    ASSERT_TRUE(sid.ok());
+    const std::vector<double> means = FleetSeries(i, 40);
+    PaneRun run;
+    run.sid = *sid;
+    run.values = means.data();
+    run.count = static_cast<uint32_t>(means.size());
+    ASSERT_TRUE((*store)->AppendPanes(&run, 1).ok());
+  }
+  auto engine = stream::ShardedEngine::Create(FleetSeriesOptions(), {});
+  ASSERT_TRUE(engine.ok());
+
+  BlockingSource blocking;
+  stream::FleetReport during;
+  std::thread run([&] { during = engine->RunToCompletion(&blocking); });
+  blocking.WaitUntilEntered();
+  const auto refused =
+      ReplayIntoEngine(**store, &*engine, ReplayFidelity::kFaithful);
+  blocking.Release();
+  run.join();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInternal);
+  EXPECT_NE(refused.status().message().find("run in flight"),
+            std::string::npos)
+      << refused.status().message();
+  EXPECT_EQ(during.series, 0u);
+  const stream::FleetView view(&*engine);
+  for (size_t i = 0; i < kSeries; ++i) {
+    const std::string name = "host-" + std::to_string(i) + "/cpu";
+    EXPECT_FALSE(engine->catalog()->FindId(name).has_value()) << name;
+    EXPECT_EQ(view.Frame(name), nullptr) << name;
+  }
+
+  const auto replayed =
+      ReplayIntoEngine(**store, &*engine, ReplayFidelity::kFaithful);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->series_restored, kSeries);
+  EXPECT_EQ(replayed->series_skipped, 0u);
+  for (size_t i = 0; i < kSeries; ++i) {
+    EXPECT_NE(view.Frame("host-" + std::to_string(i) + "/cpu"), nullptr);
   }
 }
 
