@@ -92,11 +92,9 @@ std::pair<double, double> BestOfAlternating(
 /// with a fresh FrameDecoder, in 64KB chunks, and reports records/s.
 std::function<double()> DecodeOnly(const SeriesCatalog& catalog,
                                    const RecordBatch& records,
-                                   WireEncoding encoding,
-                                   bool timestamped = false) {
+                                   WireEncoding encoding) {
   auto wire = std::make_shared<std::string>();
-  asap::net::WireEncoder encoder(&catalog, encoding, /*frame_records=*/512,
-                                 timestamped);
+  asap::net::WireEncoder encoder(&catalog, encoding, /*frame_records=*/512);
   encoder.Encode(records.data(), records.size(), wire.get());
   auto out = std::make_shared<RecordBatch>();
   out->reserve(records.size());
@@ -380,19 +378,9 @@ int main(int argc, char** argv) {
   SeriesCatalog catalog;
   const RecordBatch records = MakeRecords(&catalog, kRecords, kSeriesCount);
 
-  // The timestamp tax: the same records with per-record timestamps on
-  // the wire (three-token lines, 20-byte 0xA7 records). The gate at
-  // the bottom holds timed binary decode to >= 0.9x of untimed.
-  RecordBatch timed_records = records;
-  for (size_t i = 0; i < timed_records.size(); ++i) {
-    timed_records[i].ts = static_cast<int64_t>(i);
-  }
-  const auto [decode_text, decode_text_timed] = BestOfAlternating(
-      DecodeOnly(catalog, records, WireEncoding::kText),
-      DecodeOnly(catalog, timed_records, WireEncoding::kText, true));
-  const auto [decode_binary, decode_binary_timed] = BestOfAlternating(
-      DecodeOnly(catalog, records, WireEncoding::kBinary),
-      DecodeOnly(catalog, timed_records, WireEncoding::kBinary, true));
+  const auto [decode_text, decode_binary] =
+      BestOfAlternating(DecodeOnly(catalog, records, WireEncoding::kText),
+                        DecodeOnly(catalog, records, WireEncoding::kBinary));
 
   // The price of observability: the 1-loop drain against the same
   // drain with every telemetry instrument short-circuited by the
@@ -419,10 +407,6 @@ int main(int argc, char** argv) {
   Rule(4, 16);
   Row({"decode only", FmtEng(decode_text), FmtEng(decode_binary),
        Fmt(decode_binary / decode_text, 2) + "x"},
-      16);
-  Row({"decode (timed)", FmtEng(decode_text_timed),
-       FmtEng(decode_binary_timed),
-       Fmt(decode_binary_timed / decode_text_timed, 2) + "x"},
       16);
   Row({"loopback drain", FmtEng(drain_text), FmtEng(drain_binary),
        Fmt(drain_binary / drain_text, 2) + "x"},
@@ -451,11 +435,9 @@ int main(int argc, char** argv) {
       "telem off     : 1-loop drain with SetTelemetryEnabled(false) —\n"
       "                the drain/telem-off ratio is the telemetry tax\n"
       "engine        : same wire path feeding ShardedEngine smoothing\n"
-      "decode (timed): same decode with wire timestamps — three-token\n"
-      "                text lines and 20-byte 0xA7 binary records\n"
-      "Binary is 0xA6 name registrations + length-prefixed 12-byte\n"
-      "records; text is '<name> <value>' lines (shortest round-trip\n"
-      "decimals, bit-exact both ways).\n");
+      "Binary is 0xA6 name registrations + length-prefixed 20-byte 0xA7\n"
+      "records; text is '<name> <value> <ts>' lines (shortest\n"
+      "round-trip decimals, bit-exact both ways).\n");
 
   // --- Connection scaling: poll() baseline vs the epoll tier --------------
   rlimit nofile{};
@@ -534,12 +516,6 @@ int main(int argc, char** argv) {
   // someone added a per-record write.
   gate("instrumented / telemetry-off binary drain",
        drain_binary / drain_binary_off, 0.95);
-  // The timestamp-decode floor: a 0xA7 record is 8 bytes longer than
-  // its 0xA5 twin but decodes with the same per-record shape (one
-  // bounds check + three fixed-width copies); anything below 0.9x
-  // means the timed path grew per-record work, not just bytes.
-  gate("timed / untimed binary decode", decode_binary_timed / decode_binary,
-       0.9);
   // The scaling floor: the epoll tier watching ~10k active
   // connections must hold the line against the poll() baseline at its
   // 256-connection sweet spot. An interest-list scaling regression

@@ -69,7 +69,7 @@ struct Args {
   /// the crash half of the durable restart demo.
   bool crash_after_ingest = false;
   /// Collector side: stamp every record with a per-series sample clock
-  /// and send the timestamp-carrying wire forms (0xA7 / three-token).
+  /// (otherwise every record goes out with ts = 0).
   bool timestamped = false;
   /// Server side: pane width in ticks (> 0 turns on timestamp-derived
   /// pane indexing; 0 keeps arrival-order panes).
@@ -101,8 +101,8 @@ int Usage() {
       "                    [--timestamped 0|1] [--pane-ticks N]\n"
       "                    [--seq-horizon N] [--lag-ticks N] [--clients K]\n"
       "server also takes --pane-ticks / --seq-horizon (timestamp-derived\n"
-      "panes + per-shard reordering); client/demo --timestamped sends\n"
-      "0xA7 / three-token wire forms with a per-series sample clock.\n");
+      "panes + per-shard reordering); client/demo --timestamped stamps\n"
+      "records with a per-series sample clock instead of ts = 0.\n");
   return 2;
 }
 
@@ -214,7 +214,6 @@ int RunClient(const Args& args, size_t client_index = 0,
   asap::net::WireClientOptions client_options;
   client_options.catalog = &catalog;
   client_options.encoding = args.encoding;
-  client_options.timestamped = args.timestamped;
   asap::Result<asap::net::WireClient> client =
       args.uds_path.empty()
           ? asap::net::WireClient::ConnectTcp("127.0.0.1", args.port,

@@ -23,7 +23,7 @@ bool IsLineSpace(char c) { return c == ' ' || c == '\t'; }
 size_t CarryShortfall(const std::vector<char>& carry, const char* data,
                       size_t n) {
   const unsigned char first = static_cast<unsigned char>(carry.front());
-  if (first == kBinaryMagic || first == kNameMagic || first == kTimedMagic) {
+  if (first == kNameMagic || first == kTimedMagic) {
     if (carry.size() < kBinaryHeaderBytes) {
       return kBinaryHeaderBytes - carry.size();
     }
@@ -39,7 +39,8 @@ const char* WireEncodingName(WireEncoding encoding) {
   return encoding == WireEncoding::kText ? "text" : "binary";
 }
 
-void AppendTextRecord(std::string_view name, double value, std::string* out) {
+void AppendTextRecord(std::string_view name, double value, int64_t ts,
+                      std::string* out) {
   ASAP_DCHECK(stream::IsValidSeriesName(name));
   out->append(name.data(), name.size());
   out->push_back(' ');
@@ -47,22 +48,12 @@ void AppendTextRecord(std::string_view name, double value, std::string* out) {
   // the host process must not corrupt the wire format) and shortest
   // round-trip, so the receiver's from_chars recovers the exact bits.
   char digits[32];
-  const std::to_chars_result r =
+  std::to_chars_result r =
       std::to_chars(digits, digits + sizeof(digits), value);
   ASAP_DCHECK(r.ec == std::errc());
   out->append(digits, static_cast<size_t>(r.ptr - digits));
-  out->push_back('\n');
-}
-
-void AppendTextRecord(std::string_view name, double value, int64_t ts,
-                      std::string* out) {
-  AppendTextRecord(name, value, out);
-  // Splice the timestamp token in before the newline the two-token
-  // form just appended.
-  out->back() = ' ';
-  char digits[24];
-  const std::to_chars_result r =
-      std::to_chars(digits, digits + sizeof(digits), ts);
+  out->push_back(' ');
+  r = std::to_chars(digits, digits + sizeof(digits), ts);
   ASAP_DCHECK(r.ec == std::errc());
   out->append(digits, static_cast<size_t>(r.ptr - digits));
   out->push_back('\n');
@@ -77,27 +68,12 @@ void AppendNameFrame(uint32_t wire_id, std::string_view name,
   out->append(name.data(), name.size());
 }
 
-void AppendBinaryFrame(const stream::Record* records, size_t n,
-                       std::string* out) {
+void AppendTimedFrame(const stream::Record* records, size_t n,
+                      std::string* out) {
   if (n == 0) {
     // A zero-length frame is corrupt framing on the wire (the decoder
     // poisons the stream on payload == 0), so encode nothing instead.
     return;
-  }
-  const size_t payload = n * kBinaryRecordBytes;
-  ASAP_CHECK_LE(payload, std::numeric_limits<uint32_t>::max());
-  out->push_back(static_cast<char>(kBinaryMagic));
-  PutU32(static_cast<uint32_t>(payload), out);
-  for (size_t i = 0; i < n; ++i) {
-    PutU32(records[i].series_id, out);
-    PutLe(records[i].value, out);
-  }
-}
-
-void AppendTimedFrame(const stream::Record* records, size_t n,
-                      std::string* out) {
-  if (n == 0) {
-    return;  // see AppendBinaryFrame: empty frames are corrupt framing
   }
   const size_t payload = n * kTimedRecordBytes;
   ASAP_CHECK_LE(payload, std::numeric_limits<uint32_t>::max());
@@ -111,12 +87,8 @@ void AppendTimedFrame(const stream::Record* records, size_t n,
 }
 
 WireEncoder::WireEncoder(const stream::SeriesCatalog* catalog,
-                         WireEncoding encoding, size_t frame_records,
-                         bool timestamped)
-    : catalog_(catalog),
-      encoding_(encoding),
-      frame_records_(frame_records),
-      timestamped_(timestamped) {
+                         WireEncoding encoding, size_t frame_records)
+    : catalog_(catalog), encoding_(encoding), frame_records_(frame_records) {
   ASAP_CHECK(catalog_ != nullptr);
   ASAP_CHECK_GE(frame_records_, 1u);
 }
@@ -125,18 +97,13 @@ void WireEncoder::Encode(const stream::Record* records, size_t n,
                          std::string* out) {
   if (encoding_ == WireEncoding::kText) {
     for (size_t i = 0; i < n; ++i) {
-      if (timestamped_) {
-        AppendTextRecord(catalog_->NameOf(records[i].series_id),
-                         records[i].value, records[i].ts, out);
-      } else {
-        AppendTextRecord(catalog_->NameOf(records[i].series_id),
-                         records[i].value, out);
-      }
+      AppendTextRecord(catalog_->NameOf(records[i].series_id),
+                       records[i].value, records[i].ts, out);
     }
     return;
   }
   // Announce every not-yet-registered id up front so each 0xA6 frame
-  // precedes the first 0xA5/0xA7 record that references it.
+  // precedes the first 0xA7 record that references it.
   for (size_t i = 0; i < n; ++i) {
     const stream::SeriesId id = records[i].series_id;
     if (id >= announced_.size()) {
@@ -148,12 +115,7 @@ void WireEncoder::Encode(const stream::Record* records, size_t n,
     }
   }
   for (size_t i = 0; i < n; i += frame_records_) {
-    const size_t chunk = std::min(frame_records_, n - i);
-    if (timestamped_) {
-      AppendTimedFrame(records + i, chunk, out);
-    } else {
-      AppendBinaryFrame(records + i, chunk, out);
-    }
+    AppendTimedFrame(records + i, std::min(frame_records_, n - i), out);
   }
 }
 
@@ -161,7 +123,7 @@ FrameDecoder::FrameDecoder(stream::SeriesCatalog* catalog,
                            size_t max_frame_bytes)
     : catalog_(catalog), max_frame_bytes_(max_frame_bytes) {
   ASAP_CHECK(catalog_ != nullptr);
-  ASAP_CHECK_GE(max_frame_bytes_, kBinaryHeaderBytes + kBinaryRecordBytes);
+  ASAP_CHECK_GE(max_frame_bytes_, kBinaryHeaderBytes + kTimedRecordBytes);
 }
 
 bool FrameDecoder::Feed(const char* data, size_t n, stream::RecordBatch* out) {
@@ -203,7 +165,7 @@ void FrameDecoder::FinishEof(stream::RecordBatch* out) {
     return;
   }
   const unsigned char first = static_cast<unsigned char>(buffer_.front());
-  if (first == kBinaryMagic || first == kNameMagic || first == kTimedMagic) {
+  if (first == kNameMagic || first == kTimedMagic) {
     // A binary frame cut off mid-stream.
     stats_.malformed_frames += 1;
   } else {
@@ -220,8 +182,7 @@ void FrameDecoder::FinishEof(stream::RecordBatch* out) {
 void FrameDecoder::AbandonEof() {
   if (!poisoned_ && !buffer_.empty()) {
     const unsigned char first = static_cast<unsigned char>(buffer_.front());
-    if (first == kBinaryMagic || first == kNameMagic ||
-        first == kTimedMagic) {
+    if (first == kNameMagic || first == kTimedMagic) {
       stats_.malformed_frames += 1;
     } else {
       stats_.malformed_lines += 1;
@@ -246,17 +207,14 @@ size_t FrameDecoder::DecodeSome(const char* data, size_t size,
       continue;
     }
     const unsigned char first = static_cast<unsigned char>(data[pos]);
-    if (first == kBinaryMagic || first == kNameMagic ||
-        first == kTimedMagic) {
+    if (first == kNameMagic || first == kTimedMagic) {
       if (size - pos < kBinaryHeaderBytes) {
         return pos;  // partial header
       }
-      const size_t record_bytes =
-          first == kTimedMagic ? kTimedRecordBytes : kBinaryRecordBytes;
       const uint32_t payload = GetU32(data + pos + 1);
       const bool bad_length =
           payload == 0 || payload > max_frame_bytes_ ||
-          (first != kNameMagic && payload % record_bytes != 0);
+          (first == kTimedMagic && payload % kTimedRecordBytes != 0);
       if (bad_length) {
         // Corrupt framing: no resync point exists inside the frame,
         // so poison the stream instead of mis-parsing garbage.
@@ -271,8 +229,7 @@ size_t FrameDecoder::DecodeSome(const char* data, size_t size,
       if (first == kNameMagic) {
         ApplyNameFrame(p, payload);
       } else {
-        const bool timed = first == kTimedMagic;
-        const size_t count = payload / record_bytes;
+        const size_t count = payload / kTimedRecordBytes;
         for (size_t i = 0; i < count; ++i) {
           const uint32_t wire_id = GetU32(p);
           const auto it = wire_ids_.find(wire_id);
@@ -284,17 +241,12 @@ size_t FrameDecoder::DecodeSome(const char* data, size_t size,
             stream::Record r;
             r.series_id = it->second;
             r.value = GetLe<double>(p + 4);
-            if (timed) {
-              r.ts = GetI64(p + 12);
-              stats_.timed_records += 1;
-            } else {
-              stats_.stamped_records += 1;
-            }
+            r.ts = GetI64(p + 12);
             out->push_back(r);
             stats_.records += 1;
             stats_.binary_records += 1;
           }
-          p += record_bytes;
+          p += kTimedRecordBytes;
         }
         stats_.binary_frames += 1;
       }
@@ -384,8 +336,7 @@ void FrameDecoder::DecodeLine(const char* line, size_t len,
   while (p < end && IsLineSpace(*p)) {
     ++p;
   }
-  // <value>: the token up to the next space (the line may carry a
-  // timestamp token after it).
+  // <value>: the token up to the next space.
   const char* value_end = p;
   while (value_end < end && !IsLineSpace(*value_end)) {
     ++value_end;
@@ -403,35 +354,30 @@ void FrameDecoder::DecodeLine(const char* line, size_t len,
     stats_.malformed_lines += 1;
     return;
   }
-  // Optional <timestamp>: a full int64 token, and nothing after it.
-  // Its absence is the pre-timestamp two-token grammar (ts = 0); a
-  // token that is present but unparsable, or a fourth token, makes
-  // the whole line malformed — exactly one unit is counted either way.
+  // <timestamp>: a full int64 token, and nothing after it. A missing
+  // or unparsable token, or a fourth token, makes the whole line
+  // malformed — exactly one unit is counted either way.
   p = value_end;
   while (p < end && IsLineSpace(*p)) {
     ++p;
   }
+  const char* ts_end = p;
+  while (ts_end < end && !IsLineSpace(*ts_end)) {
+    ++ts_end;
+  }
   int64_t ts = 0;
-  bool timed = false;
-  if (p < end) {
-    const char* ts_end = p;
-    while (ts_end < end && !IsLineSpace(*ts_end)) {
-      ++ts_end;
-    }
-    const std::from_chars_result ts_result = std::from_chars(p, ts_end, ts);
-    if (ts_result.ec != std::errc() || ts_result.ptr != ts_end) {
-      stats_.malformed_lines += 1;
-      return;
-    }
-    p = ts_end;
-    while (p < end && IsLineSpace(*p)) {
-      ++p;
-    }
-    if (p != end) {
-      stats_.malformed_lines += 1;  // a fourth token
-      return;
-    }
-    timed = true;
+  const std::from_chars_result ts_result = std::from_chars(p, ts_end, ts);
+  if (ts_result.ec != std::errc() || ts_result.ptr != ts_end) {
+    stats_.malformed_lines += 1;  // no timestamp token, or a bad one
+    return;
+  }
+  p = ts_end;
+  while (p < end && IsLineSpace(*p)) {
+    ++p;
+  }
+  if (p != end) {
+    stats_.malformed_lines += 1;  // a fourth token
+    return;
   }
   stream::SeriesId id;
   const auto it = text_ids_.find(name);
@@ -442,11 +388,6 @@ void FrameDecoder::DecodeLine(const char* line, size_t len,
     // Key by the catalog's arena-stable view, not the transient line
     // buffer the probe pointed into.
     text_ids_.emplace(catalog_->NameOf(id), id);
-  }
-  if (timed) {
-    stats_.timed_records += 1;
-  } else {
-    stats_.stamped_records += 1;
   }
   out->push_back(stream::Record{id, value, ts});
   stats_.records += 1;

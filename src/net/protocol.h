@@ -6,19 +6,17 @@
 //
 // Three frame kinds share one stream, distinguished by the first byte
 // (Akumuli's akumulid front-end plays the same trick with RESP type
-// bytes):
+// bytes). Every record carries its timestamp: a sender with no clock
+// sends ts = 0.
 //
 //   Text (human-debuggable, graphite-style):
-//       <series-name> <value> [<timestamp>]\n
+//       <series-name> <value> <timestamp>\n
 //     - series-name: 1..256 bytes of printable ASCII excluding space
 //       (see stream::IsValidSeriesName); value: a finite double,
 //       emitted as the shortest round-trip decimal (std::to_chars) so
 //       the receiver recovers the exact bits, independent of locale.
-//     - timestamp (optional third token): a decimal int64 in the
-//       sender's tick unit. Two-token lines remain valid and decode
-//       with ts = 0, so pre-timestamp collectors keep working
-//       unchanged. A present-but-unparsable third token (or a fourth
-//       token) makes the line malformed.
+//     - timestamp: a decimal int64 in the sender's tick unit. A line
+//       with a missing, unparsable or extra token is malformed.
 //     - LF or CRLF terminated; empty lines are ignored; a malformed
 //       line (bad grammar, invalid name, non-finite value) is counted
 //       and skipped, the stream keeps going. Nothing is interned for
@@ -34,34 +32,25 @@
 //       (malformed_registrations) and skipped — the length prefix is
 //       intact, so the stream resyncs after the frame.
 //
-//   Binary record frames (0xA5):
-//       0xA5 | u32 payload_bytes (LE) | payload
-//     - payload is payload_bytes/12 records of
-//       { u32 wire_id (LE), f64 value bits (LE) }.
+//   Binary record frames (0xA7):
+//       0xA7 | u32 payload_bytes (LE) | payload
+//     - payload is payload_bytes/20 records of
+//       { u32 wire_id (LE), f64 value bits (LE), i64 ts (LE) }; ts is
+//       carried through to Record::ts verbatim.
 //     - Each wire_id must have been registered by a prior 0xA6 frame
 //       on the same connection; records referencing an unregistered
 //       id are counted (unknown_series_records) and skipped — never
 //       guessed at or silently truncated into some other series.
-//     - Carries no timestamps: decoded records get ts = 0. Still
-//       fully supported so pre-timestamp collectors keep working.
-//
-//   Timestamped binary record frames (0xA7):
-//       0xA7 | u32 payload_bytes (LE) | payload
-//     - payload is payload_bytes/20 records of
-//       { u32 wire_id (LE), f64 value bits (LE), i64 ts (LE) }.
-//     - Identical registration/unknown-id semantics to 0xA5; the only
-//       difference is the trailing per-record timestamp, carried
-//       through to Record::ts verbatim.
 //
 //   Common binary rules:
-//     - 0xA5/0xA6/0xA7 can never begin a valid text line (they are
-//       outside the name charset), so the frame kinds interleave
-//       freely on one connection.
-//     - A malformed header (zero or oversized payload length; a
-//       length that is not a multiple of the record size for
-//       0xA5/0xA7) poisons the stream: there is no way to resync
-//       inside a corrupt binary frame, so the connection should be
-//       dropped (and counted) rather than mis-parsed.
+//     - 0xA6/0xA7 can never begin a valid text line (they are outside
+//       the name charset), so the frame kinds interleave freely on one
+//       connection.
+//     - A malformed header (zero or oversized payload length; a 0xA7
+//       length that is not a multiple of the record size) poisons the
+//       stream: there is no way to resync inside a corrupt binary
+//       frame, so the connection should be dropped (and counted)
+//       rather than mis-parsed.
 //
 // FrameDecoder is the incremental decoder behind every server
 // connection: it tolerates frames split across arbitrary read
@@ -100,17 +89,13 @@ enum class WireEncoding { kText, kBinary };
 
 const char* WireEncodingName(WireEncoding encoding);
 
-/// First byte of every binary record frame (outside the series-name
-/// charset, so it never begins a valid text line).
-constexpr unsigned char kBinaryMagic = 0xA5;
-/// First byte of every name-registration frame.
+/// First byte of every name-registration frame (outside the
+/// series-name charset, so it never begins a valid text line).
 constexpr unsigned char kNameMagic = 0xA6;
-/// First byte of every timestamped binary record frame.
+/// First byte of every binary record frame (likewise).
 constexpr unsigned char kTimedMagic = 0xA7;
-/// Magic byte plus the u32 payload length (all binary frame kinds).
+/// Magic byte plus the u32 payload length (both binary frame kinds).
 constexpr size_t kBinaryHeaderBytes = 1 + 4;
-/// u32 series id plus f64 value bits.
-constexpr size_t kBinaryRecordBytes = sizeof(stream::SeriesId) + 8;
 /// u32 series id + f64 value bits + i64 timestamp.
 constexpr size_t kTimedRecordBytes = sizeof(stream::SeriesId) + 8 + 8;
 /// A name-registration payload: u32 wire id + 1..kMaxSeriesNameBytes
@@ -123,21 +108,13 @@ constexpr size_t kDefaultMaxFrameBytes = 256 * 1024;
 /// Most records one binary frame may carry under the default frame
 /// bound; a frame over the receiver's bound reads as corrupt framing
 /// and poisons the connection, so senders must stay below the
-/// *receiver's* max_frame_bytes / kBinaryRecordBytes.
-constexpr size_t kDefaultMaxFrameRecords =
-    kDefaultMaxFrameBytes / kBinaryRecordBytes;
-/// The 0xA7 analogue: most records one timestamped frame may carry
-/// under the default frame bound.
+/// *receiver's* max_frame_bytes / kTimedRecordBytes.
 constexpr size_t kDefaultMaxTimedFrameRecords =
     kDefaultMaxFrameBytes / kTimedRecordBytes;
 
-/// Appends one record as a text line ("<name> <value>\n"): shortest
-/// round-trip decimal, bit-exact through the decoder, locale-proof.
-/// `name` must satisfy stream::IsValidSeriesName.
-void AppendTextRecord(std::string_view name, double value, std::string* out);
-
-/// Appends one timestamped record as a three-token text line
-/// ("<name> <value> <ts>\n").
+/// Appends one record as a text line ("<name> <value> <ts>\n"):
+/// shortest round-trip decimal value, bit-exact through the decoder,
+/// locale-proof. `name` must satisfy stream::IsValidSeriesName.
 void AppendTextRecord(std::string_view name, double value, int64_t ts,
                       std::string* out);
 
@@ -146,20 +123,13 @@ void AppendTextRecord(std::string_view name, double value, int64_t ts,
 void AppendNameFrame(uint32_t wire_id, std::string_view name,
                      std::string* out);
 
-/// Appends `n` records as one length-prefixed binary record frame,
-/// encoding each record's series_id as its wire id verbatim — callers
-/// are responsible for having registered those ids (WireEncoder does
-/// this automatically; tests use the raw form for fault injection).
-/// n must satisfy n * kBinaryRecordBytes <= max payload (fits in
-/// u32); n == 0 appends nothing (an empty frame would be corrupt
-/// framing).
-void AppendBinaryFrame(const stream::Record* records, size_t n,
-                       std::string* out);
-
-/// The 0xA7 analogue of AppendBinaryFrame: appends `n` records as one
-/// timestamped binary frame (wire id + value + Record::ts per
-/// record). Same preconditions; n must satisfy
-/// n * kTimedRecordBytes <= max payload.
+/// Appends `n` records as one length-prefixed 0xA7 frame (wire id +
+/// value + Record::ts per record), encoding each record's series_id
+/// as its wire id verbatim — callers are responsible for having
+/// registered those ids (WireEncoder does this automatically; tests
+/// use the raw form for fault injection). n must satisfy
+/// n * kTimedRecordBytes <= max payload (fits in u32); n == 0 appends
+/// nothing (an empty frame would be corrupt framing).
 void AppendTimedFrame(const stream::Record* records, size_t n,
                       std::string* out);
 
@@ -170,13 +140,10 @@ void AppendTimedFrame(const stream::Record* records, size_t n,
 class WireEncoder {
  public:
   /// `catalog` is borrowed (the sender's name table — ids in encoded
-  /// records are *its* ids) and must outlive the encoder.
-  /// `timestamped` selects the timestamp-carrying wire forms: 0xA7
-  /// frames instead of 0xA5, three-token text lines instead of two —
-  /// each record's Record::ts travels verbatim. Off by default so
-  /// existing senders' bytes are unchanged.
+  /// records are *its* ids) and must outlive the encoder. Each
+  /// record's Record::ts travels verbatim.
   WireEncoder(const stream::SeriesCatalog* catalog, WireEncoding encoding,
-              size_t frame_records, bool timestamped = false);
+              size_t frame_records);
 
   /// Appends `n` records in the configured encoding, chunking binary
   /// payloads into frames of at most frame_records records and
@@ -184,13 +151,11 @@ class WireEncoder {
   void Encode(const stream::Record* records, size_t n, std::string* out);
 
   WireEncoding encoding() const { return encoding_; }
-  bool timestamped() const { return timestamped_; }
 
  private:
   const stream::SeriesCatalog* catalog_;
   WireEncoding encoding_;
   size_t frame_records_;
-  bool timestamped_;
   /// announced_[id] == true once a 0xA6 frame for id has been
   /// emitted; grown on demand to the catalog's size.
   std::vector<bool> announced_;
@@ -204,13 +169,7 @@ struct DecoderStats {
   uint64_t records = 0;
   uint64_t text_records = 0;
   uint64_t binary_records = 0;
-  /// Of `records`, how many carried a wire timestamp (three-token
-  /// text lines or 0xA7 frames).
-  uint64_t timed_records = 0;
-  /// Records that arrived without a wire timestamp and decoded with
-  /// ts = 0. Invariant: timed_records + stamped_records == records.
-  uint64_t stamped_records = 0;
-  /// Complete binary record frames decoded (0xA5 and 0xA7).
+  /// Complete binary record frames decoded.
   uint64_t binary_frames = 0;
   /// Name registrations applied (0xA6 frames, including remaps).
   uint64_t name_registrations = 0;

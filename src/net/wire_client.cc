@@ -24,9 +24,7 @@ Status ValidateClientOptions(WireClientOptions* options) {
   // first frame (see WireClientOptions::frame_records); clamp once
   // here so the encoder and Send()'s chunking agree by construction.
   options->frame_records =
-      std::min(options->frame_records, options->timestamped
-                                           ? kDefaultMaxTimedFrameRecords
-                                           : kDefaultMaxFrameRecords);
+      std::min(options->frame_records, kDefaultMaxTimedFrameRecords);
   return Status::OK();
 }
 
@@ -35,8 +33,7 @@ Status ValidateClientOptions(WireClientOptions* options) {
 WireClient::WireClient(Socket sock, const WireClientOptions& options)
     : sock_(std::move(sock)),
       options_(options),
-      encoder_(options.catalog, options.encoding, options.frame_records,
-               options.timestamped) {
+      encoder_(options.catalog, options.encoding, options.frame_records) {
   wire_buffer_.reserve(kSendBufferBytes);
 }
 

@@ -3,7 +3,8 @@
 // demo's collector process. Resolves record ids to series names
 // through the *sender's* catalog (names travel on the wire — the
 // receiver interns them into its own catalog), encodes in either wire
-// encoding, and writes over one blocking TCP or UDS connection.
+// encoding with each record's timestamp, and writes over one blocking
+// TCP or UDS connection.
 
 #ifndef ASAP_NET_WIRE_CLIENT_H_
 #define ASAP_NET_WIRE_CLIENT_H_
@@ -25,16 +26,11 @@ struct WireClientOptions {
   /// catalog's ids. Required (borrowed; must outlive the client).
   const stream::SeriesCatalog* catalog = nullptr;
   WireEncoding encoding = WireEncoding::kBinary;
-  /// Send per-record timestamps: 0xA7 frames instead of 0xA5,
-  /// three-token text lines instead of two. Each record's Record::ts
-  /// travels verbatim. Off by default — the pre-timestamp wire bytes
-  /// are unchanged, and the receiver decodes ts = 0.
-  bool timestamped = false;
   /// Records per binary frame (text is unframed lines). Clamped to
-  /// kDefaultMaxFrameRecords (kDefaultMaxTimedFrameRecords when
-  /// timestamped) at connect — a frame larger than the receiver's
-  /// max_frame_bytes poisons the connection, so servers configured
-  /// below the default bound need a matching smaller value here.
+  /// kDefaultMaxTimedFrameRecords at connect — a frame larger than the
+  /// receiver's max_frame_bytes poisons the connection, so servers
+  /// configured below the default bound need a matching smaller value
+  /// here.
   size_t frame_records = 512;
 };
 

@@ -656,7 +656,7 @@ Result<WireServer> WireServer::Create(const WireServerOptions& options,
   if (options.max_connections < 1) {
     return Status::InvalidArgument("max_connections must be >= 1");
   }
-  if (options.max_frame_bytes < kBinaryHeaderBytes + kBinaryRecordBytes) {
+  if (options.max_frame_bytes < kBinaryHeaderBytes + kTimedRecordBytes) {
     // Checked here so a bad bound is an InvalidArgument at Create, not
     // a FrameDecoder ASAP_CHECK abort at first accept.
     return Status::InvalidArgument(

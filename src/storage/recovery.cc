@@ -1,11 +1,24 @@
 #include "storage/recovery.h"
 
+#include <optional>
 #include <vector>
 
 #include "common/macros.h"
 
 namespace asap {
 namespace storage {
+
+namespace {
+
+// True once a shard worker or a RestoreSeries call has filled the
+// engine's slot for `name`.
+bool EngineHolds(const stream::ShardedEngine& engine,
+                 const std::string& name) {
+  const std::optional<stream::SeriesId> id = engine.catalog()->FindId(name);
+  return id.has_value() && engine.SnapshotById(*id) != nullptr;
+}
+
+}  // namespace
 
 Result<EngineReplayReport> ReplayIntoEngine(const DurableStore& store,
                                             stream::ShardedEngine* engine,
@@ -17,7 +30,19 @@ Result<EngineReplayReport> ReplayIntoEngine(const DurableStore& store,
   for (uint32_t sid = 0; sid < sids; ++sid) {
     const std::string name = store.NameOf(sid);
     const uint64_t total = store.PaneCount(sid);
-    if (name.empty() || total == 0) {
+    if (total == 0 || !stream::IsValidSeriesName(name)) {
+      ++report.series_skipped;
+      continue;
+    }
+    if (EngineHolds(*engine, name)) {
+      // Skipped without reading its panes. Restoring none of them
+      // changes nothing, but still meets RestoreSeries' refusal of a
+      // call made while a run is in flight.
+      const Status st = engine->RestoreSeries(name, nullptr, 0,
+                                              /*cadenced=*/true);
+      if (st.code() == StatusCode::kInternal) {
+        return st;
+      }
       ++report.series_skipped;
       continue;
     }

@@ -33,8 +33,9 @@ enum class ReplayFidelity {
 struct EngineReplayReport {
   uint64_t series_restored = 0;
   uint64_t panes_restored = 0;
-  /// Series skipped: name no longer valid for the catalog, or the
-  /// engine already holds points for it (restore is boot-time only).
+  /// Series skipped: no panes, a name no longer valid for the catalog,
+  /// or the engine already holds the series (restore is boot-time
+  /// only).
   uint64_t series_skipped = 0;
 };
 
@@ -44,8 +45,15 @@ struct EngineReplayReport {
 /// ShardedEngine::RestoreSeries. Never fails on per-series oddities
 /// (they are counted as skipped); infrastructure errors (chunk IO)
 /// and RestoreSeries' refusal of a call made while a run is in flight
-/// (Internal, returned at the first series, before any is restored)
-/// surface as a non-OK status.
+/// (Internal, returned at the first series with panes and a valid
+/// name, before any is restored) surface as a non-OK status.
+///
+/// A series the engine already holds (its catalog id has a state, so
+/// SnapshotById is non-null) is skipped before its panes are read, so
+/// replaying into an engine that holds the fleet reads nothing. That
+/// includes a state that holds no points, which only a zero-pane
+/// RestoreSeries leaves: replay skips it like any other held series
+/// and does not restore the store's panes into it.
 Result<EngineReplayReport> ReplayIntoEngine(const DurableStore& store,
                                             stream::ShardedEngine* engine,
                                             ReplayFidelity fidelity);

@@ -32,8 +32,8 @@ using SeriesId = uint32_t;
 /// (pane_width_ticks == 0) ticks panes by per-series arrival index
 /// and never reads it; a shard sequencer orders records by it in
 /// either mode. 0 is the unstamped default: sources that predate
-/// timestamps leave it alone, and wire input without a timestamp
-/// (text lines with two tokens, 0xA5 frames) decodes with it.
+/// timestamps leave it alone, and a wire sender with no clock sends
+/// it (every wire record carries a timestamp; net/protocol.h).
 struct Record {
   SeriesId series_id = 0;
   double value = 0.0;

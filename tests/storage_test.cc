@@ -961,6 +961,18 @@ TEST(StorageEngineTest, ReplayDuringARunFailsAndCreatesNoSeries) {
   for (size_t i = 0; i < kSeries; ++i) {
     EXPECT_NE(view.Frame("host-" + std::to_string(i) + "/cpu"), nullptr);
   }
+
+  // Once the engine holds every series, replay skips each without
+  // reading it, and a replay during a run is still refused.
+  BlockingSource rerun_source;
+  std::thread rerun([&] { engine->RunToCompletion(&rerun_source); });
+  rerun_source.WaitUntilEntered();
+  const auto held =
+      ReplayIntoEngine(**store, &*engine, ReplayFidelity::kFaithful);
+  rerun_source.Release();
+  rerun.join();
+  ASSERT_FALSE(held.ok());
+  EXPECT_EQ(held.status().code(), StatusCode::kInternal);
 }
 
 // Deep history: with the ring at 2 frames, History(name, many) must
@@ -1093,6 +1105,69 @@ TEST(DurableStoreTest, CorruptChunkBlockFailsReadsAndReplay) {
   ASSERT_TRUE((*store)->ReadPanes(0, 30, 10, &got).ok());
   ASSERT_TRUE((*store)->ReadPanes(0, 0, means.size(), &got).ok());
   EXPECT_TRUE(BitwiseEqual(got, means));
+}
+
+// A replay into an engine that already holds the fleet reads none of
+// its panes: with a chunk block damaged on disk, a fresh engine's
+// replay meets the block CRC, while the holding engine's replay skips
+// every series and keeps every published frame.
+TEST(StorageEngineTest, ReplayIntoAHeldFleetReadsNoPanes) {
+  TempDir dir("held");
+  constexpr size_t kSeries = 6;
+  constexpr size_t kPoints = 3000;
+  auto store = DurableStore::Open(dir.path(), TestStoreOptions());
+  ASSERT_TRUE(store.ok());
+  {
+    stream::ShardedEngineOptions engine_options;
+    engine_options.shards = 3;
+    engine_options.storage = store->get();
+    auto live =
+        stream::ShardedEngine::Create(FleetSeriesOptions(), engine_options);
+    ASSERT_TRUE(live.ok());
+    stream::InterleavingMultiSource source(live->catalog());
+    for (size_t i = 0; i < kSeries; ++i) {
+      source.AddVector("host-" + std::to_string(i) + "/cpu",
+                       FleetSeries(i, kPoints));
+    }
+    EXPECT_EQ(live->RunToCompletion(&source).points, kSeries * kPoints);
+  }
+  ASSERT_TRUE((*store)->CompactOnce(/*force=*/true).ok());
+  ASSERT_EQ((*store)->series_count(), kSeries);
+
+  auto engine = stream::ShardedEngine::Create(FleetSeriesOptions(), {});
+  ASSERT_TRUE(engine.ok());
+  auto first = ReplayIntoEngine(**store, &*engine, ReplayFidelity::kFaithful);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->series_restored, kSeries);
+  const stream::FleetView view(&*engine);
+  std::vector<std::shared_ptr<const StreamingAsap::Frame>> restored;
+  for (size_t i = 0; i < kSeries; ++i) {
+    restored.push_back(view.Frame("host-" + std::to_string(i) + "/cpu"));
+    ASSERT_NE(restored.back(), nullptr);
+  }
+
+  const ManifestData m = ReadManifest(dir.path() + "/chunks");
+  ASSERT_FALSE(m.entries.empty());
+  ASSERT_FALSE(m.entries[0].empty());
+  const ChunkEntry block = m.entries[0][0];
+  FlipByte(dir.path() + "/chunks/" + ChunkStore::ChunkFileName(block.chunk_id),
+           block.offset);
+  auto fresh = stream::ShardedEngine::Create(FleetSeriesOptions(), {});
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(ReplayIntoEngine(**store, &*fresh, ReplayFidelity::kFaithful)
+                .status()
+                .code(),
+            StatusCode::kIOError);
+
+  auto again = ReplayIntoEngine(**store, &*engine, ReplayFidelity::kFaithful);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->series_restored, 0u);
+  EXPECT_EQ(again->panes_restored, 0u);
+  EXPECT_EQ(again->series_skipped, (*store)->series_count());
+  for (size_t i = 0; i < kSeries; ++i) {
+    EXPECT_EQ(view.Frame("host-" + std::to_string(i) + "/cpu"), restored[i])
+        << "series " << i;
+  }
 }
 
 TEST(StorageEngineTest, StoreTelemetryFamiliesRegister) {

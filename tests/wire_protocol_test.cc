@@ -1,8 +1,9 @@
 // FrameDecoder edge cases for the *named* wire protocol: frames split
 // across arbitrary read boundaries, garbage bytes mid-stream,
 // oversized frames, CRLF line endings, interleaved encodings, 0xA6
-// name-registration semantics (unknown ids, remaps, invalid names) —
-// and accounting for every malformed byte skipped.
+// name-registration semantics (unknown ids, remaps, invalid names),
+// the exact bytes the encoders write — and accounting for every
+// malformed byte skipped.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,7 @@ using stream::RecordBatch;
 using stream::SeriesCatalog;
 
 /// Sender-side fixture: a catalog with a handful of names and records
-/// whose values stress round-trip exactness.
+/// whose values and timestamps stress round-trip exactness.
 struct Sender {
   SeriesCatalog catalog;
   RecordBatch records;
@@ -38,12 +39,13 @@ struct Sender {
       catalog.Intern(name);
     }
     records = RecordBatch{
-        {0, 1.0},
-        {1, -0.25},
-        {2, 3.141592653589793},
-        {3, 1e-300},               // denormal-adjacent magnitude
-        {3, -12345.678901234567},  // needs all 17 digits
-        {1, 0.1},                  // classic non-representable decimal
+        {0, 1.0, 0},  // a sender with no clock sends ts = 0
+        {1, -0.25, -7},  // negative ticks are data
+        {2, 3.141592653589793, 1000},
+        {3, 1e-300, std::numeric_limits<int64_t>::max()},  // denormal-adjacent
+        {3, -12345.678901234567,  // needs all 17 digits
+         std::numeric_limits<int64_t>::min()},
+        {1, 0.1, 5017},  // classic non-representable decimal
     };
   }
 
@@ -57,7 +59,7 @@ struct Sender {
 
 /// Bitwise record equality *by name*: sender and receiver catalogs
 /// assign ids independently, so identity is the interned name plus
-/// the exact value bits.
+/// the exact value bits and the timestamp.
 void ExpectBitwiseEqual(const SeriesCatalog& got_catalog,
                         const RecordBatch& got,
                         const SeriesCatalog& want_catalog,
@@ -71,6 +73,7 @@ void ExpectBitwiseEqual(const SeriesCatalog& got_catalog,
     std::memcpy(&got_bits, &got[i].value, 8);
     std::memcpy(&want_bits, &want[i].value, 8);
     EXPECT_EQ(got_bits, want_bits) << "record " << i;
+    EXPECT_EQ(got[i].ts, want[i].ts) << "record " << i;
   }
 }
 
@@ -128,7 +131,7 @@ TEST(WireProtocolTest, ToleratesCrlfAndEmptyLines) {
   SeriesCatalog sink;
   FrameDecoder decoder(&sink);
   RecordBatch out;
-  const std::string wire = "alpha 2.5\r\n\n\r\n  \nbeta 3.5\n";
+  const std::string wire = "alpha 2.5 1\r\n\n\r\n  \nbeta 3.5 2\n";
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(sink.NameOf(out[0].series_id), "alpha");
@@ -143,12 +146,12 @@ TEST(WireProtocolTest, SkipsGarbageLinesAndKeepsGoing) {
   FrameDecoder decoder(&sink);
   RecordBatch out;
   const std::string wire =
-      "good 2.5\n"
+      "good 2.5 1\n"
       "lonely\n"               // missing value
-      "bad nonsense\n"         // unparseable value
-      "bad 1.5 trailing\n"     // junk after the value
+      "bad nonsense 1\n"       // unparseable value
+      "bad 1.5 2 trailing\n"   // junk after the timestamp
       "ok-name\t \n"           // name but only trailing space
-      "also-good 7.5\n";
+      "also-good 7.5 2\n";
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(sink.NameOf(out[0].series_id), "good");
@@ -165,9 +168,9 @@ TEST(WireProtocolTest, RejectsInvalidNamesAsMalformed) {
   FrameDecoder decoder(&sink);
   RecordBatch out;
   std::string wire;
-  wire += std::string(300, 'n') + " 1.0\n";  // name over the length cap
-  wire += "caf\xC3\xA9 1.0\n";               // non-ASCII byte in the name
-  wire += "fine 1.0\n";
+  wire += std::string(300, 'n') + " 1.0 0\n";  // name over the length cap
+  wire += "caf\xC3\xA9 1.0 0\n";               // non-ASCII byte in the name
+  wire += "fine 1.0 0\n";
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(sink.NameOf(out[0].series_id), "fine");
@@ -182,11 +185,11 @@ TEST(WireProtocolTest, RejectsNonFiniteValuesAsMalformed) {
   FrameDecoder decoder(&sink);
   RecordBatch out;
   const std::string wire =
-      "a nan\n"
-      "b inf\n"
-      "c -inf\n"
-      "d 1e999\n"   // overflows to +inf
-      "e 2.5\n";
+      "a nan 0\n"
+      "b inf 0\n"
+      "c -inf 0\n"
+      "d 1e999 0\n"   // overflows to +inf
+      "e 2.5 0\n";
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(sink.NameOf(out[0].series_id), "e");
@@ -201,7 +204,7 @@ TEST(WireProtocolTest, OversizedTextLineIsSkippedNotBuffered) {
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   EXPECT_EQ(decoder.buffered_bytes(), 0u);  // discarded, not carried
   // The stream recovers at the line's eventual newline.
-  const std::string rest = "yyy\nnext 9.5\n";
+  const std::string rest = "yyy\nnext 9.5 0\n";
   EXPECT_TRUE(decoder.Feed(rest.data(), rest.size(), &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(sink.NameOf(out[0].series_id), "next");
@@ -213,15 +216,15 @@ TEST(WireProtocolTest, OversizedBinaryFramePoisonsTheStream) {
   SeriesCatalog sink;
   FrameDecoder decoder(&sink, /*max_frame_bytes=*/120);
   std::string wire;
-  const RecordBatch records(64, Record{1, 2.0});  // 768-byte payload
-  AppendBinaryFrame(records.data(), records.size(), &wire);
+  const RecordBatch records(64, Record{1, 2.0});  // 1280-byte payload
+  AppendTimedFrame(records.data(), records.size(), &wire);
   RecordBatch out;
   EXPECT_FALSE(decoder.Feed(wire.data(), wire.size(), &out));
   EXPECT_TRUE(decoder.poisoned());
   EXPECT_EQ(decoder.stats().malformed_frames, 1u);
   EXPECT_TRUE(out.empty());
   // Poisoned streams stay dead — even for valid input.
-  const std::string good = "fine 2.0\n";
+  const std::string good = "fine 2.0 0\n";
   EXPECT_FALSE(decoder.Feed(good.data(), good.size(), &out));
   EXPECT_TRUE(out.empty());
 }
@@ -230,7 +233,7 @@ TEST(WireProtocolTest, EncodingZeroRecordsAppendsNothing) {
   // An empty binary frame would read as corrupt framing (payload == 0
   // poisons the decoder), so encoding zero records must be a no-op.
   std::string wire;
-  AppendBinaryFrame(nullptr, 0, &wire);
+  AppendTimedFrame(nullptr, 0, &wire);
   EXPECT_TRUE(wire.empty());
   SeriesCatalog catalog;
   WireEncoder encoder(&catalog, WireEncoding::kBinary, 512);
@@ -238,22 +241,8 @@ TEST(WireProtocolTest, EncodingZeroRecordsAppendsNothing) {
   EXPECT_TRUE(wire.empty());
 }
 
-TEST(WireProtocolTest, CorruptBinaryLengthPoisonsTheStream) {
-  for (uint32_t bad_payload : {0u, 11u, 13u}) {  // zero / not 12-multiples
-    SeriesCatalog sink;
-    FrameDecoder decoder(&sink);
-    std::string wire;
-    wire.push_back(static_cast<char>(kBinaryMagic));
-    wire.append(reinterpret_cast<const char*>(&bad_payload), 4);
-    RecordBatch out;
-    EXPECT_FALSE(decoder.Feed(wire.data(), wire.size(), &out))
-        << "payload=" << bad_payload;
-    EXPECT_TRUE(decoder.poisoned());
-  }
-}
-
 TEST(WireProtocolTest, UnregisteredWireIdIsSkippedAndCounted) {
-  // A 0xA5 record whose wire id has no 0xA6 registration on this
+  // A 0xA7 record whose wire id has no 0xA6 registration on this
   // stream must never be guessed at (or silently truncated into some
   // other series) — it is dropped and counted.
   SeriesCatalog sink;
@@ -261,7 +250,7 @@ TEST(WireProtocolTest, UnregisteredWireIdIsSkippedAndCounted) {
   std::string wire;
   AppendNameFrame(7, "known", &wire);
   const RecordBatch frame = {{7, 1.5}, {8, 99.0}, {7, 2.5}};
-  AppendBinaryFrame(frame.data(), frame.size(), &wire);
+  AppendTimedFrame(frame.data(), frame.size(), &wire);
   RecordBatch out;
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 2u);
@@ -283,8 +272,8 @@ TEST(WireProtocolTest, WireIdsAreSenderLocal) {
   AppendNameFrame(0, "from-a", &wire_a);
   AppendNameFrame(0, "from-b", &wire_b);
   const RecordBatch rec = {{0, 1.0}};
-  AppendBinaryFrame(rec.data(), rec.size(), &wire_a);
-  AppendBinaryFrame(rec.data(), rec.size(), &wire_b);
+  AppendTimedFrame(rec.data(), rec.size(), &wire_a);
+  AppendTimedFrame(rec.data(), rec.size(), &wire_b);
   RecordBatch out_a, out_b;
   EXPECT_TRUE(decoder_a.Feed(wire_a.data(), wire_a.size(), &out_a));
   EXPECT_TRUE(decoder_b.Feed(wire_b.data(), wire_b.size(), &out_b));
@@ -301,9 +290,9 @@ TEST(WireProtocolTest, ReRegistrationRemapsAWireId) {
   std::string wire;
   const RecordBatch rec = {{3, 1.0}};
   AppendNameFrame(3, "first", &wire);
-  AppendBinaryFrame(rec.data(), rec.size(), &wire);
+  AppendTimedFrame(rec.data(), rec.size(), &wire);
   AppendNameFrame(3, "second", &wire);  // last registration wins
-  AppendBinaryFrame(rec.data(), rec.size(), &wire);
+  AppendTimedFrame(rec.data(), rec.size(), &wire);
   RecordBatch out;
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 2u);
@@ -333,7 +322,7 @@ TEST(WireProtocolTest, InvalidRegistrationIsSkippedNotPoisoned) {
   // The stream keeps decoding afterwards.
   AppendNameFrame(1, "valid", &wire);
   const RecordBatch rec = {{1, 4.0}};
-  AppendBinaryFrame(rec.data(), rec.size(), &wire);
+  AppendTimedFrame(rec.data(), rec.size(), &wire);
   RecordBatch out;
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 1u);
@@ -347,11 +336,11 @@ TEST(WireProtocolTest, TextAndBinaryInterleaveOnOneStream) {
   SeriesCatalog sink;
   FrameDecoder decoder(&sink);
   std::string wire;
-  AppendTextRecord("alpha", 1.5, &wire);
+  AppendTextRecord("alpha", 1.5, 1, &wire);
   AppendNameFrame(0, "beta", &wire);
-  const RecordBatch binary_records = {{0, 3.5}, {0, 4.5}};
-  AppendBinaryFrame(binary_records.data(), binary_records.size(), &wire);
-  AppendTextRecord("beta", 2.5, &wire);  // same series, text this time
+  const RecordBatch binary_records = {{0, 3.5, 2}, {0, 4.5, 3}};
+  AppendTimedFrame(binary_records.data(), binary_records.size(), &wire);
+  AppendTextRecord("beta", 2.5, 4, &wire);  // same series, text this time
   RecordBatch out;
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 4u);
@@ -366,64 +355,87 @@ TEST(WireProtocolTest, TextAndBinaryInterleaveOnOneStream) {
   EXPECT_EQ(sink.size(), 2u);
 }
 
-TEST(WireProtocolTest, TimedTextRoundTripCarriesTimestamps) {
-  SeriesCatalog sink;
-  FrameDecoder decoder(&sink);
-  RecordBatch out;
-  std::string wire;
-  AppendTextRecord("alpha", 2.5, 1000, &wire);
-  AppendTextRecord("beta", -0.25, -7, &wire);  // negative ticks are data
-  AppendTextRecord("alpha", 3.5, &wire);       // two-token: ts = 0
-  EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].ts, 1000);
-  EXPECT_EQ(out[1].ts, -7);
-  EXPECT_EQ(out[2].ts, 0);
-  EXPECT_EQ(decoder.stats().timed_records, 2u);
-  EXPECT_EQ(decoder.stats().stamped_records, 1u);
-  EXPECT_EQ(decoder.stats().timed_records + decoder.stats().stamped_records,
-            decoder.stats().records);
+// The bytes perfbench's load generator and every WireEncoder send,
+// pinned literally: a change here is a wire protocol change.
+TEST(WireProtocolTest, EncodersWriteExactBytes) {
+  std::string text;
+  AppendTextRecord("web-00/cpu", 2.5, 0, &text);
+  AppendTextRecord("a", -0.1, -7, &text);
+  AppendTextRecord("b", 1e-300, std::numeric_limits<int64_t>::min(), &text);
+  EXPECT_EQ(text,
+            "web-00/cpu 2.5 0\n"
+            "a -0.1 -7\n"
+            "b 1e-300 -9223372036854775808\n");
+
+  std::string frame;
+  const RecordBatch records = {{7, 1.5, 0}, {0x01020304u, -2.0, -1}};
+  AppendTimedFrame(records.data(), records.size(), &frame);
+  const std::string want_frame(
+      "\xA7" "\x28\x00\x00\x00"                  // magic, payload 40
+      "\x07\x00\x00\x00"                          // wire id 7
+      "\x00\x00\x00\x00\x00\x00\xF8\x3F"          // 1.5
+      "\x00\x00\x00\x00\x00\x00\x00\x00"          // ts 0
+      "\x04\x03\x02\x01"                          // wire id 0x01020304
+      "\x00\x00\x00\x00\x00\x00\x00\xC0"          // -2.0
+      "\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF",         // ts -1
+      45);
+  EXPECT_EQ(frame, want_frame);
+
+  std::string name;
+  AppendNameFrame(0x0102u, "cpu", &name);
+  EXPECT_EQ(name, std::string("\xA6" "\x07\x00\x00\x00"  // magic, payload 7
+                              "\x02\x01\x00\x00"          // wire id 0x0102
+                              "cpu",
+                              12));
 }
 
-TEST(WireProtocolTest, TimedBinaryRoundTripIsBitwiseExact) {
-  Sender sender;
-  for (Record& r : sender.records) {
-    r.ts = 5000 + static_cast<int64_t>(&r - sender.records.data()) * 17;
+// The clock-less forms an older sender wrote are not a grammar any
+// more: a two-token line is one malformed line, and the bytes of a
+// 0xA5 frame (12-byte records, no timestamp) read as text that is
+// malformed up to each newline. A valid line after them decodes.
+TEST(WireProtocolTest, RetiredClocklessFormsDecodeToNoRecord) {
+  {
+    SeriesCatalog sink;
+    FrameDecoder decoder(&sink);
+    RecordBatch out;
+    const std::string wire = "alpha 2.5\n";
+    EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(decoder.stats().malformed_lines, 1u);
+    EXPECT_EQ(sink.size(), 0u);  // interns nothing
   }
-  std::string wire;
-  WireEncoder encoder(&sender.catalog, WireEncoding::kBinary,
-                      /*frame_records=*/2, /*timestamped=*/true);
-  encoder.Encode(sender.records.data(), sender.records.size(), &wire);
-  SeriesCatalog sink;
-  FrameDecoder decoder(&sink);
-  RecordBatch out;
-  EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
-  ExpectBitwiseEqual(sink, out, sender.catalog, sender.records);
-  ASSERT_EQ(out.size(), sender.records.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].ts, sender.records[i].ts) << "record " << i;
+  // Wire id 1's payload holds no newline byte; wire id 10's first
+  // byte is one, so its frame reads as two malformed lines.
+  struct Case {
+    uint32_t wire_id;
+    uint64_t malformed;
+  };
+  for (const Case& c : {Case{1, 1}, Case{10, 2}}) {
+    const uint32_t wire_id = c.wire_id;
+    SeriesCatalog sink;
+    FrameDecoder decoder(&sink);
+    RecordBatch out;
+    std::string wire;
+    wire.push_back(static_cast<char>(0xA5));
+    const uint32_t payload = 12;
+    wire.append(reinterpret_cast<const char*>(&payload), 4);
+    wire.append(reinterpret_cast<const char*>(&wire_id), 4);
+    const double value = 2.5;
+    wire.append(reinterpret_cast<const char*>(&value), 8);
+    ASSERT_EQ(wire.find('\n') != std::string::npos, wire_id == 10);
+    wire += "\nok 1.5 7\n";
+    EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out))
+        << "wire id " << wire_id;
+    ASSERT_EQ(out.size(), 1u) << "wire id " << wire_id;
+    EXPECT_EQ(sink.NameOf(out[0].series_id), "ok");
+    EXPECT_EQ(out[0].value, 1.5);
+    EXPECT_EQ(out[0].ts, 7);
+    EXPECT_EQ(decoder.stats().malformed_lines, c.malformed)
+        << "wire id " << wire_id;
+    EXPECT_EQ(decoder.stats().malformed_frames, 0u);
+    EXPECT_EQ(decoder.stats().binary_frames, 0u);
+    EXPECT_EQ(sink.size(), 1u);
   }
-  EXPECT_EQ(decoder.stats().binary_frames, 3u);
-  EXPECT_EQ(decoder.stats().timed_records, sender.records.size());
-  EXPECT_EQ(decoder.stats().stamped_records, 0u);
-}
-
-TEST(WireProtocolTest, TimedAndUntimedFramesInterleaveOnOneStream) {
-  SeriesCatalog sink;
-  FrameDecoder decoder(&sink);
-  std::string wire;
-  AppendNameFrame(1, "mixed", &wire);
-  const RecordBatch untimed = {{1, 1.5}};
-  const RecordBatch timed = {{1, 2.5, 42}};
-  AppendBinaryFrame(untimed.data(), untimed.size(), &wire);
-  AppendTimedFrame(timed.data(), timed.size(), &wire);
-  RecordBatch out;
-  EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].ts, 0);  // 0xA5: no wire timestamp
-  EXPECT_EQ(out[1].ts, 42);  // 0xA7: wire timestamp verbatim
-  EXPECT_EQ(decoder.stats().timed_records, 1u);
-  EXPECT_EQ(decoder.stats().stamped_records, 1u);
 }
 
 TEST(WireProtocolTest, BadTimestampTokensAreMalformed) {
@@ -442,9 +454,9 @@ TEST(WireProtocolTest, BadTimestampTokensAreMalformed) {
   EXPECT_EQ(decoder.stats().malformed_lines, 4u);
 }
 
-TEST(WireProtocolTest, CorruptTimedFrameLengthPoisonsTheStream) {
-  // 0xA7 payloads must be a multiple of the 20-byte record size.
-  for (uint32_t bad_payload : {0u, 19u, 21u}) {
+TEST(WireProtocolTest, CorruptBinaryLengthPoisonsTheStream) {
+  // 0xA7 payloads are nonzero multiples of the 20-byte record size.
+  for (uint32_t bad_payload : {0u, 11u, 13u, 19u, 21u}) {
     SeriesCatalog sink;
     FrameDecoder decoder(&sink);
     std::string wire;
@@ -461,14 +473,15 @@ TEST(WireProtocolTest, EofFlushesTrailingUnterminatedLine) {
   SeriesCatalog sink;
   FrameDecoder decoder(&sink);
   RecordBatch out;
-  const std::string wire = "a 2.5\nb 3.5";  // collector closed mid-line
+  const std::string wire = "a 2.5 1\nb 3.5 2";  // collector closed mid-line
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   EXPECT_EQ(out.size(), 1u);
-  EXPECT_EQ(decoder.buffered_bytes(), 5u);  // "b 3.5"
+  EXPECT_EQ(decoder.buffered_bytes(), 7u);  // "b 3.5 2"
   decoder.FinishEof(&out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(sink.NameOf(out[1].series_id), "b");
   EXPECT_EQ(out[1].value, 3.5);
+  EXPECT_EQ(out[1].ts, 2);
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
 }
 
@@ -476,25 +489,26 @@ TEST(WireProtocolTest, AbnormalEofNeverParsesATruncatedLine) {
   SeriesCatalog sink;
   FrameDecoder decoder(&sink);
   RecordBatch out;
-  // A crash mid-line: "b 123" is the delivered prefix of "b 123456.0".
-  const std::string wire = "a 2.5\nb 123";
+  // A crash mid-line: "b 1.5 12" is the delivered prefix of
+  // "b 1.5 123456".
+  const std::string wire = "a 2.5 1\nb 1.5 12";
   EXPECT_TRUE(decoder.Feed(wire.data(), wire.size(), &out));
   ASSERT_EQ(out.size(), 1u);
   decoder.AbandonEof();
-  EXPECT_EQ(out.size(), 1u);  // the prefix did NOT become {b, 123.0}
+  EXPECT_EQ(out.size(), 1u);  // the prefix did NOT become {b, 1.5, 12}
   EXPECT_EQ(decoder.stats().malformed_lines, 1u);
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
 }
 
 TEST(WireProtocolTest, EofCountsTruncatedBinaryFrameAsMalformed) {
-  for (unsigned char magic : {kBinaryMagic, kNameMagic}) {
+  for (unsigned char magic : {kTimedMagic, kNameMagic}) {
     SeriesCatalog sink;
     FrameDecoder decoder(&sink);
     std::string wire;
-    if (magic == kBinaryMagic) {
+    if (magic == kTimedMagic) {
       AppendNameFrame(1, "cut", &wire);
       const RecordBatch records = {{1, 2.0}, {1, 4.0}};
-      AppendBinaryFrame(records.data(), records.size(), &wire);
+      AppendTimedFrame(records.data(), records.size(), &wire);
     } else {
       AppendNameFrame(1, "cut-registration", &wire);
     }
@@ -517,11 +531,11 @@ TEST(WireProtocolTest, EofFlushEmitsAtMostOneUnitAtEveryPrefix) {
   std::string wire;
   AppendTextRecord("t/one", 1.5, 10, &wire);
   AppendNameFrame(2, "b/two", &wire);
-  const RecordBatch untimed = {{2, 2.5}, {2, 3.5}};
-  AppendBinaryFrame(untimed.data(), untimed.size(), &wire);
-  const RecordBatch timed = {{2, 4.5, 20}, {2, 5.5, 21}};
-  AppendTimedFrame(timed.data(), timed.size(), &wire);
-  AppendTextRecord("t/one", 6.5, &wire);
+  const RecordBatch first = {{2, 2.5, 0}, {2, 3.5, 0}};
+  AppendTimedFrame(first.data(), first.size(), &wire);
+  const RecordBatch second = {{2, 4.5, 20}, {2, 5.5, 21}};
+  AppendTimedFrame(second.data(), second.size(), &wire);
+  AppendTextRecord("t/one", 6.5, 0, &wire);
   for (size_t cut = 0; cut <= wire.size(); ++cut) {
     SeriesCatalog sink;
     FrameDecoder decoder(&sink);
@@ -534,16 +548,13 @@ TEST(WireProtocolTest, EofFlushEmitsAtMostOneUnitAtEveryPrefix) {
     EXPECT_EQ(decoder.buffered_bytes(), 0u) << "cut=" << cut;
     // A truncated binary frame is accounted, never parsed.
     EXPECT_LE(decoder.stats().malformed_frames - frames_before, 1u);
-    EXPECT_EQ(decoder.stats().timed_records + decoder.stats().stamped_records,
-              decoder.stats().records)
-        << "cut=" << cut;
   }
 }
 
 // --- Deterministic replay fuzz harness --------------------------------------
 //
 // A seed-driven generator interleaves valid text records, garbage
-// lines, 0xA6 registrations, and 0xA5 record frames (with known and
+// lines, 0xA6 registrations, and 0xA7 record frames (with known and
 // unknown wire ids), then replays the stream through the decoder at
 // seed-driven split points. Every stream pins the accounting identity
 //
@@ -564,9 +575,6 @@ struct FuzzScript {
   uint64_t expected_records = 0;
   uint64_t expected_malformed_lines = 0;
   uint64_t expected_unknown = 0;
-  /// Of expected_records, how many carried a wire timestamp (timed
-  /// text lines and 0xA7 records); the rest decode with ts = 0.
-  uint64_t expected_timed = 0;
 };
 
 std::string RandomFuzzName(Pcg32* rng) {
@@ -586,34 +594,28 @@ FuzzScript GenerateScript(uint64_t seed) {
   bool any_registered = false;
   // Each template is exactly one malformed line to the decoder.
   const char* kGarbage[] = {
-      "lonely\n",             // name without a value
-      "bad nonsense\n",       // unparseable value
-      "a 1.5 junk\n",         // trailing junk after the value
-      "x inf\n",              // non-finite value
-      "caf\xC3\xA9 1.0\n",    // invalid byte in the name
+      "lonely\n",               // name without a value
+      "bad nonsense 1\n",       // unparseable value
+      "a 1.5 junk\n",           // unparseable timestamp
+      "a 1.5\n",                // no timestamp
+      "x inf 1\n",              // non-finite value
+      "caf\xC3\xA9 1.0 1\n",    // invalid byte in the name
   };
   const size_t steps = 30 + rng.NextBounded(50);
   for (size_t step = 0; step < steps; ++step) {
     switch (rng.NextBounded(8)) {
       case 0:
       case 1:
-      case 2: {  // valid text record, timed or not
-        if (rng.NextBounded(2) == 0) {
-          AppendTextRecord(RandomFuzzName(&rng), rng.Gaussian(0.0, 1e3),
-                           static_cast<int64_t>(rng.NextBounded(1u << 20)) -
-                               1000,
-                           &script.wire);
-          script.expected_timed += 1;
-        } else {
-          AppendTextRecord(RandomFuzzName(&rng), rng.Gaussian(0.0, 1e3),
-                           &script.wire);
-        }
+      case 2: {  // valid text record
+        AppendTextRecord(RandomFuzzName(&rng), rng.Gaussian(0.0, 1e3),
+                         static_cast<int64_t>(rng.NextBounded(1u << 20)) - 1000,
+                         &script.wire);
         script.units += 1;
         script.expected_records += 1;
         break;
       }
       case 3: {  // garbage line
-        script.wire += kGarbage[rng.NextBounded(5)];
+        script.wire += kGarbage[rng.NextBounded(6)];
         script.units += 1;
         script.expected_malformed_lines += 1;
         break;
@@ -629,13 +631,12 @@ FuzzScript GenerateScript(uint64_t seed) {
         any_registered = true;
         break;
       }
-      default: {  // 0xA5 or 0xA7 record frame, mixing known/unknown ids
+      default: {  // 0xA7 record frame, mixing known/unknown ids
         if (!any_registered) {
           AppendNameFrame(0, RandomFuzzName(&rng), &script.wire);
           registered[0] = true;
           any_registered = true;
         }
-        const bool timed = rng.NextBounded(2) == 0;
         RecordBatch frame;
         const size_t n = 1 + rng.NextBounded(6);
         for (size_t i = 0; i < n; ++i) {
@@ -652,17 +653,10 @@ FuzzScript GenerateScript(uint64_t seed) {
             }
             frame.push_back(Record{id, rng.Gaussian(0.0, 1e3), ts});
             script.expected_records += 1;
-            if (timed) {
-              script.expected_timed += 1;
-            }
           }
           script.units += 1;
         }
-        if (timed) {
-          AppendTimedFrame(frame.data(), frame.size(), &script.wire);
-        } else {
-          AppendBinaryFrame(frame.data(), frame.size(), &script.wire);
-        }
+        AppendTimedFrame(frame.data(), frame.size(), &script.wire);
         break;
       }
     }
@@ -696,9 +690,6 @@ TEST_P(WireFuzz, ReplayAccountingIsExactAcrossRandomSplitPoints) {
   EXPECT_EQ(decoder.stats().malformed_lines,
             script.expected_malformed_lines);
   EXPECT_EQ(decoder.stats().unknown_series_records, script.expected_unknown);
-  EXPECT_EQ(decoder.stats().timed_records, script.expected_timed);
-  EXPECT_EQ(decoder.stats().timed_records + decoder.stats().stamped_records,
-            decoder.stats().records);
   // The accounting identity: every record-bearing unit the generator
   // emitted is consumed, counted malformed, or counted unknown.
   EXPECT_EQ(decoder.stats().records + decoder.stats().malformed_lines +
@@ -752,7 +743,7 @@ TEST_P(WireFuzz, MutatedReplayNeverCrashesAndIsolatesPoison) {
     }
     // A poisoned stream rejects even pristine input.
     if (poisoned) {
-      const std::string good = "fine 2.0\n";
+      const std::string good = "fine 2.0 0\n";
       const size_t before = out.size();
       EXPECT_FALSE(decoder.Feed(good.data(), good.size(), &out));
       EXPECT_EQ(out.size(), before);
@@ -786,11 +777,57 @@ TEST_P(WireFuzz, TruncatedReplayFlushesAtMostOneUnitAtEof) {
     EXPECT_LE(decoder.stats().malformed_frames - frames_before, 1u);
     EXPECT_EQ(decoder.buffered_bytes(), 0u);
     EXPECT_FALSE(decoder.poisoned());
-    EXPECT_EQ(decoder.stats().timed_records + decoder.stats().stamped_records,
-              decoder.stats().records);
     for (const Record& r : out) {
       EXPECT_TRUE(stream::IsValidSeriesName(sink.NameOf(r.series_id)));
     }
+  }
+}
+
+TEST_P(WireFuzz, CarryBufferStaysWithinTheFrameBound) {
+  // The carry buffer is the one decoder resource a client grows. Each
+  // seed's script is followed by the largest 0xA7 frame the bound
+  // admits and an oversized text line, fed at random split points —
+  // short reads and reads several frames long — and cut at a random
+  // byte in all but the first round.
+  constexpr size_t kMaxFrameBytes = 4096;
+  FuzzScript script = GenerateScript(GetParam());
+  AppendNameFrame(0, "bound/largest", &script.wire);
+  const RecordBatch largest(kMaxFrameBytes / kTimedRecordBytes,
+                            Record{0, 1.0, 2});
+  AppendTimedFrame(largest.data(), largest.size(), &script.wire);
+  script.wire += std::string(2 * kMaxFrameBytes, 'x') + " 1 2\n";
+  for (uint64_t round = 0; round < 4; ++round) {
+    Pcg32 rng(GetParam() * 7919 + round);
+    const size_t cut =
+        round == 0 ? script.wire.size()
+                   : rng.NextBounded(
+                         static_cast<uint32_t>(script.wire.size() + 1));
+    SeriesCatalog sink;
+    FrameDecoder decoder(&sink, kMaxFrameBytes);
+    RecordBatch out;
+    size_t pos = 0;
+    while (pos < cut) {
+      const uint32_t span = rng.NextBounded(2) == 0 ? 64 : 3 * kMaxFrameBytes;
+      const size_t chunk =
+          std::min<size_t>(1 + rng.NextBounded(span), cut - pos);
+      EXPECT_TRUE(decoder.Feed(script.wire.data() + pos, chunk, &out));
+      pos += chunk;
+      ASSERT_LE(decoder.buffered_bytes(), kBinaryHeaderBytes + kMaxFrameBytes)
+          << "round " << round << " pos " << pos;
+    }
+    if (round == 0) {
+      // Nothing in the stream exceeds the bound but the one line.
+      EXPECT_EQ(out.size(), script.expected_records + largest.size());
+      EXPECT_EQ(decoder.stats().malformed_lines,
+                script.expected_malformed_lines + 1);
+    }
+    if (round % 2 == 0) {
+      decoder.FinishEof(&out);
+    } else {
+      decoder.AbandonEof();
+    }
+    EXPECT_EQ(decoder.buffered_bytes(), 0u) << "round " << round;
+    EXPECT_FALSE(decoder.poisoned()) << "round " << round;
   }
 }
 

@@ -315,7 +315,7 @@ TEST(WireServerTest, MalformedConnectionIsDroppedOthersSurvive) {
     ASSERT_TRUE(client.Flush().ok());
     // Corrupt binary header: magic with an absurd length.
     std::string garbage;
-    garbage.push_back(static_cast<char>(0xA5));
+    garbage.push_back(static_cast<char>(kTimedMagic));
     garbage.append("\xff\xff\xff\xff", 4);
     ASSERT_TRUE(client.SendRaw(garbage).ok());
     // These records ride a poisoned stream and must be ignored.
@@ -450,7 +450,7 @@ TEST(WireServerTest, StopDrainsEverythingAlreadyReceived) {
     Socket sock = ConnectTcp("127.0.0.1", port).ValueOrDie();
     std::string payload;
     for (size_t i = 0; i < kRecordsPerClient; ++i) {
-      AppendTextRecord(HostName(c), static_cast<double>(i), &payload);
+      AppendTextRecord(HostName(c), static_cast<double>(i), 0, &payload);
     }
     ASSERT_TRUE(SendAll(sock.fd(), payload.data(), payload.size()).ok());
     // The connections stay OPEN across Stop(): the drain must not
@@ -510,11 +510,11 @@ TEST(WireServerTest, ConnectionChurnAcrossEncodingsSurvives) {
         ASSERT_TRUE(client.Flush().ok());
         client.Close();
       }
-      // And one peer that dies mid-frame: a 0xA5 header promising 120
+      // And one peer that dies mid-frame: a 0xA7 header promising 120
       // payload bytes, only half delivered before the close.
       Socket abrupt = ConnectTcp("127.0.0.1", port).ValueOrDie();
       std::string partial;
-      partial.push_back(static_cast<char>(0xA5));
+      partial.push_back(static_cast<char>(kTimedMagic));
       const uint32_t len = 120;
       partial.append(reinterpret_cast<const char*>(&len), 4);
       partial.append(60, '\0');
@@ -579,7 +579,8 @@ TEST(WireServerTest, BacklogLargerThanTheConnectionCapIsServedInFull) {
     Socket sock = ConnectTcp("127.0.0.1", port).ValueOrDie();
     std::string payload;
     for (size_t i = 0; i < kPerConn; ++i) {
-      AppendTextRecord(HostName(c % 5), static_cast<double>(i), &payload);
+      AppendTextRecord(HostName(c % 5), static_cast<double>(i), 0,
+                       &payload);
     }
     ASSERT_TRUE(SendAll(sock.fd(), payload.data(), payload.size()).ok());
   }
